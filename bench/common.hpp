@@ -87,22 +87,31 @@ inline void print_header(const char* id, const char* title) {
               simd::arch_name(simd::active_arch()));
 }
 
-/// Short git revision of the working tree, or "unknown" outside a repo /
-/// without git on PATH.  Shelling out keeps the build free of a libgit
-/// dependency; a bench runs once per result file, so the popen cost is
-/// irrelevant.
-inline std::string git_short_sha() {
-  FILE* p = ::popen("git rev-parse --short=12 HEAD 2>/dev/null", "r");
-  if (p == nullptr) return "unknown";
+/// First line of a shell command's stdout, or "" when it fails.
+inline std::string shell_line(const char* cmd) {
+  FILE* p = ::popen(cmd, "r");
+  if (p == nullptr) return "";
   char buf[64] = {};
   const std::size_t n = std::fread(buf, 1, sizeof buf - 1, p);
   const int rc = ::pclose(p);
-  std::string sha(buf, n);
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
-    sha.pop_back();
-  }
-  if (rc != 0 || sha.empty()) return "unknown";
-  return sha;
+  std::string s(buf, n);
+  while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) s.pop_back();
+  return rc == 0 ? s : "";
+}
+
+/// Short git revision of the working tree, with a "-dirty" suffix when
+/// tracked files differ from HEAD (so a result file never claims a clean
+/// revision for numbers measured on uncommitted code), or "unknown"
+/// outside a repo / without git on PATH.  Shelling out keeps the build
+/// free of a libgit dependency; a bench runs once per result file, so the
+/// popen cost is irrelevant.
+inline std::string git_short_sha() {
+  const std::string sha =
+      shell_line("git rev-parse --short=12 HEAD 2>/dev/null");
+  if (sha.empty()) return "unknown";
+  const std::string dirty = shell_line(
+      "git status --porcelain --untracked-files=no 2>/dev/null | head -c 1");
+  return dirty.empty() ? sha : sha + "-dirty";
 }
 
 /// Current UTC time as ISO-8601 (e.g. "2026-08-08T12:34:56Z").

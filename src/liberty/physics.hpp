@@ -128,10 +128,13 @@ struct CharParams {
   /// drain term — the effect Fig. 6 of the paper measures.  The Vth-class
   /// offset cancels in the ratio, so one function serves all flavours.
   double leakage_factor(double lgate_nm, double vdd) const {
-    auto leak = [this](double l, double v) {
-      return v * std::exp(-vth_eff(l, v) / subthreshold_nvt);
-    };
-    return leak(lgate_nm, vdd) / leak(lgate_nom, vdd_low);
+    return raw_leakage(lgate_nm, vdd) / raw_leakage(lgate_nom, vdd_low);
+  }
+
+  /// Un-normalized subthreshold leakage, Vdd * exp(-Vth_eff / (n*kT/q)):
+  /// the numerator and denominator of leakage_factor.
+  double raw_leakage(double lgate_nm, double vdd) const {
+    return vdd * std::exp(-vth_eff(lgate_nm, vdd) / subthreshold_nvt);
   }
 
   /// Absolute leakage ratio of a Vth class vs SVT (same geometry & Vdd).

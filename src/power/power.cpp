@@ -32,6 +32,12 @@ PowerEngine::PowerEngine(const Design& design, const ActivityDb& activity)
     }
     net_cap_[n] = cap;
   }
+  // Domain count, likewise fixed once islands are assigned.
+  std::size_t max_domain = 0;
+  for (const auto& inst : design.instances()) {
+    max_domain = std::max<std::size_t>(max_domain, inst.domain);
+  }
+  num_domains_ = max_domain + 1;
 }
 
 PowerBreakdown PowerEngine::compute(std::span<const int> domain_corner,
@@ -44,11 +50,7 @@ PowerBreakdown PowerEngine::compute(std::span<const int> domain_corner,
 
   PowerBreakdown out;
   out.per_unit_mw.assign(d.unit_names().size(), 0.0);
-  std::size_t max_domain = 0;
-  for (const auto& inst : d.instances()) {
-    max_domain = std::max<std::size_t>(max_domain, inst.domain);
-  }
-  out.per_domain_mw.assign(max_domain + 1, 0.0);
+  out.per_domain_mw.assign(num_domains_, 0.0);
 
   auto corner_of = [&](DomainId dom) -> int {
     return dom < domain_corner.size() ? domain_corner[dom] : kVddLow;

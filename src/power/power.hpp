@@ -65,7 +65,9 @@ class PowerEngine {
  public:
   /// Construction precomputes the per-net total capacitance (wire HPWL +
   /// sink pins), which depends only on placement — never on corners or
-  /// variation — so one engine amortizes it across every compute().
+  /// variation — so one engine amortizes it across every compute().  The
+  /// voltage-domain count is read here too: build the engine after the
+  /// design's domains are assigned.
   PowerEngine(const Design& design, const ActivityDb& activity);
 
   /// Compute the full breakdown with the given supply corner per domain
@@ -79,6 +81,7 @@ class PowerEngine {
   const Design* design_;
   const ActivityDb* activity_;
   std::vector<double> net_cap_;  ///< per-net switching cap [pF]; 0 for clock
+  std::size_t num_domains_ = 1;  ///< max instance domain + 1
 };
 
 }  // namespace vipvt

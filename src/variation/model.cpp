@@ -67,7 +67,8 @@ double CorrelatedField::at(Point pos_um) const {
 VariationModel::VariationModel(const CharParams& cp, const ExposureField& field,
                                const VariationConfig& cfg)
     : cp_(cp), field_(&field), cfg_(cfg),
-      sigma_rnd_(cfg.three_sigma_random_frac / 3.0 * cp.lgate_nom) {
+      sigma_rnd_(cfg.three_sigma_random_frac / 3.0 * cp.lgate_nom),
+      nominal_raw_leakage_(cp_.raw_leakage(cp_.lgate_nom, cp_.vdd_low)) {
   for (int corner : {kVddLow, kVddHigh}) {
     for (int v = 0; v < kNumVthClasses; ++v) {
       nominal_raw_delay_[static_cast<std::size_t>(corner)]
@@ -108,16 +109,20 @@ double VariationModel::systematic_lgate(Point cell_pos_um,
 double VariationModel::sample_lgate(Point cell_pos_um, const DieLocation& loc,
                                     Rng& rng,
                                     const CorrelatedField* field) const {
-  const double sys = systematic_lgate(cell_pos_um, loc);
+  return systematic_lgate(cell_pos_um, loc) +
+         random_lgate_dev(cell_pos_um, rng, field);
+}
+
+double VariationModel::random_lgate_dev(Point cell_pos_um, Rng& rng,
+                                        const CorrelatedField* field) const {
   double eps;
   if (field != nullptr && field->active()) {
     eps = field->at(cell_pos_um) + rng.normal(0.0, sigma_independent_nm());
   } else {
     eps = rng.normal(0.0, sigma_rnd_);
   }
-  eps = std::clamp(eps, -cfg_.clamp_sigma * sigma_rnd_,
-                   cfg_.clamp_sigma * sigma_rnd_);
-  return sys + eps;
+  return std::clamp(eps, -cfg_.clamp_sigma * sigma_rnd_,
+                    cfg_.clamp_sigma * sigma_rnd_);
 }
 
 double VariationModel::delay_factor(double lgate_nm, int corner,
@@ -130,7 +135,10 @@ double VariationModel::delay_factor(double lgate_nm, int corner,
 }
 
 double VariationModel::leakage_factor(double lgate_nm, int corner) const {
-  return cp_.leakage_factor(lgate_nm, vdd_of_corner(corner));
+  // Same quotient as CharParams::leakage_factor, with the nominal
+  // denominator read from the constructor-time cache.
+  return cp_.raw_leakage(lgate_nm, vdd_of_corner(corner)) /
+         nominal_raw_leakage_;
 }
 
 std::vector<double>& VariationModel::draw_factors(

@@ -108,6 +108,13 @@ class VariationModel {
   double sample_lgate(Point cell_pos_um, const DieLocation& loc, Rng& rng,
                       const CorrelatedField* field = nullptr) const;
 
+  /// The random half of sample_lgate(): the clamped deviation [nm] it
+  /// adds to the systematic Lgate, drawing exactly what it draws.  Lets a
+  /// caller holding a precomputed systematic map (systematic_lgates)
+  /// reproduce sample_lgate() bit for bit as map[i] + random_lgate_dev().
+  double random_lgate_dev(Point cell_pos_um, Rng& rng,
+                          const CorrelatedField* field = nullptr) const;
+
   /// Draw the per-sample correlated within-die component (inactive field
   /// when correlated_fraction == 0).
   CorrelatedField draw_field(Rng& rng) const;
@@ -230,6 +237,10 @@ class VariationModel {
   /// per-sample loop (it halves the pow() count of a Monte-Carlo draw;
   /// the quotient is bitwise unchanged since the operands are).
   std::array<std::array<double, kNumVthClasses>, 2> nominal_raw_delay_{};
+  /// raw_leakage at nominal Lgate and the low supply: the constant
+  /// denominator of every leakage_factor(), hoisted the same way (one
+  /// exp() per call instead of two; the quotient is bitwise unchanged).
+  double nominal_raw_leakage_;
   DelayFactorTables tables_;
 };
 

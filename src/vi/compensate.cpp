@@ -7,6 +7,16 @@ namespace vipvt {
 
 VirtualChip fabricate_chip(const Design& design, const VariationModel& model,
                            const DieLocation& loc, Rng& rng) {
+  return fabricate_chip(design, model, loc,
+                        model.systematic_lgates(design, loc), rng);
+}
+
+VirtualChip fabricate_chip(const Design& design, const VariationModel& model,
+                           const DieLocation& loc,
+                           std::span<const double> systematic, Rng& rng) {
+  if (systematic.size() < design.num_instances()) {
+    throw std::invalid_argument("fabricate_chip: short systematic map");
+  }
   VirtualChip chip;
   chip.loc = loc;
   chip.lgate_nm.resize(design.num_instances());
@@ -17,7 +27,10 @@ VirtualChip fabricate_chip(const Design& design, const VariationModel& model,
     if (!inst.placed) {
       throw std::logic_error("fabricate_chip: unplaced instance");
     }
-    chip.lgate_nm[i] = model.sample_lgate(inst.pos, loc, rng, fp);
+    // sample_lgate() is exactly systematic_lgate + random_lgate_dev, and
+    // the map holds those systematic_lgate evaluations.
+    chip.lgate_nm[i] =
+        systematic[i] + model.random_lgate_dev(inst.pos, rng, fp);
   }
   return chip;
 }
@@ -36,6 +49,20 @@ std::vector<double> CompensationController::chip_factors(
   for (InstId i = 0; i < factors.size(); ++i) {
     factors[i] = model_->delay_factor(chip.lgate_nm[i], sta_->inst_corner(i),
                                       design_->cell_of(i).vth);
+  }
+  return factors;
+}
+
+std::vector<double> CompensationController::level_factors(
+    const VirtualChip& chip, const std::vector<double>& f0, int k) {
+  const std::vector<int>& corner0 = level_snaps_[0]->inst_corner;
+  const std::vector<int>& corner = level_snapshot(k).inst_corner;
+  std::vector<double> factors = f0;
+  for (InstId i = 0; i < factors.size(); ++i) {
+    if (corner[i] != corner0[i]) {
+      factors[i] = model_->delay_factor(chip.lgate_nm[i], corner[i],
+                                        design_->cell_of(i).vth);
+    }
   }
   return factors;
 }
@@ -136,8 +163,7 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
     out.timing_met = truth0.wns >= 0.0;
   } else {
     set_level(detected);
-    const std::vector<double> fk = chip_factors(chip);
-    const StaResult truth = sta_->analyze(fk);
+    const StaResult truth = sta_->analyze(level_factors(chip, f0, detected));
     out.wns_after = truth.wns;
     out.islands_raised = detected;
     out.timing_met = truth.wns >= 0.0;
@@ -157,9 +183,8 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
   std::vector<std::vector<double>> factors(lanes);
   for (std::size_t j = 0; j < lanes; ++j) {
     const int level = first_level + static_cast<int>(j);
-    set_level(level);  // chip_factors reads the level's corner map
-    factors[j] = chip_factors(chip);
-    bases[j] = level_snaps_[static_cast<std::size_t>(level)].get();
+    factors[j] = level_factors(chip, f0, level);
+    bases[j] = &level_snapshot(level);
   }
   std::vector<StaResult> results(lanes);
   sta_->analyze_batch_bases(bases, factors, results);

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "variation/model.hpp"
@@ -31,9 +32,20 @@ struct VirtualChip {
   std::vector<double> lgate_nm;  ///< per instance, fabricated gate lengths
 };
 
-/// Draw one fabricated die.
+/// Draw one fabricated die.  Same as the overload below with
+/// model.systematic_lgates(design, loc) as the map.
 VirtualChip fabricate_chip(const Design& design, const VariationModel& model,
                            const DieLocation& loc, Rng& rng);
+
+/// Draw one fabricated die against a precomputed systematic Lgate map
+/// (one entry per instance, VariationModel::systematic_lgates at `loc`;
+/// the wafer loop shares one per reticle slot).  Draws exactly what
+/// VariationModel::sample_lgate draws per gate — same field draw, same
+/// normals, same clamp — so the chip and the RNG state afterwards are
+/// bit-identical to sampling at `loc` directly (DESIGN.md §20).
+VirtualChip fabricate_chip(const Design& design, const VariationModel& model,
+                           const DieLocation& loc,
+                           std::span<const double> systematic, Rng& rng);
 
 struct CompensationOutcome {
   std::array<bool, kNumPipeStages> sensor_stage_flags{};
@@ -57,7 +69,9 @@ class CompensationController {
   /// Runs detection + island raising (+ optional escalation) on one die.
   /// Escalation evaluates every remaining level as one multi-base
   /// analyze_batch_bases() batch (lane = level); the outcome is
-  /// bit-identical to the historical one-level-at-a-time walk.
+  /// bit-identical to the historical one-level-at-a-time walk.  Delay
+  /// factors are computed in full once, at level 0; every raised level
+  /// re-evaluates only the gates whose corner it flips.
   CompensationOutcome compensate(const VirtualChip& chip,
                                  bool allow_escalation = true);
 
@@ -84,6 +98,13 @@ class CompensationController {
 
  private:
   const StaEngine::BaseSnapshot& level_snapshot(int k);
+
+  /// chip_factors() under level k's corner map, built from the level-0
+  /// factors `f0`: delay_factor is a pure function of (Lgate, corner,
+  /// Vth), so only instances whose corner differs from level 0 are
+  /// re-evaluated (DESIGN.md §20).  Requires the level-0 snapshot.
+  std::vector<double> level_factors(const VirtualChip& chip,
+                                    const std::vector<double>& f0, int k);
 
   const Design* design_;
   StaEngine* sta_;

@@ -286,10 +286,37 @@ std::vector<SlotTriage> YieldAnalyzer::tier_screen(
   return {};
 }
 
+/// A die's {total_mw, leakage_mw} is a pure function of its reticle
+/// slot's systematic map and its final supply state, both shared by many
+/// dies of a wafer, so a worker computes it once per (slot, state) and
+/// reuses the bits (DESIGN.md §20).  States are the islands raised 0..n,
+/// then chip-wide high (n+1) and Discard's all-low default (n+2).  One
+/// memo lives for one analyze() / analyze_shard() call, in one worker.
+struct YieldAnalyzer::PowerMemo {
+  struct Entry {
+    bool done = false;
+    double total_mw = 0.0;
+    double leakage_mw = 0.0;
+  };
+  PowerMemo(std::size_t slots, int num_islands)
+      : states(static_cast<std::size_t>(num_islands) + 3),
+        entries(slots * states) {}
+  std::size_t states;
+  std::vector<Entry> entries;  ///< slot * states + state
+};
+
 DieOutcome YieldAnalyzer::analyze_die_with(
     StaEngine& engine, CompensationController& ctrl, const WaferDie& die,
     const YieldConfig& cfg, std::span<const double> systematic,
     const SlotTriage* triage) const {
+  return analyze_die_in_slot(engine, ctrl, die, cfg, systematic, triage, 0,
+                             nullptr);
+}
+
+DieOutcome YieldAnalyzer::analyze_die_in_slot(
+    StaEngine& engine, CompensationController& ctrl, const WaferDie& die,
+    const YieldConfig& cfg, std::span<const double> systematic,
+    const SlotTriage* triage, std::size_t slot, PowerMemo* memo) const {
   DieOutcome out;
   out.die_id = die.id;
 
@@ -338,10 +365,12 @@ DieOutcome YieldAnalyzer::analyze_die_with(
     }
   }
 
-  // 2-3. This wafer's silicon + post-silicon policy selection.
+  // 2-3. This wafer's silicon (drawn against the slot's map, the same
+  // bits as drawing at the die's location) + post-silicon policy
+  // selection.
   Rng fab_rng = die_rng.fork();
   const VirtualChip chip =
-      fabricate_chip(*design_, *model_, die.location, fab_rng);
+      fabricate_chip(*design_, *model_, die.location, systematic, fab_rng);
   const CompensationOutcome comp = ctrl.compensate(chip, cfg.allow_escalation);
   out.detected_severity = comp.detected_severity;
   out.islands_raised = comp.islands_raised;
@@ -351,15 +380,11 @@ DieOutcome YieldAnalyzer::analyze_die_with(
   out.wns_final_ns = comp.wns_after;
   out.timing_met = comp.timing_met;
 
-  std::vector<int> corners;
   if (comp.timing_met) {
     out.policy = comp.islands_raised == 0 ? TuningPolicy::AllLow
                                           : TuningPolicy::NestedIslands;
-    corners = plan_->corners_for_severity(comp.islands_raised);
   } else if (cfg.allow_chip_wide_fallback) {
     // Even all islands failed: the paper's chip-wide adaptive baseline.
-    corners.assign(static_cast<std::size_t>(plan_->num_islands()) + 1,
-                   kVddHigh);
     ctrl.set_chip_wide();
     const StaResult truth = engine.analyze(ctrl.chip_factors(chip));
     out.wns_final_ns = truth.wns;
@@ -372,20 +397,38 @@ DieOutcome YieldAnalyzer::analyze_die_with(
   } else {
     out.policy = TuningPolicy::Discard;
   }
-  if (out.policy == TuningPolicy::Discard) corners.clear();  // all-low power
 
   // 4. Power under the selected supply assignment.  The shared engine
   // carries the per-net caps; the slot's systematic map stands in for
   // per-instance exposure-polynomial evaluation (same bits, see
-  // PowerConfig::systematic).
-  PowerConfig pc;
-  pc.clock_freq_ghz = clock_freq_ghz_;
-  pc.variation = model_;
-  pc.location = &die.location;
-  pc.systematic = systematic;
-  const PowerBreakdown p = power_.compute(corners, pc);
-  out.total_mw = p.total_mw();
-  out.leakage_mw = p.leakage_mw;
+  // PowerConfig::systematic).  With a memo, each (slot, state) is
+  // computed once per worker.
+  const int n = plan_->num_islands();
+  int state = out.islands_raised;
+  if (out.policy == TuningPolicy::ChipWideHigh) state = n + 1;
+  if (out.policy == TuningPolicy::Discard) state = n + 2;
+  PowerMemo::Entry own;
+  PowerMemo::Entry& power =
+      memo == nullptr ? own
+                      : memo->entries[slot * memo->states +
+                                      static_cast<std::size_t>(state)];
+  if (!power.done) {
+    std::vector<int> corners;  // Discard: empty, i.e. all-low power
+    if (state <= n) {
+      corners = plan_->corners_for_severity(state);
+    } else if (state == n + 1) {
+      corners.assign(static_cast<std::size_t>(n) + 1, kVddHigh);
+    }
+    PowerConfig pc;
+    pc.clock_freq_ghz = clock_freq_ghz_;
+    pc.variation = model_;
+    pc.location = &die.location;
+    pc.systematic = systematic;
+    const PowerBreakdown p = power_.compute(corners, pc);
+    power = {true, p.total_mw(), p.leakage_mw};
+  }
+  out.total_mw = power.total_mw;
+  out.leakage_mw = power.leakage_mw;
   return out;
 }
 
@@ -435,11 +478,13 @@ YieldAggregate YieldAnalyzer::analyze_shard(
   agg.island_activation.assign(
       static_cast<std::size_t>(plan_->num_islands()) + 1, 0);
   const int budget = per_die_mc_budget(cfg.mc);
+  PowerMemo memo(slot_maps.size(), plan_->num_islands());
   for (std::size_t i = die_begin; i < die_end; ++i) {
     const WaferDie& die = wafer.dies()[i];
     const std::size_t slot = reticle_slot(wafer, die);
-    agg.add(analyze_die_with(engine, ctrl, die, cfg, slot_maps[slot],
-                             screen.empty() ? nullptr : &screen[slot]),
+    agg.add(analyze_die_in_slot(engine, ctrl, die, cfg, slot_maps[slot],
+                                screen.empty() ? nullptr : &screen[slot],
+                                slot, &memo),
             plan_->num_islands(), budget);
   }
   return agg;
@@ -527,20 +572,25 @@ YieldReport YieldAnalyzer::analyze(const WaferModel& wafer,
   // per-level base snapshots amortize NLDM delay calculation across all
   // the dies a worker processes.  Only the first level a worker touches
   // pays a full compute_base; the controller delta-builds the rest with
-  // recorner_delta (one island's fan-out cone per escalation step).
+  // recorner_delta (one island's fan-out cone per escalation step).  The
+  // power memo is the worker's own, so no two threads ever share one.
   struct Worker {
-    explicit Worker(const YieldAnalyzer& a)
+    Worker(const YieldAnalyzer& a, std::size_t slots)
         : engine(*a.sta_),
-          ctrl(*a.design_, engine, *a.model_, *a.plan_, *a.sensors_) {}
+          ctrl(*a.design_, engine, *a.model_, *a.plan_, *a.sensors_),
+          memo(slots, a.plan_->num_islands()) {}
     StaEngine engine;
     CompensationController ctrl;
+    PowerMemo memo;
   };
-  const auto make_worker = [this] { return std::make_shared<Worker>(*this); };
+  const auto make_worker = [this, &slot_maps] {
+    return std::make_shared<Worker>(*this, slot_maps.size());
+  };
   const auto body = [&](std::shared_ptr<Worker>& w, std::size_t i) {
     const std::size_t slot = slot_of(dies[i]);
-    report.dies[i] =
-        analyze_die_with(w->engine, w->ctrl, dies[i], cfg, slot_maps[slot],
-                         screen.empty() ? nullptr : &screen[slot]);
+    report.dies[i] = analyze_die_in_slot(
+        w->engine, w->ctrl, dies[i], cfg, slot_maps[slot],
+        screen.empty() ? nullptr : &screen[slot], slot, &w->memo);
   };
   if (pool != nullptr) {
     parallel_for(*pool, dies.size(), make_worker, body);

@@ -362,8 +362,10 @@ class YieldAnalyzer {
   /// via StaEngine::recorner_delta — one full delay calculation per
   /// worker, O(island fan-out cone) per additional level, DESIGN.md
   /// §12); `systematic` is the die's systematic Lgate map —
-  /// shared by all dies of the same reticle slot.  Bit-identical to
-  /// analyze_die().
+  /// shared by all dies of the same reticle slot, and read by both
+  /// fabrication and power, so it must hold exactly
+  /// VariationModel::systematic_lgates at die.location (as
+  /// reticle_slot_maps does).  Bit-identical to analyze_die().
   /// `triage` is the die's reticle-slot screen entry (nullptr = no
   /// screen, every die runs MC); a decided entry replaces the MC pass
   /// with the analytic verdict while consuming the same RNG positions,
@@ -438,6 +440,18 @@ class YieldAnalyzer {
       std::span<const SlotTriage> screen = {}) const;
 
  private:
+  /// One worker's die-power memo for one analyze() / analyze_shard()
+  /// call (DESIGN.md §20); defined in yield.cpp.
+  struct PowerMemo;
+
+  /// analyze_die_with, plus the die's reticle `slot` and an optional
+  /// power memo (nullptr = compute power for this die).
+  DieOutcome analyze_die_in_slot(StaEngine& engine,
+                                 CompensationController& ctrl,
+                                 const WaferDie& die, const YieldConfig& cfg,
+                                 std::span<const double> systematic,
+                                 const SlotTriage* triage, std::size_t slot,
+                                 PowerMemo* memo) const;
   void aggregate(YieldReport& report) const;
   /// One slot's analytic verdict: canonical pass over `systematic`, then
   /// the per-gating-stage margin-vs-band decision (DESIGN.md §16).

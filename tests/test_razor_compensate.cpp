@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "netlist/vex.hpp"
 #include "placement/placer.hpp"
 #include "timing/recovery.hpp"
@@ -231,6 +234,109 @@ TEST_F(CompensateFixture, CompensateMatchesSequentialReferenceWalk) {
     EXPECT_EQ(out.timing_met, truth.wns >= 0.0) << "chip " << c;
     EXPECT_EQ(out.escalated, k > detected) << "chip " << c;
   }
+}
+
+TEST_F(CompensateFixture, SlotMapFabricationMatchesLocationFormBitForBit) {
+  // The slot-map overload must draw exactly what the historical per-gate
+  // sample_lgate loop draws (DESIGN.md §20): same Lgates, and the RNG
+  // left in the same state — the polar method's cached deviate included.
+  for (const double corr : {0.0, 0.3}) {
+    VariationConfig vc = model_->config();
+    vc.correlated_fraction = corr;
+    const VariationModel model(lib_->char_params(), *field_, vc);
+    const std::vector<double> map =
+        model.systematic_lgates(*design_, worst_loc_);
+    Rng ref(8086), loc_rng(8086), map_rng(8086);
+    for (int c = 0; c < 3; ++c) {
+      const CorrelatedField field = model.draw_field(ref);
+      const CorrelatedField* fp = field.active() ? &field : nullptr;
+      std::vector<double> want(design_->num_instances());
+      for (InstId i = 0; i < want.size(); ++i) {
+        want[i] =
+            model.sample_lgate(design_->instance(i).pos, worst_loc_, ref, fp);
+      }
+      const VirtualChip by_loc =
+          fabricate_chip(*design_, model, worst_loc_, loc_rng);
+      const VirtualChip by_map =
+          fabricate_chip(*design_, model, worst_loc_, map, map_rng);
+      ASSERT_EQ(by_loc.lgate_nm, want) << "corr " << corr << " chip " << c;
+      ASSERT_EQ(by_map.lgate_nm, want) << "corr " << corr << " chip " << c;
+    }
+    const double next_normal = ref.normal();
+    EXPECT_EQ(loc_rng.normal(), next_normal) << "corr " << corr;
+    EXPECT_EQ(map_rng.normal(), next_normal) << "corr " << corr;
+    for (int k = 0; k < 4; ++k) {
+      const std::uint64_t next = ref.next();
+      EXPECT_EQ(loc_rng.next(), next) << "corr " << corr;
+      EXPECT_EQ(map_rng.next(), next) << "corr " << corr;
+    }
+    const std::vector<double> short_map(map.begin(), map.end() - 1);
+    EXPECT_THROW(fabricate_chip(*design_, model, worst_loc_, short_map, ref),
+                 std::invalid_argument);
+  }
+}
+
+TEST_F(CompensateFixture, EscalationToMaxLevelMatchesFullFactorWalk) {
+  // compensate() fills delay factors once at level 0 and re-evaluates
+  // only the gates a raised level flips (DESIGN.md §20).  Reference: for
+  // every level, set_level(k), a full chip_factors() fill and analyze().
+  // Chips at the worst location under 1.5x sigma, at three clocks: one
+  // where chips fail even at max_k, two where many chips escalate to
+  // max_k or close at their detected level.
+  VariationConfig vc = model_->config();
+  vc.three_sigma_random_frac *= 1.5;
+  const VariationModel model(lib_->char_params(), *field_, vc);
+  const int max_k = plan_->num_islands();
+  int to_max = 0, detected_closes = 0, fails_at_max = 0;
+  for (const double clock_scale : {0.96, 1.03, 1.04}) {
+    StaEngine eng(*sta_);
+    eng.set_clock_period(sta_->options().clock_period_ns * clock_scale);
+    StaEngine ref_eng(eng);
+    CompensationController ctrl(*design_, eng, model, *plan_, *razor_);
+    CompensationController ref(*design_, ref_eng, model, *plan_, *razor_);
+    Rng rng(65536);
+    for (int c = 0; c < 24; ++c) {
+      SCOPED_TRACE("clock x" + std::to_string(clock_scale) + " chip " +
+                   std::to_string(c));
+      const VirtualChip chip =
+          fabricate_chip(*design_, model, worst_loc_, rng);
+      const CompensationOutcome out = ctrl.compensate(chip);
+
+      std::vector<StaResult> level(static_cast<std::size_t>(max_k) + 1);
+      for (int k = 0; k <= max_k; ++k) {
+        ref.set_level(k);
+        level[static_cast<std::size_t>(k)] =
+            ref_eng.analyze(ref.chip_factors(chip));
+      }
+      const auto flags = sensor_flags(ref_eng, *razor_, level[0]);
+      int detected = 0;
+      for (PipeStage s :
+           {PipeStage::Decode, PipeStage::Execute, PipeStage::WriteBack}) {
+        detected += flags[static_cast<std::size_t>(s)];
+      }
+      int k = std::min(detected, max_k);
+      while (level[static_cast<std::size_t>(k)].wns < 0.0 && k < max_k) ++k;
+      const StaResult& truth = level[static_cast<std::size_t>(k)];
+
+      EXPECT_EQ(out.detected_severity, detected);
+      EXPECT_EQ(out.wns_before, level[0].wns);
+      EXPECT_EQ(out.islands_raised, k);
+      EXPECT_EQ(out.wns_after, truth.wns);  // bit-identical
+      EXPECT_EQ(out.timing_met, truth.wns >= 0.0);
+      EXPECT_EQ(out.escalated, k > detected);
+      // The engine is left at the final level's bases, as before.
+      ref.set_level(k);
+      EXPECT_EQ(eng.analyze(ctrl.chip_factors(chip)).wns,
+                ref_eng.analyze(ref.chip_factors(chip)).wns);
+      to_max += out.escalated && out.islands_raised == max_k;
+      detected_closes += detected > 0 && !out.escalated && out.timing_met;
+      fails_at_max += !out.timing_met;
+    }
+  }
+  EXPECT_GE(to_max, 3) << "too few chips escalated to max_k";
+  EXPECT_GE(detected_closes, 3)
+      << "too few chips closed at their detected level";
+  EXPECT_GE(fails_at_max, 3) << "too few chips failed even at max_k";
 }
 
 TEST_F(CompensateFixture, SetLevelBitIdenticalToComputeBase) {

@@ -463,6 +463,75 @@ TEST_F(YieldFixture, AnalyzeDieWithMatchesAnalyzeDie) {
   }
 }
 
+// analyze() shares work across the dies of a worker (slot-map
+// fabrication, level-0 factor reuse, the per-(slot, state) power memo —
+// DESIGN.md §20).  On a stress wafer (1.5x sigma, 0.85x clock) every
+// DieOutcome must still equal a fresh, memo-free analyze_die() bit for
+// bit, at 1 and 2 threads.  With escalation on, dies escalate and the
+// ones failing even at max_k run the chip-wide fallback and are
+// discarded; with it off, the chip-wide fallback ships dies, so every
+// power-memo state is exercised.
+TEST_F(YieldFixture, StressWaferOutcomesMatchAnalyzeDieAcrossThreads) {
+  VariationConfig vc = flow_->variation().config();
+  vc.three_sigma_random_frac *= 1.5;
+  const VariationModel model(flow_->variation().char_params(),
+                             flow_->variation().field(), vc);
+  const double period = flow_->post_shifter_clock_ns() * 0.85;
+  StaEngine sta(flow_->sta());
+  sta.set_clock_period(period);
+  const YieldAnalyzer analyzer(flow_->design(), sta, model,
+                               flow_->island_plan(), flow_->razor_plan(),
+                               flow_->activity(), 1.0 / period);
+
+  std::size_t escalated = 0, chip_wide = 0, discarded = 0;
+  for (const bool escalation : {true, false}) {
+    YieldConfig cfg = test_yield_config();
+    cfg.allow_escalation = escalation;
+    std::vector<DieOutcome> want;
+    StaEngine fresh(sta);
+    for (const WaferDie& die : wafer_->dies()) {
+      want.push_back(analyzer.analyze_die(fresh, die, cfg));
+      const DieOutcome& d = want.back();
+      escalated += d.escalated ? 1 : 0;
+      chip_wide += d.policy == TuningPolicy::ChipWideHigh ? 1 : 0;
+      discarded += d.policy == TuningPolicy::Discard ? 1 : 0;
+    }
+    for (const std::size_t threads : {1u, 2u}) {
+      ThreadPool pool(threads);
+      const YieldReport got = analyzer.analyze(*wafer_, cfg, &pool);
+      ASSERT_EQ(got.dies.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const DieOutcome& a = want[i];
+        const DieOutcome& b = got.dies[i];
+        SCOPED_TRACE("escalation " + std::to_string(escalation) +
+                     " threads " + std::to_string(threads) + " die " +
+                     std::to_string(i));
+        EXPECT_EQ(a.die_id, b.die_id);
+        EXPECT_EQ(a.mc_severity, b.mc_severity);
+        EXPECT_EQ(a.mc_samples, b.mc_samples);
+        EXPECT_EQ(a.mc_stop, b.mc_stop);
+        EXPECT_EQ(a.detected_severity, b.detected_severity);
+        EXPECT_EQ(a.islands_raised, b.islands_raised);
+        EXPECT_EQ(a.policy, b.policy);
+        EXPECT_EQ(a.timing_met, b.timing_met);
+        EXPECT_EQ(a.escalated, b.escalated);
+        EXPECT_EQ(a.missed_violation, b.missed_violation);
+        EXPECT_EQ(a.wns_all_low_ns, b.wns_all_low_ns);
+        EXPECT_EQ(a.wns_final_ns, b.wns_final_ns);
+        EXPECT_EQ(a.fmax_ghz, b.fmax_ghz);
+        EXPECT_EQ(a.total_mw, b.total_mw);
+        EXPECT_EQ(a.leakage_mw, b.leakage_mw);
+        EXPECT_EQ(a.triage_tier, b.triage_tier);
+        EXPECT_EQ(a.triage_margin_ns, b.triage_margin_ns);
+        EXPECT_EQ(a.triage_band_ns, b.triage_band_ns);
+      }
+    }
+  }
+  EXPECT_GT(escalated, 0u);
+  EXPECT_GT(chip_wide, 0u);
+  EXPECT_GT(discarded, 0u);
+}
+
 // The Batched draw profile carries the same determinism-under-
 // parallelism contract as Scalar: identical wafer reports for serial,
 // 1-thread and N-thread runs (within the profile).
