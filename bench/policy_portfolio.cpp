@@ -3,9 +3,9 @@
 // criticality buffering + VI, and all three — reporting the
 // power/area/yield point each mix buys.  Transforming mixes compile the
 // netlist once (compile_policy_mix) and fabricate every die on the
-// transformed design; the §12 incremental-STA path (per-level
-// recorner_delta snapshots) serves the compiled netlists exactly as it
-// serves the baseline, and is hard-gated here on the transformed design.
+// transformed design; the §12 incremental-STA path (recorner_delta)
+// works on the compiled netlists exactly as on the baseline, and is
+// hard-gated here on the transformed design.
 //
 // Hard determinism gates (any failure exits 1):
 //   1. Per mix, the serialized report (CSV + JSON) is byte-identical for
@@ -280,9 +280,9 @@ int main(int argc, char** argv) {
   }
 
   // ---- gate 5: §12 level snapshots on the transformed netlist ------------
-  // The sizing+buffering netlist through the same ladder the controller
-  // climbs: every level's delta-built snapshot must be byte-identical to
-  // a full compute_base of that level's corner assignment.
+  // The sizing+buffering netlist through the escalation ladder: every
+  // level's delta-built snapshot must be byte-identical to a full
+  // compute_base of that level's corner assignment.
   const IslandPlan& plan = flow.island_plan();
   const MixRun& all3 = mixes.back();
   if (const int levels = plan.num_islands();

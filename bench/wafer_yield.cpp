@@ -459,18 +459,15 @@ int main(int argc, char** argv) {
     out.set("macro_break_even_wafers", break_even);
   }
 
-  // Escalation-level re-corner cost: inside the yield loop, each
-  // worker's CompensationController caches one BaseSnapshot per
-  // escalation level of its persistent StaEngine, and compensate()
-  // analyzes the engine after every set_level().  Since the incremental
-  // re-corner landed (DESIGN.md §12), only the FIRST level a worker
-  // touches pays a full NLDM compute_base(); every other level is
-  // delta-built from the nearest cached neighbour with
-  // StaEngine::recorner_delta.  Measure the per-level re-corner cost
+  // Escalation-level re-corner cost.  The yield loop builds each
+  // level's BaseSnapshot with one full compute_base(), once per analyzer
+  // (DESIGN.md §20); StaEngine::recorner_delta (§12) could delta-build
+  // them instead, but lost on this core (level_warmup_speedup < 1) and
+  // has no production caller.  Measure the per-level re-corner cost
   // both ways — full compute_base()+analyze() at each level vs a warm
   // recorner_delta flip into it (level k differs from k-1 only in
   // domain k) — and hard-gate on the delta-built snapshots being
-  // byte-identical to the full ones at every level (the controller's
+  // byte-identical to the full ones at every level (recorner_delta's
   // correctness contract).
   const IslandPlan& plan = flow.island_plan();
   if (const int levels = plan.num_islands(); levels > 0) {

@@ -1,6 +1,7 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -109,8 +110,9 @@ std::vector<CampaignCell> CampaignRunner::expand(
     throw std::invalid_argument("campaign: shard_dies must be >= 1");
   }
   for (const double s : spec.sigma_scales) {
-    if (!(s > 0.0)) {
-      throw std::invalid_argument("campaign: sigma scales must be positive");
+    if (!(std::isfinite(s) && s > 0.0)) {
+      throw std::invalid_argument(
+          "campaign: sigma scales must be positive and finite");
     }
   }
   for (const int m : spec.mc_samples) {
@@ -237,7 +239,8 @@ struct CampaignRunner::Plan {
   }
 };
 
-void CampaignRunner::build_plan(const CampaignSpec& spec, Plan& plan) const {
+void CampaignRunner::build_plan(const CampaignSpec& spec, ThreadPool* pool,
+                                Plan& plan) const {
   plan.cells = expand(spec);  // validates the spec
 
   if (spec.variants.empty()) {
@@ -267,14 +270,17 @@ void CampaignRunner::build_plan(const CampaignSpec& spec, Plan& plan) const {
   // Compiled (variant, policy) netlists (DESIGN.md §18): pure-VI mixes
   // alias the baseline references; transforming mixes own a rewritten
   // copy selected by criticality under the variant's characterized
-  // model.
+  // model.  Planner phase 1 on the pool: each compile runs its
+  // criticality dies there, one compile at a time (a pool job must never
+  // wait on its own pool, so pooled phases do not nest).
   plan.netlists.resize(plan.variant_axis.size() * npol);
   for (std::size_t v = 0; v < plan.variant_axis.size(); ++v) {
     const Variant& var = variants_[plan.variant_axis[v]];
     for (std::size_t p = 0; p < npol; ++p) {
       Plan::NetlistSlot& ns = plan.netlists[v * npol + p];
-      ns.compiled = compile_policy_mix(spec.policies[p], *var.design,
-                                       *var.sta, *var.model, *var.activity);
+      ns.compiled =
+          compile_policy_mix(spec.policies[p], *var.design, *var.sta,
+                             *var.model, *var.activity, pool);
       ns.design = &ns.compiled.design_or(*var.design);
       ns.sta = &ns.compiled.sta_or(*var.sta);
       ns.activity = &ns.compiled.activity_or(*var.activity);
@@ -348,12 +354,23 @@ void CampaignRunner::build_plan(const CampaignSpec& spec, Plan& plan) const {
   // shard's MC work.  Each analyzer slot caches its own macromodel
   // library, so macro-tier cells sharing a (variant, policy, sigma)
   // slot characterize once and reuse it across screens and shards.
+  // Planner phase 2 on the pool: one job per cell, so the first cell of
+  // each analyzer characterizes its library in parallel with the others;
+  // each screen is a pure function of its cell, written to its own slot.
   plan.screens.resize(plan.cells.size());
   if (spec.base.effective_tier() != EvalTier::Flat) {
-    for (const CampaignCell& cell : plan.cells) {
+    const auto screen_cell = [&plan](std::size_t c) {
+      const CampaignCell& cell = plan.cells[c];
       plan.screens[cell.index] =
           plan.analyzers[plan.analyzer_index(cell)]->tier_screen(
               plan.wafers[cell.wafer_grid], cell.config, plan.maps_for(cell));
+    };
+    if (pool != nullptr) {
+      parallel_jobs(
+          *pool, plan.cells.size(), [] { return 0; },
+          [&screen_cell](int&, std::size_t c) { screen_cell(c); });
+    } else {
+      for (std::size_t c = 0; c < plan.cells.size(); ++c) screen_cell(c);
     }
   }
 
@@ -466,7 +483,7 @@ std::uint64_t CampaignRunner::spec_digest(const CampaignSpec& spec) const {
 CampaignReport CampaignRunner::run(const CampaignSpec& spec,
                                    const CampaignRunOptions& opts) const {
   Plan plan;
-  build_plan(spec, plan);
+  build_plan(spec, opts.pool, plan);
   const std::uint64_t digest = spec_digest(spec);
   const std::size_t total = plan.jobs.size();
 
@@ -574,22 +591,19 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec,
 
   // Worker state: one {engine clone, controller} per (variant, policy,
   // sigma) analyzer slot, built lazily on the first job that needs it.
-  // The controller persists across every job the worker runs for that
-  // slot, so its per-level base-delay snapshots amortize NLDM delay
-  // calculation across the whole campaign (DESIGN.md §12) — on the
-  // policy's compiled netlist exactly as on the baseline.
+  // The controller restores its level bases from the slot analyzer's
+  // shared snapshots (DESIGN.md §20), so each level is computed once per
+  // analyzer across every worker and shard — on the policy's compiled
+  // netlist exactly as on the baseline.
   struct SlotState {
-    SlotState(const Design& design, const StaEngine& sta,
-              const VariationModel& model, const IslandPlan& plan,
-              const RazorPlan& sensors)
-        : engine(sta), ctrl(design, engine, model, plan, sensors) {}
+    SlotState(const YieldAnalyzer& analyzer, const StaEngine& sta)
+        : engine(sta), ctrl(analyzer.controller(engine)) {}
     StaEngine engine;
     CompensationController ctrl;
   };
   struct WorkerState {
     std::vector<std::unique_ptr<SlotState>> slots;
   };
-  const std::size_t nsig = spec.sigma_scales.size();
   const auto make_state = [&] {
     WorkerState w;
     w.slots.resize(plan.analyzers.size());
@@ -601,11 +615,9 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec,
     const CampaignCell& cell = plan.cells[job.cell];
     const std::size_t slot = plan.analyzer_index(cell);
     if (!w.slots[slot]) {
-      const Variant& var = variants_[plan.variant_axis[cell.variant]];
-      const Plan::NetlistSlot& ns = plan.netlists[plan.netlist_index(cell)];
       w.slots[slot] = std::make_unique<SlotState>(
-          *ns.design, *ns.sta, *plan.models[cell.variant * nsig + cell.sigma],
-          *var.plan, *var.sensors);
+          *plan.analyzers[slot],
+          *plan.netlists[plan.netlist_index(cell)].sta);
     }
     SlotState& s = *w.slots[slot];
 

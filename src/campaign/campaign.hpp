@@ -165,7 +165,10 @@ struct CampaignRunStats {
 };
 
 struct CampaignRunOptions {
-  /// nullptr runs serially; any pool produces the identical report.
+  /// nullptr runs serially; any pool produces the identical report.  The
+  /// pool runs the planner's criticality dies and per-cell screens, then
+  /// the shard jobs — one phase after another, never nested, so run()
+  /// must not itself be called from a job on this pool.
   ThreadPool* pool = nullptr;
   /// NDJSON stream & checkpoint file (one and the same).  Empty =
   /// neither streaming nor checkpointing.
@@ -198,8 +201,9 @@ class CampaignRunner {
   std::size_t num_variants() const { return variants_.size(); }
 
   /// Expand the spec's dense cell grid (also validates it: unknown
-  /// variant names, empty axes, non-positive counts all throw
-  /// std::invalid_argument).  run() uses this same expansion.
+  /// variant names, empty axes, non-positive counts, non-positive or
+  /// non-finite sigma scales all throw std::invalid_argument).  run()
+  /// uses this same expansion.
   std::vector<CampaignCell> expand(const CampaignSpec& spec) const;
 
   /// Total shard jobs the spec expands to (cells × wafers × shards).
@@ -227,7 +231,10 @@ class CampaignRunner {
     double clock_freq_ghz;
   };
   struct Plan;  // full expansion (models, wafers, slot maps, jobs)
-  void build_plan(const CampaignSpec& spec, Plan& plan) const;
+  /// Expands and prepares `spec`; `pool` (optional) runs the planner's
+  /// two pooled phases — criticality dies, then per-cell screens.
+  void build_plan(const CampaignSpec& spec, ThreadPool* pool,
+                  Plan& plan) const;
 
   std::vector<Variant> variants_;
 };

@@ -430,6 +430,42 @@ Interval stddev_confidence_interval(std::size_t n, double stddev,
   return {stddev * std::sqrt(df / chi_hi), stddev * std::sqrt(df / chi_lo)};
 }
 
+MomentIntervals::MomentIntervals(std::size_t n, double confidence) : n_(n) {
+  if (!(confidence > 0.0 && confidence < 1.0)) {
+    throw std::domain_error("MomentIntervals: confidence in (0,1)");
+  }
+  if (n < 2) return;  // the intervals are degenerate; no quantile needed
+  const double df = static_cast<double>(n - 1);
+  t_ = student_t_quantile(0.5 * (1.0 + confidence), df);
+  sqrt_n_ = std::sqrt(static_cast<double>(n));
+  lo_ = std::sqrt(df / chi_squared_quantile(0.5 * (1.0 + confidence), df));
+  hi_ = std::sqrt(df / chi_squared_quantile(0.5 * (1.0 - confidence), df));
+}
+
+// The two methods repeat the free functions' branches and arithmetic
+// operation for operation, with the quantiles read instead of solved.
+Interval MomentIntervals::mean(double mean, double stddev) const {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  if (std::isnan(mean) || std::isnan(stddev)) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    return {nan, nan};
+  }
+  if (n_ < 2) return {-inf, inf};
+  if (stddev == 0.0) return {mean, mean};
+  const double hw = t_ * stddev / sqrt_n_;
+  return {mean - hw, mean + hw};
+}
+
+Interval MomentIntervals::stddev(double stddev) const {
+  if (std::isnan(stddev)) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    return {nan, nan};
+  }
+  if (n_ < 2) return {0.0, std::numeric_limits<double>::infinity()};
+  if (stddev == 0.0) return {0.0, 0.0};
+  return {stddev * lo_, stddev * hi_};
+}
+
 NormalFit fit_normal(std::span<const double> samples, double confidence) {
   NormalFit fit;
   RunningStats rs;

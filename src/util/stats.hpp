@@ -189,6 +189,29 @@ Interval mean_confidence_interval(std::size_t n, double mean, double stddev,
 Interval stddev_confidence_interval(std::size_t n, double stddev,
                                     double confidence = 0.95);
 
+/// mean_confidence_interval and stddev_confidence_interval for many
+/// estimates from samples of one size n at one confidence: the Student-t
+/// and χ² quantiles — three bisections — are computed once, here, and
+/// every interval after that is bit-identical to the free function's for
+/// the same arguments.  For callers that evaluate many stddevs at one
+/// (n, confidence), like the slot screen's bands (DESIGN.md §16).
+class MomentIntervals {
+ public:
+  /// Throws std::domain_error for confidence outside (0,1).
+  MomentIntervals(std::size_t n, double confidence);
+  /// == mean_confidence_interval(n, mean, stddev, confidence).
+  Interval mean(double mean, double stddev) const;
+  /// == stddev_confidence_interval(n, stddev, confidence).
+  Interval stddev(double stddev) const;
+
+ private:
+  std::size_t n_;
+  double t_ = 0.0;       ///< t_{(1+c)/2, n-1}
+  double sqrt_n_ = 0.0;  ///< √n
+  double lo_ = 0.0;      ///< √((n−1)/χ²_{(1+c)/2})
+  double hi_ = 0.0;      ///< √((n−1)/χ²_{(1−c)/2})
+};
+
 /// Result of fitting samples to a normal distribution and testing the fit.
 struct NormalFit {
   double mean = 0.0;

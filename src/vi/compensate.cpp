@@ -35,13 +35,42 @@ VirtualChip fabricate_chip(const Design& design, const VariationModel& model,
   return chip;
 }
 
+std::vector<int> supply_state_corners(const IslandPlan& plan, int state) {
+  if (state <= plan.num_islands()) return plan.corners_for_severity(state);
+  return std::vector<int>(static_cast<std::size_t>(plan.num_islands()) + 1,
+                          kVddHigh);
+}
+
+LevelBases::LevelBases(const IslandPlan& plan)
+    : plan_(&plan),
+      snaps_(static_cast<std::size_t>(plan.num_islands()) + 2) {}
+
+const StaEngine::BaseSnapshot& LevelBases::get(int k, StaEngine& engine) {
+  if (k < 0 || k > plan_->num_islands() + 1) {
+    throw std::invalid_argument("LevelBases: supply state out of range");
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  auto& slot = snaps_[static_cast<std::size_t>(k)];
+  if (slot == nullptr) {
+    engine.compute_base(supply_state_corners(*plan_, k));
+    slot = std::make_unique<const StaEngine::BaseSnapshot>(
+        engine.snapshot_bases());
+  }
+  return *slot;
+}
+
 CompensationController::CompensationController(const Design& design,
                                                StaEngine& sta,
                                                const VariationModel& model,
                                                const IslandPlan& plan,
-                                               const RazorPlan& sensors)
+                                               const RazorPlan& sensors,
+                                               LevelBases* shared)
     : design_(&design), sta_(&sta), model_(&model), plan_(&plan),
-      sensors_(&sensors) {}
+      sensors_(&sensors),
+      own_bases_(shared == nullptr ? std::make_unique<LevelBases>(plan)
+                                   : nullptr),
+      bases_(shared == nullptr ? own_bases_.get() : shared),
+      snaps_(static_cast<std::size_t>(plan.num_islands()) + 2, nullptr) {}
 
 std::vector<double> CompensationController::chip_factors(
     const VirtualChip& chip) const {
@@ -55,8 +84,8 @@ std::vector<double> CompensationController::chip_factors(
 
 std::vector<double> CompensationController::level_factors(
     const VirtualChip& chip, const std::vector<double>& f0, int k) {
-  const std::vector<int>& corner0 = level_snaps_[0]->inst_corner;
-  const std::vector<int>& corner = level_snapshot(k).inst_corner;
+  const std::vector<int>& corner0 = state_snapshot(0).inst_corner;
+  const std::vector<int>& corner = state_snapshot(k).inst_corner;
   std::vector<double> factors = f0;
   for (InstId i = 0; i < factors.size(); ++i) {
     if (corner[i] != corner0[i]) {
@@ -67,55 +96,24 @@ std::vector<double> CompensationController::level_factors(
   return factors;
 }
 
-const StaEngine::BaseSnapshot& CompensationController::level_snapshot(int k) {
-  if (k < 0 || k > plan_->num_islands()) {
-    throw std::invalid_argument("level_snapshot: level out of range");
+const StaEngine::BaseSnapshot& CompensationController::state_snapshot(int k) {
+  if (k < 0 || k > plan_->num_islands() + 1) {
+    throw std::invalid_argument("CompensationController: level out of range");
   }
-  if (level_snaps_.empty()) {
-    level_snaps_.resize(static_cast<std::size_t>(plan_->num_islands()) + 1);
-  }
-  auto& slot = level_snaps_[static_cast<std::size_t>(k)];
-  if (slot == nullptr) {
-    // Delta-build from the nearest already-cached level: restoring that
-    // snapshot and flipping one island per step through recorner_delta()
-    // costs O(changed cones) per level instead of a full compute_base(),
-    // and lands on bit-identical bases (DESIGN.md §12).  Level k differs
-    // from k-1 only in domain k (corners_for_severity raises domains
-    // 1..k), so the walk flips domain t to high going up, low going down.
-    int nearest = -1;
-    for (int j = 0; j < static_cast<int>(level_snaps_.size()); ++j) {
-      if (level_snaps_[static_cast<std::size_t>(j)] == nullptr) continue;
-      if (nearest < 0 || std::abs(j - k) < std::abs(nearest - k)) nearest = j;
-    }
-    if (nearest < 0) {
-      sta_->compute_base(plan_->corners_for_severity(k));
-    } else {
-      sta_->restore_bases(*level_snaps_[static_cast<std::size_t>(nearest)]);
-      for (int t = nearest + 1; t <= k; ++t) {
-        sta_->recorner_delta(static_cast<DomainId>(t), kVddHigh);
-      }
-      for (int t = nearest; t > k; --t) {
-        sta_->recorner_delta(static_cast<DomainId>(t), kVddLow);
-      }
-    }
-    slot = std::make_unique<StaEngine::BaseSnapshot>(sta_->snapshot_bases());
-  }
-  return *slot;
+  const StaEngine::BaseSnapshot*& snap = snaps_[static_cast<std::size_t>(k)];
+  if (snap == nullptr) snap = &bases_->get(k, *sta_);
+  return *snap;
 }
 
 void CompensationController::set_level(int k) {
-  sta_->restore_bases(level_snapshot(k));
+  if (k > plan_->num_islands()) {
+    throw std::invalid_argument("set_level: level out of range");
+  }
+  sta_->restore_bases(state_snapshot(k));
 }
 
 void CompensationController::set_chip_wide() {
-  if (chip_wide_snap_ == nullptr) {
-    const std::vector<int> corners(
-        static_cast<std::size_t>(plan_->num_islands()) + 1, kVddHigh);
-    sta_->compute_base(corners);
-    chip_wide_snap_ =
-        std::make_unique<StaEngine::BaseSnapshot>(sta_->snapshot_bases());
-  }
-  sta_->restore_bases(*chip_wide_snap_);
+  sta_->restore_bases(state_snapshot(plan_->num_islands() + 1));
 }
 
 CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
@@ -184,7 +182,7 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
   for (std::size_t j = 0; j < lanes; ++j) {
     const int level = first_level + static_cast<int>(j);
     factors[j] = level_factors(chip, f0, level);
-    bases[j] = &level_snapshot(level);
+    bases[j] = &state_snapshot(level);
   }
   std::vector<StaResult> results(lanes);
   sta_->analyze_batch_bases(bases, factors, results);

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -58,13 +59,51 @@ struct CompensationOutcome {
   double wns_after = 0.0;
 };
 
+/// Per-domain supply corners of supply state `state` of `plan`: islands
+/// 1..state raised for 0 <= state <= num_islands (corners_for_severity),
+/// every domain at high Vdd for state num_islands + 1 (the chip-wide
+/// fallback).
+std::vector<int> supply_state_corners(const IslandPlan& plan, int state);
+
+/// The base-delay snapshots of an island plan's supply states — severity
+/// levels 0..num_islands, then the chip-wide state num_islands + 1 —
+/// each built by ONE compute_base() the first time any holder asks for
+/// it, and kept for the object's lifetime.  The nested islands and the
+/// chip-wide fallback are fixed at design time, so these bases belong to
+/// the netlist, not to a die: a YieldAnalyzer owns one and shares it
+/// read-only with every controller its workers and campaign shards
+/// build (DESIGN.md §20).  get() is thread-safe; a returned snapshot is
+/// never modified or moved again.
+class LevelBases {
+ public:
+  explicit LevelBases(const IslandPlan& plan);
+
+  /// Snapshot of supply state k.  The first request computes it on
+  /// `engine` under the lock (compute_base, then snapshot_bases — the
+  /// engine's bases are left at state k); later requests return the
+  /// stored snapshot without touching `engine`.  Every engine passed in
+  /// must be a copy of one StaEngine, so snapshots are interchangeable
+  /// (StaEngine::BaseSnapshot).  Throws std::invalid_argument for k
+  /// outside [0, num_islands + 1].
+  const StaEngine::BaseSnapshot& get(int k, StaEngine& engine);
+
+ private:
+  const IslandPlan* plan_;
+  std::mutex mu_;  ///< guards snaps_
+  std::vector<std::unique_ptr<const StaEngine::BaseSnapshot>> snaps_;
+};
+
 class CompensationController {
  public:
   /// `sta` must be built over the final netlist (islands assigned, level
-  /// shifters inserted, Razor flops applied).
+  /// shifters inserted, Razor flops applied).  `shared` (optional) is a
+  /// LevelBases built over copies of the same engine: the controller then
+  /// restores its level bases from those shared snapshots instead of
+  /// computing its own; it must outlive the controller.
   CompensationController(const Design& design, StaEngine& sta,
                          const VariationModel& model, const IslandPlan& plan,
-                         const RazorPlan& sensors);
+                         const RazorPlan& sensors,
+                         LevelBases* shared = nullptr);
 
   /// Runs detection + island raising (+ optional escalation) on one die.
   /// Escalation evaluates every remaining level as one multi-base
@@ -80,14 +119,12 @@ class CompensationController {
   std::vector<double> chip_factors(const VirtualChip& chip) const;
 
   /// Restore the engine's base delays for severity level k — bit-
-  /// identical to sta.compute_base(plan.corners_for_severity(k)), but
-  /// full NLDM delay calculation runs at most ONCE per controller: the
-  /// first level requested is computed in full, and every other level's
-  /// snapshot is delta-built from the nearest cached neighbour with
-  /// StaEngine::recorner_delta (one island flip per step, cost bounded
-  /// by the flipped domain's fan-out cone — DESIGN.md §12).  Snapshots
-  /// are cached for the controller's lifetime, so a wafer worker reusing
-  /// one controller across dies pays each level once, not once per die.
+  /// identical to sta.compute_base(plan.corners_for_severity(k)).  The
+  /// level's snapshot comes from the controller's LevelBases (its own,
+  /// or the shared one it was given), so full NLDM delay calculation
+  /// runs once per level for that object's lifetime: a wafer worker
+  /// reusing one controller across dies, or many workers sharing one
+  /// analyzer's bases, pay each level once, not once per die.
   void set_level(int k);
 
   /// Same, for the chip-wide all-high fallback assignment (the yield
@@ -97,12 +134,14 @@ class CompensationController {
   const IslandPlan& plan() const { return *plan_; }
 
  private:
-  const StaEngine::BaseSnapshot& level_snapshot(int k);
+  /// Supply state k's snapshot (0..num_islands levels, num_islands + 1
+  /// chip-wide), fetched from bases_ once and then read locally.
+  const StaEngine::BaseSnapshot& state_snapshot(int k);
 
   /// chip_factors() under level k's corner map, built from the level-0
   /// factors `f0`: delay_factor is a pure function of (Lgate, corner,
   /// Vth), so only instances whose corner differs from level 0 are
-  /// re-evaluated (DESIGN.md §20).  Requires the level-0 snapshot.
+  /// re-evaluated (DESIGN.md §20).
   std::vector<double> level_factors(const VirtualChip& chip,
                                     const std::vector<double>& f0, int k);
 
@@ -111,11 +150,11 @@ class CompensationController {
   const VariationModel* model_;
   const IslandPlan* plan_;
   const RazorPlan* sensors_;
-  /// Cached per-level base snapshots (index 0..num_islands per severity
-  /// level, plus the chip-wide fallback), lazily filled — the first via
-  /// compute_base(), the rest delta-built with recorner_delta().
-  std::vector<std::unique_ptr<StaEngine::BaseSnapshot>> level_snaps_;
-  std::unique_ptr<StaEngine::BaseSnapshot> chip_wide_snap_;
+  /// Private bases when no shared LevelBases was given.
+  std::unique_ptr<LevelBases> own_bases_;
+  LevelBases* bases_;
+  /// Snapshots already fetched from bases_, by supply state.
+  std::vector<const StaEngine::BaseSnapshot*> snaps_;
 };
 
 }  // namespace vipvt

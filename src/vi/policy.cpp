@@ -1,5 +1,7 @@
 #include "vi/policy.hpp"
 
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -12,35 +14,57 @@ std::vector<double> instance_criticality(const Design& design,
                                          const StaEngine& sta,
                                          const VariationModel& model,
                                          const DieLocation& loc, int samples,
-                                         std::uint64_t seed) {
+                                         std::uint64_t seed,
+                                         ThreadPool* pool) {
   if (samples < 1) {
     throw std::invalid_argument("instance_criticality: samples < 1");
   }
-  // A private engine copy: criticality is measured at the all-low supply
+  // Per-worker private engine copy and fail tally; the integer tallies
+  // are summed at the end.  Criticality is measured at the all-low supply
   // (the corner where the yield cliff manifests), independent of whatever
   // corner state the caller's engine happens to hold.
-  StaEngine eng = sta;
-  eng.compute_base_all_low();
-
-  std::vector<std::uint32_t> fail_count(design.num_instances(), 0);
-  std::vector<double> factors(design.num_instances());
-  for (int k = 0; k < samples; ++k) {
+  struct Worker {
+    Worker(const StaEngine& base, std::size_t n)
+        : eng(base), fail_count(n, 0), factors(n) {
+      eng.compute_base_all_low();
+    }
+    StaEngine eng;
+    std::vector<std::uint32_t> fail_count;
+    std::vector<double> factors;
+  };
+  std::mutex workers_mu;
+  std::vector<std::shared_ptr<Worker>> workers;  // guarded by workers_mu
+  const auto make_worker = [&] {
+    auto w = std::make_shared<Worker>(sta, design.num_instances());
+    std::lock_guard<std::mutex> lock(workers_mu);
+    workers.push_back(w);
+    return w;
+  };
+  const auto body = [&](std::shared_ptr<Worker>& w, std::size_t k) {
     Rng rng(substream_seed(seed, static_cast<std::uint64_t>(k)));
     const VirtualChip chip = fabricate_chip(design, model, loc, rng);
     for (InstId i = 0; i < design.num_instances(); ++i) {
-      factors[i] = model.delay_factor(chip.lgate_nm[i], eng.inst_corner(i),
-                                      design.cell_of(i).vth);
+      w->factors[i] = model.delay_factor(
+          chip.lgate_nm[i], w->eng.inst_corner(i), design.cell_of(i).vth);
     }
-    const std::vector<double> slack = eng.instance_slack(factors);
+    const std::vector<double> slack = w->eng.instance_slack(w->factors);
     for (InstId i = 0; i < design.num_instances(); ++i) {
-      if (slack[i] < 0.0) ++fail_count[i];
+      if (slack[i] < 0.0) ++w->fail_count[i];
     }
+  };
+  const auto n = static_cast<std::size_t>(samples);
+  if (pool != nullptr) {
+    parallel_for(*pool, n, make_worker, body);
+  } else {
+    auto w = make_worker();
+    for (std::size_t k = 0; k < n; ++k) body(w, k);
   }
 
   std::vector<double> crit(design.num_instances());
   for (InstId i = 0; i < design.num_instances(); ++i) {
-    crit[i] = static_cast<double>(fail_count[i]) /
-              static_cast<double>(samples);
+    std::uint32_t fails = 0;
+    for (const auto& w : workers) fails += w->fail_count[i];
+    crit[i] = static_cast<double>(fails) / static_cast<double>(samples);
   }
   return crit;
 }
@@ -48,7 +72,8 @@ std::vector<double> instance_criticality(const Design& design,
 CompiledPolicy compile_policy_mix(const PolicyMix& mix, const Design& base,
                                   const StaEngine& base_sta,
                                   const VariationModel& model,
-                                  const ActivityDb& base_activity) {
+                                  const ActivityDb& base_activity,
+                                  ThreadPool* pool) {
   CompiledPolicy out;
   out.stats.mix = mix.name;
   out.stats.sizing = mix.sizing.enabled;
@@ -59,7 +84,7 @@ CompiledPolicy compile_policy_mix(const PolicyMix& mix, const Design& base,
   out.stats.crit_samples = mix.crit_samples;
   const std::vector<double> crit = instance_criticality(
       base, base_sta, model, DieLocation::point('A'), mix.crit_samples,
-      mix.crit_seed);
+      mix.crit_seed, pool);
 
   auto design = std::make_unique<Design>(base);
   if (mix.sizing.enabled) {

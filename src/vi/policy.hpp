@@ -44,6 +44,7 @@
 #include "netlist/sizing.hpp"
 #include "power/power.hpp"
 #include "timing/sta.hpp"
+#include "util/parallel.hpp"
 #include "variation/model.hpp"
 
 namespace vipvt {
@@ -99,22 +100,27 @@ struct PortfolioStats {
 /// substream_seed(seed, k)) in which instance i sits on a failing path
 /// (per-instance worst slack < 0 via StaEngine::instance_slack).  A pure
 /// function of its arguments — thread count and caller state never enter
-/// — so two compiles of the same mix select identical gates.
+/// — so two compiles of the same mix select identical gates.  With a
+/// `pool` the virtual dies run on it (one engine copy per worker); the
+/// per-instance fail tallies are integers, so their sum, and every bit
+/// of the result, is the same for any pool.  Must not be called from a
+/// job running on `pool` (a pool job waiting on its own pool deadlocks).
 std::vector<double> instance_criticality(const Design& design,
                                          const StaEngine& sta,
                                          const VariationModel& model,
                                          const DieLocation& loc, int samples,
-                                         std::uint64_t seed);
+                                         std::uint64_t seed,
+                                         ThreadPool* pool = nullptr);
 
 /// One compiled (netlist variant, policy mix) pair.  For transforming
 /// mixes it OWNS the rewritten Design, a StaEngine rebuilt over it (same
-/// StaOptions as the baseline engine, bases at all-low — level snapshots
-/// are delta-built per worker through the §12 incremental path exactly
-/// as on the baseline), and an ActivityDb extended so every inserted
-/// buffer leg toggles at its source net's rate.  For pure-VI mixes all
-/// three pointers are null and the *_or() accessors resolve to the
-/// baseline references — which is what makes portfolio-on bit-identity
-/// for untouched mixes structural rather than asserted.
+/// StaOptions as the baseline engine, bases at all-low — its analyzers
+/// build their level snapshots exactly as on the baseline), and an
+/// ActivityDb extended so every inserted buffer leg toggles at its
+/// source net's rate.  For pure-VI mixes all three pointers are null
+/// and the *_or() accessors resolve to the baseline references — which
+/// is what makes portfolio-on bit-identity for untouched mixes
+/// structural rather than asserted.
 struct CompiledPolicy {
   PortfolioStats stats;
   std::unique_ptr<Design> design;
@@ -140,10 +146,12 @@ struct CompiledPolicy {
 /// (Design::check) and rebuild the timing/power views.  The baseline
 /// references must outlive the returned object.  Criticality is measured
 /// on the CHARACTERIZED process (the model passed in), so a campaign's
-/// sigma axis shares one compiled netlist per (variant, mix).
+/// sigma axis shares one compiled netlist per (variant, mix).  `pool`
+/// (optional) runs the criticality measurement; same result for any pool.
 CompiledPolicy compile_policy_mix(const PolicyMix& mix, const Design& base,
                                   const StaEngine& base_sta,
                                   const VariationModel& model,
-                                  const ActivityDb& base_activity);
+                                  const ActivityDb& base_activity,
+                                  ThreadPool* pool = nullptr);
 
 }  // namespace vipvt

@@ -1,6 +1,7 @@
 #include "yield/yield.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -137,7 +138,7 @@ YieldAnalyzer::YieldAnalyzer(const Design& design, const StaEngine& sta,
                              const ActivityDb& activity, double clock_freq_ghz)
     : design_(&design), sta_(&sta), model_(&model), plan_(&plan),
       sensors_(&sensors), activity_(&activity), power_(design, activity),
-      clock_freq_ghz_(clock_freq_ghz) {}
+      clock_freq_ghz_(clock_freq_ghz), level_bases_(plan) {}
 
 YieldAnalyzer YieldAnalyzer::from_flow(const Flow& flow) {
   if (!flow.sensors_planned() || !flow.activity_simulated()) {
@@ -150,6 +151,11 @@ YieldAnalyzer YieldAnalyzer::from_flow(const Flow& flow) {
                        1.0 / flow.post_shifter_clock_ns());
 }
 
+CompensationController YieldAnalyzer::controller(StaEngine& engine) const {
+  return CompensationController(*design_, engine, *model_, *plan_, *sensors_,
+                                &level_bases_);
+}
+
 DieOutcome YieldAnalyzer::analyze_die(StaEngine& engine, const WaferDie& die,
                                       const YieldConfig& cfg) const {
   CompensationController ctrl(*design_, engine, *model_, *plan_, *sensors_);
@@ -157,7 +163,8 @@ DieOutcome YieldAnalyzer::analyze_die(StaEngine& engine, const WaferDie& die,
       model_->systematic_lgates(*design_, die.location);
   const EvalTier tier = cfg.effective_tier();
   if (tier == EvalTier::Flat) {
-    return analyze_die_with(engine, ctrl, die, cfg, systematic);
+    return analyze_die_impl(engine, ctrl, die, cfg, systematic, nullptr,
+                            false);
   }
   // Single-die screening: screen this die's map exactly as the wafer
   // path screens its reticle slot (level-0 corners), so the outcome is
@@ -170,7 +177,7 @@ DieOutcome YieldAnalyzer::analyze_die(StaEngine& engine, const WaferDie& die,
     const CanonicalSsta canon(*design_, engine, *model_);
     st = triage_slot(canon, systematic, cfg);
   }
-  return analyze_die_with(engine, ctrl, die, cfg, systematic, &st);
+  return analyze_die_impl(engine, ctrl, die, cfg, systematic, &st, false);
 }
 
 SlotTriage YieldAnalyzer::triage_slot(const CanonicalSsta& canon,
@@ -179,10 +186,32 @@ SlotTriage YieldAnalyzer::triage_slot(const CanonicalSsta& canon,
   return slot_verdict(canon.run(systematic), cfg);
 }
 
+namespace {
+
+/// The screen band's CI quantiles at one (MC budget, confidence), solved
+/// once per process: they are a pure function of the pair, and each
+/// solve is three bisections (DESIGN.md §20).
+const MomentIntervals& screen_intervals(std::size_t n, double confidence) {
+  static std::mutex mu;
+  static std::map<std::pair<std::size_t, std::uint64_t>, MomentIntervals>
+      memo;  // guarded by mu; nodes never move, so references stay valid
+  const std::pair<std::size_t, std::uint64_t> key{
+      n, std::bit_cast<std::uint64_t>(confidence)};
+  std::lock_guard<std::mutex> lock(mu);
+  auto it = memo.find(key);
+  if (it == memo.end()) {
+    it = memo.emplace(key, MomentIntervals(n, confidence)).first;
+  }
+  return it->second;
+}
+
+}  // namespace
+
 SlotTriage YieldAnalyzer::slot_verdict(const CanonicalResult& r,
                                        const YieldConfig& cfg) const {
   const auto n = static_cast<std::size_t>(per_die_mc_budget(cfg.mc));
   const TriageConfig& tc = cfg.triage;
+  const MomentIntervals& ci = screen_intervals(n, tc.confidence);
   SlotTriage out;
   out.decided = true;
   out.fmax_ghz = r.fmax_ghz(cfg.speed_percentile);
@@ -199,11 +228,8 @@ SlotTriage YieldAnalyzer::slot_verdict(const CanonicalResult& r,
     const StageGauss& sg = r.stage(s);
     if (!sg.present) continue;
     const double band =
-        tc.band_scale *
-            (mean_confidence_interval(n, 0.0, sg.sigma_ns, tc.confidence)
-                 .half_width() +
-             3.0 * stddev_confidence_interval(n, sg.sigma_ns, tc.confidence)
-                       .half_width()) +
+        tc.band_scale * (ci.mean(0.0, sg.sigma_ns).half_width() +
+                         3.0 * ci.stddev(sg.sigma_ns).half_width()) +
         tc.model_error_ns;
     const double margin = std::abs(sg.three_sigma_slack());
     if (sg.violates()) ++out.severity;
@@ -286,37 +312,56 @@ std::vector<SlotTriage> YieldAnalyzer::tier_screen(
   return {};
 }
 
-/// A die's {total_mw, leakage_mw} is a pure function of its reticle
-/// slot's systematic map and its final supply state, both shared by many
-/// dies of a wafer, so a worker computes it once per (slot, state) and
-/// reuses the bits (DESIGN.md §20).  States are the islands raised 0..n,
-/// then chip-wide high (n+1) and Discard's all-low default (n+2).  One
-/// memo lives for one analyze() / analyze_shard() call, in one worker.
-struct YieldAnalyzer::PowerMemo {
-  struct Entry {
-    bool done = false;
-    double total_mw = 0.0;
-    double leakage_mw = 0.0;
-  };
-  PowerMemo(std::size_t slots, int num_islands)
-      : states(static_cast<std::size_t>(num_islands) + 3),
-        entries(slots * states) {}
-  std::size_t states;
-  std::vector<Entry> entries;  ///< slot * states + state
-};
-
 DieOutcome YieldAnalyzer::analyze_die_with(
     StaEngine& engine, CompensationController& ctrl, const WaferDie& die,
     const YieldConfig& cfg, std::span<const double> systematic,
     const SlotTriage* triage) const {
-  return analyze_die_in_slot(engine, ctrl, die, cfg, systematic, triage, 0,
-                             nullptr);
+  return analyze_die_impl(engine, ctrl, die, cfg, systematic, triage, true);
 }
 
-DieOutcome YieldAnalyzer::analyze_die_in_slot(
+YieldAnalyzer::DiePower YieldAnalyzer::die_power(
+    const DieLocation& loc, std::span<const double> systematic,
+    int state) const {
+  // Discard (state n + 2) keeps the empty corner vector, i.e. all-low
+  // power; it is its own state, never assumed equal to level 0.
+  std::vector<int> corners;
+  if (state <= plan_->num_islands() + 1) {
+    corners = supply_state_corners(*plan_, state);
+  }
+  PowerConfig pc;
+  pc.clock_freq_ghz = clock_freq_ghz_;
+  pc.variation = model_;
+  pc.location = &loc;
+  pc.systematic = systematic;
+  const PowerBreakdown p = power_.compute(corners, pc);
+  return {p.total_mw(), p.leakage_mw};
+}
+
+YieldAnalyzer::DiePower YieldAnalyzer::cached_die_power(
+    const DieLocation& loc, std::span<const double> systematic,
+    int state) const {
+  const PowerKey key{std::bit_cast<std::uint64_t>(loc.chip_origin_mm.x),
+                     std::bit_cast<std::uint64_t>(loc.chip_origin_mm.y),
+                     std::bit_cast<std::uint64_t>(loc.core_origin_mm.x),
+                     std::bit_cast<std::uint64_t>(loc.core_origin_mm.y),
+                     static_cast<std::uint64_t>(state)};
+  {
+    std::lock_guard<std::mutex> lock(power_mutex_);
+    const auto it = power_cache_.find(key);
+    if (it != power_cache_.end()) return it->second;
+  }
+  // Computed outside the lock: two workers missing the same key compute
+  // the same bits, and emplace keeps whichever lands first.
+  const DiePower power = die_power(loc, systematic, state);
+  std::lock_guard<std::mutex> lock(power_mutex_);
+  power_cache_.emplace(key, power);
+  return power;
+}
+
+DieOutcome YieldAnalyzer::analyze_die_impl(
     StaEngine& engine, CompensationController& ctrl, const WaferDie& die,
     const YieldConfig& cfg, std::span<const double> systematic,
-    const SlotTriage* triage, std::size_t slot, PowerMemo* memo) const {
+    const SlotTriage* triage, bool cached_power) const {
   DieOutcome out;
   out.die_id = die.id;
 
@@ -401,32 +446,16 @@ DieOutcome YieldAnalyzer::analyze_die_in_slot(
   // 4. Power under the selected supply assignment.  The shared engine
   // carries the per-net caps; the slot's systematic map stands in for
   // per-instance exposure-polynomial evaluation (same bits, see
-  // PowerConfig::systematic).  With a memo, each (slot, state) is
-  // computed once per worker.
+  // PowerConfig::systematic).  A die's power depends only on its
+  // location and supply state, so the cache computes each pair once per
+  // analyzer (DESIGN.md §20).
   const int n = plan_->num_islands();
   int state = out.islands_raised;
   if (out.policy == TuningPolicy::ChipWideHigh) state = n + 1;
   if (out.policy == TuningPolicy::Discard) state = n + 2;
-  PowerMemo::Entry own;
-  PowerMemo::Entry& power =
-      memo == nullptr ? own
-                      : memo->entries[slot * memo->states +
-                                      static_cast<std::size_t>(state)];
-  if (!power.done) {
-    std::vector<int> corners;  // Discard: empty, i.e. all-low power
-    if (state <= n) {
-      corners = plan_->corners_for_severity(state);
-    } else if (state == n + 1) {
-      corners.assign(static_cast<std::size_t>(n) + 1, kVddHigh);
-    }
-    PowerConfig pc;
-    pc.clock_freq_ghz = clock_freq_ghz_;
-    pc.variation = model_;
-    pc.location = &die.location;
-    pc.systematic = systematic;
-    const PowerBreakdown p = power_.compute(corners, pc);
-    power = {true, p.total_mw(), p.leakage_mw};
-  }
+  const DiePower power = cached_power
+                            ? cached_die_power(die.location, systematic, state)
+                            : die_power(die.location, systematic, state);
   out.total_mw = power.total_mw;
   out.leakage_mw = power.leakage_mw;
   return out;
@@ -461,6 +490,13 @@ YieldAggregate YieldAnalyzer::analyze_shard(
   if (die_begin > die_end || die_end > wafer.num_dies()) {
     throw std::invalid_argument("analyze_shard: die range out of bounds");
   }
+  const auto side = static_cast<std::size_t>(wafer.dies_per_field_side());
+  if ((!slot_maps.empty() && slot_maps.size() != side * side) ||
+      (!screen.empty() && screen.size() != side * side)) {
+    throw std::invalid_argument(
+        "analyze_shard: slot_maps / screen must hold one entry per reticle "
+        "slot");
+  }
   std::vector<std::vector<double>> local_maps;
   if (slot_maps.empty()) {
     local_maps = reticle_slot_maps(wafer);
@@ -478,13 +514,11 @@ YieldAggregate YieldAnalyzer::analyze_shard(
   agg.island_activation.assign(
       static_cast<std::size_t>(plan_->num_islands()) + 1, 0);
   const int budget = per_die_mc_budget(cfg.mc);
-  PowerMemo memo(slot_maps.size(), plan_->num_islands());
   for (std::size_t i = die_begin; i < die_end; ++i) {
     const WaferDie& die = wafer.dies()[i];
     const std::size_t slot = reticle_slot(wafer, die);
-    agg.add(analyze_die_in_slot(engine, ctrl, die, cfg, slot_maps[slot],
-                                screen.empty() ? nullptr : &screen[slot],
-                                slot, &memo),
+    agg.add(analyze_die_with(engine, ctrl, die, cfg, slot_maps[slot],
+                             screen.empty() ? nullptr : &screen[slot]),
             plan_->num_islands(), budget);
   }
   return agg;
@@ -568,29 +602,21 @@ YieldReport YieldAnalyzer::analyze(const WaferModel& wafer,
     return reticle_slot(wafer, d);
   };
 
-  // Worker state: an engine clone plus a persistent controller whose
-  // per-level base snapshots amortize NLDM delay calculation across all
-  // the dies a worker processes.  Only the first level a worker touches
-  // pays a full compute_base; the controller delta-builds the rest with
-  // recorner_delta (one island's fan-out cone per escalation step).  The
-  // power memo is the worker's own, so no two threads ever share one.
+  // Worker state: an engine clone plus a controller over the analyzer's
+  // shared level bases, so no worker recomputes a level another worker,
+  // or an earlier analyze() call, already built (DESIGN.md §20).
   struct Worker {
-    Worker(const YieldAnalyzer& a, std::size_t slots)
-        : engine(*a.sta_),
-          ctrl(*a.design_, engine, *a.model_, *a.plan_, *a.sensors_),
-          memo(slots, a.plan_->num_islands()) {}
+    explicit Worker(const YieldAnalyzer& a)
+        : engine(*a.sta_), ctrl(a.controller(engine)) {}
     StaEngine engine;
     CompensationController ctrl;
-    PowerMemo memo;
   };
-  const auto make_worker = [this, &slot_maps] {
-    return std::make_shared<Worker>(*this, slot_maps.size());
-  };
+  const auto make_worker = [this] { return std::make_shared<Worker>(*this); };
   const auto body = [&](std::shared_ptr<Worker>& w, std::size_t i) {
     const std::size_t slot = slot_of(dies[i]);
-    report.dies[i] = analyze_die_in_slot(
+    report.dies[i] = analyze_die_with(
         w->engine, w->ctrl, dies[i], cfg, slot_maps[slot],
-        screen.empty() ? nullptr : &screen[slot], slot, &w->memo);
+        screen.empty() ? nullptr : &screen[slot]);
   };
   if (pool != nullptr) {
     parallel_for(*pool, dies.size(), make_worker, body);

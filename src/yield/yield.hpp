@@ -27,15 +27,18 @@
 // ThreadPool with per-worker StaEngine clones and produces BIT-IDENTICAL
 // reports for any thread count (asserted in tests/test_yield.cpp) —
 // aggregation happens serially in die-id order after the parallel loop.
+// What does not depend on a die — each supply state's base delays, and
+// a die's power per (location, supply state) — is computed once per
+// analyzer and shared read-only by every worker (DESIGN.md §20).
 
 #include <array>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
-
-#include <memory>
-#include <mutex>
 
 #include "power/power.hpp"
 #include "ssta/macromodel.hpp"
@@ -347,25 +350,29 @@ class YieldAnalyzer {
   YieldReport analyze(const WaferModel& wafer, const YieldConfig& cfg = {},
                       ThreadPool* pool = nullptr) const;
 
+  /// A controller over `engine` — a copy of the engine this analyzer was
+  /// built with — that restores its level and chip-wide bases from the
+  /// analyzer's shared snapshots instead of computing its own (DESIGN.md
+  /// §20).  What analyze() workers and campaign shards run on.
+  CompensationController controller(StaEngine& engine) const;
+
   /// Single-die analysis on a caller-owned engine clone (the parallel
   /// loop's body; exposed for tests and custom drivers).  Leaves the
-  /// engine's base delays at the die's final corner assignment.
-  /// Constructs a fresh controller and systematic map per call; the
-  /// wafer loop goes through analyze_die_with instead to reuse both.
+  /// engine's base delays at the die's final corner assignment.  The
+  /// cache-free reference: it builds a fresh controller (own level
+  /// bases), the die's systematic map and its power on every call.
   DieOutcome analyze_die(StaEngine& engine, const WaferDie& die,
                          const YieldConfig& cfg) const;
 
   /// Worker-grade single-die analysis: `ctrl` must be a controller over
-  /// `engine` and persists across dies (its per-level base-delay
-  /// snapshots amortize NLDM delay calculation across every die the
-  /// worker sees, and all levels past the worker's first are delta-built
-  /// via StaEngine::recorner_delta — one full delay calculation per
-  /// worker, O(island fan-out cone) per additional level, DESIGN.md
-  /// §12); `systematic` is the die's systematic Lgate map —
-  /// shared by all dies of the same reticle slot, and read by both
-  /// fabrication and power, so it must hold exactly
-  /// VariationModel::systematic_lgates at die.location (as
-  /// reticle_slot_maps does).  Bit-identical to analyze_die().
+  /// `engine` and persists across dies (its level bases are computed once
+  /// per controller, or once per analyzer for controller() ones);
+  /// `systematic` is the die's systematic Lgate map — shared by all dies
+  /// of the same reticle slot, and read by both fabrication and power, so
+  /// it must hold exactly VariationModel::systematic_lgates at
+  /// die.location (as reticle_slot_maps does).  The die's power comes
+  /// from the analyzer's power cache, keyed by (die.location, supply
+  /// state).  Bit-identical to analyze_die().
   /// `triage` is the die's reticle-slot screen entry (nullptr = no
   /// screen, every die runs MC); a decided entry replaces the MC pass
   /// with the analytic verdict while consuming the same RNG positions,
@@ -433,6 +440,8 @@ class YieldAnalyzer {
   /// `screen` is triage_screen(wafer, cfg) (shared read-only; an empty
   /// span with triage enabled makes the shard compute it itself, so a
   /// shard's bits never depend on whether the caller shared the screen).
+  /// Both spans are indexed by reticle_slot: a non-empty one whose size
+  /// is not dies_per_field_side()² throws std::invalid_argument.
   YieldAggregate analyze_shard(
       StaEngine& engine, CompensationController& ctrl,
       const WaferModel& wafer, const YieldConfig& cfg, std::size_t die_begin,
@@ -440,18 +449,30 @@ class YieldAnalyzer {
       std::span<const SlotTriage> screen = {}) const;
 
  private:
-  /// One worker's die-power memo for one analyze() / analyze_shard()
-  /// call (DESIGN.md §20); defined in yield.cpp.
-  struct PowerMemo;
+  /// A die's power under one supply state.
+  struct DiePower {
+    double total_mw = 0.0;
+    double leakage_mw = 0.0;
+  };
+  /// Power-cache key: the bit patterns of the die location's chip and
+  /// core origins, then the supply state (islands raised 0..n, n + 1
+  /// chip-wide high, n + 2 Discard).
+  using PowerKey = std::array<std::uint64_t, 5>;
 
-  /// analyze_die_with, plus the die's reticle `slot` and an optional
-  /// power memo (nullptr = compute power for this die).
-  DieOutcome analyze_die_in_slot(StaEngine& engine,
-                                 CompensationController& ctrl,
-                                 const WaferDie& die, const YieldConfig& cfg,
-                                 std::span<const double> systematic,
-                                 const SlotTriage* triage, std::size_t slot,
-                                 PowerMemo* memo) const;
+  /// analyze_die_with's body; `cached_power` = false computes the die's
+  /// power instead of reading the analyzer's power cache.
+  DieOutcome analyze_die_impl(StaEngine& engine, CompensationController& ctrl,
+                              const WaferDie& die, const YieldConfig& cfg,
+                              std::span<const double> systematic,
+                              const SlotTriage* triage,
+                              bool cached_power) const;
+  /// PowerEngine::compute for supply `state` at `loc`.
+  DiePower die_power(const DieLocation& loc, std::span<const double> systematic,
+                     int state) const;
+  /// die_power through the analyzer's power cache.
+  DiePower cached_die_power(const DieLocation& loc,
+                            std::span<const double> systematic,
+                            int state) const;
   void aggregate(YieldReport& report) const;
   /// One slot's analytic verdict: canonical pass over `systematic`, then
   /// the per-gating-stage margin-vs-band decision (DESIGN.md §16).
@@ -480,6 +501,14 @@ class YieldAnalyzer {
   mutable std::mutex macro_mutex_;
   mutable std::unique_ptr<StageMacroLibrary> macro_lib_;
   mutable MacroConfig macro_key_{};
+  /// Every supply state's base-delay snapshot, built once per analyzer
+  /// on first use and shared by every controller() (DESIGN.md §20).
+  mutable LevelBases level_bases_;
+  /// Die power for the analyzer's lifetime, by (location, supply state):
+  /// design, activity, model and clock are fixed per analyzer, so an
+  /// entry never goes stale (DESIGN.md §20).
+  mutable std::mutex power_mutex_;
+  mutable std::map<PowerKey, DiePower> power_cache_;  ///< power_mutex_
 };
 
 }  // namespace vipvt

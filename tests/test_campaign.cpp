@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -132,6 +133,10 @@ TEST_F(CampaignFixture, ExpandValidatesSpec) {
   spec = tiny_spec();
   spec.sigma_scales = {-1.0};
   EXPECT_THROW(runner_->expand(spec), std::invalid_argument);
+
+  spec = tiny_spec();
+  spec.sigma_scales = {1.0, std::numeric_limits<double>::infinity()};
+  EXPECT_THROW(runner_->expand(spec), std::invalid_argument);
 }
 
 TEST_F(CampaignFixture, NumJobsCountsWaferShards) {
@@ -204,6 +209,42 @@ TEST_F(CampaignFixture, MacroTierCampaignIsShardInvariantAndDigested) {
     EXPECT_EQ(report_bytes(runner_->run(spec, opts)), baseline)
         << "shard_dies=" << shard;
   }
+}
+
+/// The pooled planner (criticality dies, then per-cell screens and the
+/// macromodel characterization they trigger) and the analyzers' shared
+/// level bases and power caches must leave no trace of the schedule:
+/// two wafer grids — 2x2 and 4x4 reticle slots, so shared caches see
+/// both geometries — a design-transforming mix and the macro tier write
+/// the same report and NDJSON stream with no pool, 1 thread and 4.
+TEST_F(CampaignFixture, TwoGridCampaignBytesInvariantAcrossPools) {
+  CampaignSpec spec = tiny_spec();
+  spec.wafers_per_cell = 1;
+  WaferConfig fine = small_wafer();
+  fine.die_mm = 7.0;
+  spec.wafer_grids = {small_wafer(), fine};
+  PolicyMix sizing{"sizing+vi", true, true};
+  sizing.sizing.enabled = true;
+  sizing.sizing.min_crit_prob = 0.02;
+  sizing.crit_samples = 8;
+  spec.policies = {PolicyMix{"full", true, true}, sizing};
+  spec.base.tier = EvalTier::Macro;
+
+  const std::string path = temp_path("campaign_pools.ndjson");
+  CampaignRunOptions serial;
+  serial.stream_path = path;
+  const std::string report = report_bytes(runner_->run(spec, serial));
+  const std::string stream = file_bytes(path);
+  ThreadPool one(1), four(4);
+  for (ThreadPool* pool : {&one, &four}) {
+    CampaignRunOptions opts;
+    opts.pool = pool;
+    opts.stream_path = path;
+    EXPECT_EQ(report_bytes(runner_->run(spec, opts)), report)
+        << pool->size() << " thread(s)";
+    EXPECT_EQ(file_bytes(path), stream) << pool->size() << " thread(s)";
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(CampaignFixture, ShardPartitionMergeMatchesSinglePass) {

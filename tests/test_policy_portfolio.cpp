@@ -166,6 +166,12 @@ TEST_F(PortfolioFixture, InstanceCriticalityIsBoundedAndDeterministic) {
       DieLocation::point('A'), 8, 0x5eed);
   ASSERT_EQ(a.size(), flow_->design().num_instances());
   EXPECT_EQ(a, b);
+  // On a pool the dies' integer fail tallies sum to the same bits.
+  ThreadPool pool(3);
+  EXPECT_EQ(instance_criticality(flow_->design(), flow_->sta(),
+                                 flow_->variation(), DieLocation::point('A'),
+                                 8, 0x5eed, &pool),
+            a);
   for (const double p : a) {
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0);

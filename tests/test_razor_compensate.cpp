@@ -365,11 +365,10 @@ TEST_F(CompensateFixture, SetLevelBitIdenticalToComputeBase) {
 }
 
 TEST_F(CompensateFixture, LevelSnapshotsAscendingBuildOrderBitIdentical) {
-  // level_snapshot() delta-builds from the NEAREST cached level, so the
-  // request order decides the delta chain's direction.  The descending
-  // order is covered by SetLevelBitIdenticalToComputeBase; this is the
-  // ascending chain (all upward island flips), checked snapshot-for-
-  // snapshot against fresh full recomputes.
+  // Each level snapshot is one compute_base() of that level, so the
+  // request order must not matter.  The descending order is covered by
+  // SetLevelBitIdenticalToComputeBase; this is the ascending order,
+  // checked snapshot-for-snapshot against fresh full recomputes.
   StaEngine inc_eng(*sta_);
   CompensationController ctrl(*design_, inc_eng, *model_, *plan_, *razor_);
   StaEngine ref_eng(*sta_);
@@ -386,9 +385,10 @@ TEST_F(CompensateFixture, LevelSnapshotsAscendingBuildOrderBitIdentical) {
 }
 
 TEST_F(CompensateFixture, LevelSnapshotsMatchForcedFullRecornerController) {
-  // Forcing recorner_delta's full-recompute fallback (fraction 0) must
-  // change nothing observable: the delta-built and full-built snapshot
-  // caches are interchangeable byte-for-byte.
+  // The controller builds levels with compute_base(), never through
+  // StaEngine::recorner_delta, so the engine's re-corner fallback setting
+  // (fraction 0 forces recorner_delta's full path) must change nothing
+  // observable: the two snapshot caches are identical byte-for-byte.
   StaEngine delta_eng(*sta_);
   StaEngine full_eng(*sta_);
   full_eng.set_recorner_fallback_fraction(0.0);
@@ -409,8 +409,8 @@ TEST_F(CompensateFixture, LevelSnapshotsMatchForcedFullRecornerController) {
 }
 
 TEST_F(CompensateFixture, CompensateBitIdenticalUnderForcedFullRecorner) {
-  // End-to-end: whole compensation outcomes are unaffected by which
-  // re-cornering path built the level snapshots.
+  // End-to-end: whole compensation outcomes are unaffected by the
+  // engine's re-corner fallback setting.
   StaEngine delta_eng(*sta_);
   StaEngine full_eng(*sta_);
   full_eng.set_recorner_fallback_fraction(0.0);
@@ -431,6 +431,49 @@ TEST_F(CompensateFixture, CompensateBitIdenticalUnderForcedFullRecorner) {
     EXPECT_EQ(a.wns_before, b.wns_before) << "chip " << c;
     EXPECT_EQ(a.wns_after, b.wns_after) << "chip " << c;
   }
+}
+
+TEST_F(CompensateFixture, SharedLevelBasesBuildEachStateOnce) {
+  // One LevelBases serves every controller built over copies of one
+  // engine (DESIGN.md §20): the first request for a supply state computes
+  // it, and every later request — from any controller — returns that same
+  // snapshot without touching the requesting engine.
+  LevelBases shared(*plan_);
+  StaEngine eng_a(*sta_), eng_b(*sta_), ref(*sta_);
+  CompensationController a(*design_, eng_a, *model_, *plan_, *razor_, &shared);
+  CompensationController b(*design_, eng_b, *model_, *plan_, *razor_, &shared);
+  const int n = plan_->num_islands();
+  for (int k = 0; k <= n + 1; ++k) {
+    if (k <= n) {
+      a.set_level(k);
+    } else {
+      a.set_chip_wide();
+    }
+    // A hit leaves eng_b where it was: at a different supply state.
+    eng_b.compute_base(supply_state_corners(*plan_, (k + 1) % (n + 2)));
+    const auto before = eng_b.snapshot_bases();
+    const StaEngine::BaseSnapshot& snap = shared.get(k, eng_b);
+    EXPECT_EQ(&snap, &shared.get(k, eng_a)) << "state " << k;
+    EXPECT_EQ(eng_b.snapshot_bases().edge_base, before.edge_base)
+        << "state " << k;
+
+    if (k <= n) {
+      b.set_level(k);
+    } else {
+      b.set_chip_wide();
+    }
+    ref.compute_base(k <= n ? plan_->corners_for_severity(k)
+                            : std::vector<int>(static_cast<std::size_t>(n) + 1,
+                                               kVddHigh));
+    const auto want = ref.snapshot_bases();
+    const auto got = eng_b.snapshot_bases();
+    EXPECT_EQ(got.edge_base, want.edge_base) << "state " << k;
+    EXPECT_EQ(got.launch_base, want.launch_base) << "state " << k;
+    EXPECT_EQ(got.slew, want.slew) << "state " << k;
+    EXPECT_EQ(got.inst_corner, want.inst_corner) << "state " << k;
+  }
+  EXPECT_THROW(shared.get(-1, eng_a), std::invalid_argument);
+  EXPECT_THROW(shared.get(n + 2, eng_a), std::invalid_argument);
 }
 
 TEST_F(CompensateFixture, ChipSizeMismatchRejected) {

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -381,6 +384,43 @@ TEST(ConfidenceIntervals, HalfWidthShrinksWithN) {
     EXPECT_LT(s, prev_s) << n;
     prev_m = m;
     prev_s = s;
+  }
+}
+
+// The slot screen's band (DESIGN.md §16) reads its CI quantiles from a
+// MomentIntervals solved once per (MC budget, confidence).  Every band
+// must equal the free-function expression it replaced bit for bit —
+// degenerate n and sigma included — and a bad confidence must still
+// throw.
+TEST(ConfidenceIntervals, HoistedBandMatchesFreeFunctionsBitForBit) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double confidence : {0.95, 0.5}) {
+    for (const std::size_t n : {1u, 2u, 48u, 500u}) {
+      const MomentIntervals ci(n, confidence);
+      for (const double sigma : {0.0, nan, 1e-3, 0.05}) {
+        SCOPED_TRACE("confidence " + std::to_string(confidence) + " n " +
+                     std::to_string(n) + " sigma " + std::to_string(sigma));
+        const Interval m = mean_confidence_interval(n, 0.0, sigma, confidence);
+        const Interval s = stddev_confidence_interval(n, sigma, confidence);
+        const Interval hm = ci.mean(0.0, sigma);
+        const Interval hs = ci.stddev(sigma);
+        EXPECT_EQ(bits(hm.lo), bits(m.lo));
+        EXPECT_EQ(bits(hm.hi), bits(m.hi));
+        EXPECT_EQ(bits(hs.lo), bits(s.lo));
+        EXPECT_EQ(bits(hs.hi), bits(s.hi));
+        // The band expression itself (band_scale 1.3, model error 2 ps).
+        const double want =
+            1.3 * (m.half_width() + 3.0 * s.half_width()) + 0.002;
+        const double got =
+            1.3 * (hm.half_width() + 3.0 * hs.half_width()) + 0.002;
+        EXPECT_EQ(bits(got), bits(want));
+      }
+    }
+  }
+  for (const double bad : {0.0, 1.0, -0.5, 1.5, nan}) {
+    EXPECT_THROW(MomentIntervals(48, bad), std::domain_error);
+    EXPECT_THROW(MomentIntervals(1, bad), std::domain_error);
   }
 }
 

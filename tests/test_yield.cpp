@@ -5,13 +5,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <numbers>
 #include <set>
+#include <span>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <utility>
 
+#include "campaign/checkpoint.hpp"
 #include "io/yield_writers.hpp"
+#include "ssta/canonical.hpp"
 #include "vi/flow.hpp"
 #include "yield/wafer.hpp"
 #include "yield/yield.hpp"
@@ -228,10 +236,10 @@ TEST_F(YieldFixture, ReportBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(YieldFixture, ReportBitIdenticalUnderForcedFullRecorner) {
-  // Wafer workers delta-build their per-level base snapshots through
-  // StaEngine::recorner_delta; forcing the full-recompute fallback in
-  // every worker (fallback fraction 0 propagates through the engine
-  // clones) must reproduce the whole report byte-for-byte.
+  // Wafer workers restore level bases that the analyzer built with one
+  // compute_base per level; StaEngine::recorner_delta is on no path of
+  // the wafer loop, so the engine's re-corner fallback setting (fraction
+  // 0 propagates through the engine clones) must not change a byte.
   StaEngine full_sta(flow_->sta());
   full_sta.set_recorner_fallback_fraction(0.0);
   const YieldAnalyzer full_analyzer(
@@ -421,10 +429,10 @@ TEST_F(YieldFixture, ReticleSlotSystematicMapsMatchPerDieEvaluation) {
   EXPECT_LT(evaluations, wafer_->num_dies());
 }
 
-// analyze_die_with (persistent controller + shared systematic map — the
-// wafer loop's worker path) must be bit-identical to the fresh-state
-// analyze_die, including when one controller carries its level-snapshot
-// cache across many dies.
+// analyze_die_with (persistent controller + shared systematic map +
+// the analyzer's power cache — the wafer loop's worker path) must be
+// bit-identical to the fresh-state analyze_die, including when one
+// controller carries its level snapshots across many dies.
 TEST_F(YieldFixture, AnalyzeDieWithMatchesAnalyzeDie) {
   const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
   const YieldConfig cfg = test_yield_config();
@@ -463,14 +471,14 @@ TEST_F(YieldFixture, AnalyzeDieWithMatchesAnalyzeDie) {
   }
 }
 
-// analyze() shares work across the dies of a worker (slot-map
-// fabrication, level-0 factor reuse, the per-(slot, state) power memo —
-// DESIGN.md §20).  On a stress wafer (1.5x sigma, 0.85x clock) every
-// DieOutcome must still equal a fresh, memo-free analyze_die() bit for
-// bit, at 1 and 2 threads.  With escalation on, dies escalate and the
-// ones failing even at max_k run the chip-wide fallback and are
-// discarded; with it off, the chip-wide fallback ships dies, so every
-// power-memo state is exercised.
+// analyze() shares work across dies and workers (slot-map fabrication,
+// level-0 factor reuse, the analyzer's level bases and its power cache
+// by (location, supply state) — DESIGN.md §20).  On a stress wafer (1.5x
+// sigma, 0.85x clock) every DieOutcome must still equal a fresh,
+// cache-free analyze_die() bit for bit, at 1 and 2 threads.  With
+// escalation on, dies escalate and the ones failing even at max_k run
+// the chip-wide fallback and are discarded; with it off, the chip-wide
+// fallback ships dies, so every power-cache state is exercised.
 TEST_F(YieldFixture, StressWaferOutcomesMatchAnalyzeDieAcrossThreads) {
   VariationConfig vc = flow_->variation().config();
   vc.three_sigma_random_frac *= 1.5;
@@ -530,6 +538,173 @@ TEST_F(YieldFixture, StressWaferOutcomesMatchAnalyzeDieAcrossThreads) {
   EXPECT_GT(escalated, 0u);
   EXPECT_GT(chip_wide, 0u);
   EXPECT_GT(discarded, 0u);
+}
+
+// One analyzer's shared state — its level bases, its power cache (keyed
+// by die location, never by reticle slot) and the screen's CI quantiles
+// — must not leak between wafers (DESIGN.md §20).  Two geometries share
+// one analyzer, interleaved: die_mm 14 (2x2 reticle slots) and die_mm 7
+// (4x4), so one slot index names different die locations on each.  The
+// stress configuration (1.5x sigma, 0.85x clock), with escalation on and
+// off, caches level, chip-wide and Discard power entries.  Serially, on 4
+// threads and as analyze_shard partitions, every report and aggregate
+// must equal a fresh analyzer's byte for byte.
+TEST_F(YieldFixture, SharedAnalyzerStateIsolatedAcrossGeometries) {
+  VariationConfig vc = flow_->variation().config();
+  vc.three_sigma_random_frac *= 1.5;
+  const VariationModel model(flow_->variation().char_params(),
+                             flow_->variation().field(), vc);
+  const double period = flow_->post_shifter_clock_ns() * 0.85;
+  StaEngine sta(flow_->sta());
+  sta.set_clock_period(period);
+  const auto make_analyzer = [&] {
+    return std::make_unique<YieldAnalyzer>(
+        flow_->design(), sta, model, flow_->island_plan(),
+        flow_->razor_plan(), flow_->activity(), 1.0 / period);
+  };
+  WaferConfig coarse_cfg;
+  coarse_cfg.wafer_diameter_mm = 100.0;
+  WaferConfig fine_cfg = coarse_cfg;
+  fine_cfg.die_mm = 7.0;
+  const WaferModel coarse(coarse_cfg), fine(fine_cfg);
+  ASSERT_EQ(coarse.dies_per_field_side(), 2);
+  ASSERT_EQ(fine.dies_per_field_side(), 4);
+  const std::array<const WaferModel*, 2> wafers{&coarse, &fine};
+  const int islands = flow_->island_plan().num_islands();
+  const auto agg_bytes = [](const YieldAggregate& agg) {
+    ShardRecord r;
+    r.agg = agg;
+    return serialize_shard_record(r);
+  };
+
+  const auto shared = make_analyzer();
+  ThreadPool pool(4);
+  std::size_t escalated = 0, chip_wide = 0, discarded = 0;
+  for (const bool escalation : {true, false}) {
+    YieldConfig cfg = test_yield_config();
+    cfg.tier = EvalTier::Macro;
+    cfg.allow_escalation = escalation;
+    std::array<std::string, 2> want_report, want_agg;
+    for (std::size_t g = 0; g < wafers.size(); ++g) {
+      const YieldReport r = make_analyzer()->analyze(*wafers[g], cfg);
+      want_report[g] = serialize(*wafers[g], r);
+      YieldAggregate agg;
+      for (const DieOutcome& d : r.dies) {
+        agg.add(d, islands, per_die_mc_budget(cfg.mc));
+      }
+      want_agg[g] = agg_bytes(agg);
+      escalated += agg.escalated;
+      chip_wide += r.count(TuningPolicy::ChipWideHigh);
+      discarded += r.count(TuningPolicy::Discard);
+    }
+    for (const char* mode : {"serial", "4 threads", "shards"}) {
+      for (std::size_t g = 0; g < wafers.size(); ++g) {
+        const WaferModel& wafer = *wafers[g];
+        SCOPED_TRACE(std::string(mode) + " escalation " +
+                     std::to_string(escalation) + " die_mm " +
+                     std::to_string(wafer.config().die_mm));
+        if (std::string_view(mode) != "shards") {
+          const YieldReport r = shared->analyze(
+              wafer, cfg, std::string_view(mode) == "serial" ? nullptr : &pool);
+          EXPECT_EQ(serialize(wafer, r), want_report[g]);
+          continue;
+        }
+        // One shard on caller-shared maps and screen, one computing its own.
+        StaEngine engine(sta);
+        CompensationController ctrl = shared->controller(engine);
+        const auto maps = shared->reticle_slot_maps(wafer);
+        const auto screen = shared->tier_screen(wafer, cfg, maps);
+        const std::size_t mid = wafer.num_dies() / 3;
+        YieldAggregate agg = shared->analyze_shard(engine, ctrl, wafer, cfg, 0,
+                                                   mid, maps, screen);
+        agg.merge(shared->analyze_shard(engine, ctrl, wafer, cfg, mid,
+                                        wafer.num_dies()));
+        EXPECT_EQ(agg_bytes(agg), want_agg[g]);
+      }
+    }
+  }
+  EXPECT_GT(escalated, 0u);
+  EXPECT_GT(chip_wide, 0u);
+  EXPECT_GT(discarded, 0u);
+}
+
+// The screen reads its CI quantiles from a process-wide memo keyed by
+// (MC budget, confidence) (DESIGN.md §20).  Screens at interleaved
+// budgets and confidences must report exactly the band and margin of the
+// free-function CI expression on the binding stage.
+TEST_F(YieldFixture, ScreenBandsMatchFreeFunctionIntervalsAcrossBudgets) {
+  const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
+  const auto maps = analyzer.reticle_slot_maps(*wafer_);
+  for (const auto& [budget, confidence] :
+       {std::pair{12, 0.95}, {48, 0.95}, {12, 0.9}, {2, 0.95}, {12, 0.95}}) {
+    YieldConfig cfg = test_yield_config();
+    cfg.tier = EvalTier::Macro;
+    cfg.mc.samples = budget;
+    cfg.triage.confidence = confidence;
+    const TriageConfig& tc = cfg.triage;
+    const auto n = static_cast<std::size_t>(budget);
+    const std::vector<SlotTriage> screen =
+        analyzer.macro_screen(*wafer_, cfg, maps);
+    const StageMacroLibrary& lib = analyzer.macro_library(cfg.macro);
+    ASSERT_EQ(screen.size(), maps.size());
+    for (std::size_t s = 0; s < maps.size(); ++s) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + " confidence " +
+                   std::to_string(confidence) + " slot " + std::to_string(s));
+      const CanonicalResult r = lib.evaluate(maps[s]);
+      double worst_gap = std::numeric_limits<double>::infinity();
+      double band_ns = 0.0, margin_ns = 0.0;
+      for (const PipeStage st :
+           {PipeStage::Decode, PipeStage::Execute, PipeStage::WriteBack}) {
+        const StageGauss& sg = r.stage(st);
+        if (!sg.present) continue;
+        const double band =
+            tc.band_scale *
+                (mean_confidence_interval(n, 0.0, sg.sigma_ns, tc.confidence)
+                     .half_width() +
+                 3.0 * stddev_confidence_interval(n, sg.sigma_ns,
+                                                  tc.confidence)
+                           .half_width()) +
+            tc.model_error_ns;
+        const double margin = std::abs(sg.three_sigma_slack());
+        if (margin - band < worst_gap) {
+          worst_gap = margin - band;
+          band_ns = band;
+          margin_ns = margin;
+        }
+      }
+      EXPECT_EQ(screen[s].band_ns, band_ns);
+      EXPECT_EQ(screen[s].margin_ns, margin_ns);
+    }
+  }
+}
+
+// analyze_shard indexes the caller's slot maps and screen by reticle
+// slot, so a span that does not hold one entry per slot is refused
+// rather than read past its end.
+TEST_F(YieldFixture, AnalyzeShardRejectsShortSlotSpans) {
+  const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
+  YieldConfig cfg = test_yield_config();
+  cfg.tier = EvalTier::Macro;
+  StaEngine engine(flow_->sta());
+  CompensationController ctrl = analyzer.controller(engine);
+  const auto maps = analyzer.reticle_slot_maps(*wafer_);
+  const auto screen = analyzer.tier_screen(*wafer_, cfg, maps);
+  ASSERT_EQ(maps.size(), 4u);
+  ASSERT_EQ(screen.size(), 4u);
+  const std::span<const std::vector<double>> short_maps(maps.data(), 1);
+  const std::span<const SlotTriage> short_screen(screen.data(), 1);
+  EXPECT_THROW(analyzer.analyze_shard(engine, ctrl, *wafer_, cfg, 0, 6, maps,
+                                      short_screen),
+               std::invalid_argument);
+  EXPECT_THROW(analyzer.analyze_shard(engine, ctrl, *wafer_, cfg, 0, 6,
+                                      short_maps, screen),
+               std::invalid_argument);
+  EXPECT_THROW(
+      analyzer.analyze_shard(engine, ctrl, *wafer_, cfg, 0, 6, short_maps),
+      std::invalid_argument);
+  const YieldAggregate agg =
+      analyzer.analyze_shard(engine, ctrl, *wafer_, cfg, 0, 6, maps, screen);
+  EXPECT_EQ(agg.dies, 6u);
 }
 
 // The Batched draw profile carries the same determinism-under-
