@@ -199,6 +199,24 @@ void StaEngine::build_graph() {
   }
   launch_base_.assign(launch_nodes_.size(), 0.0f);
 
+  // First-writer marks (DESIGN.md §17): edges run in topological order of
+  // their source, so every write to a node precedes every read of it, and
+  // the first edge writing a node that no launch initializes can take
+  // max(cand, -inf) instead of reading a -inf pre-fill.  Only launch rows
+  // and rows that nothing writes then need the fill.
+  std::vector<std::uint8_t> written(node_count_, 0);
+  for (const std::uint32_t v : launch_nodes_) written[v] = 1;
+  first_write_.assign(edges_.size(), 0);
+  for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
+    std::uint8_t& w = written[edges_[ei].to];
+    first_write_[ei] = w == 0 ? 1 : 0;
+    w = 1;
+  }
+  neg_inf_rows_ = launch_nodes_;
+  for (std::uint32_t v = 0; v < node_count_; ++v) {
+    if (written[v] == 0) neg_inf_rows_.push_back(v);
+  }
+
   arrival_.assign(node_count_, kNegInf);
   pred_edge_.assign(node_count_, -1);
   inst_corner_.assign(d.num_instances(), kVddLow);
@@ -380,9 +398,17 @@ void StaEngine::analyze_batch_soa(std::span<const double> factor_soa,
   analyze_batch_core(factor_soa.data(), width, results);
 }
 
+void StaEngine::init_arrival_soa(std::size_t width) const {
+  arrival_soa_.resize(static_cast<std::size_t>(node_count_) * width);
+  for (const std::uint32_t v : neg_inf_rows_) {
+    double* a = &arrival_soa_[static_cast<std::size_t>(v) * width];
+    std::fill(a, a + width, kNegInf);
+  }
+}
+
 void StaEngine::analyze_batch_core(const double* factor_soa, std::size_t width,
                                    std::span<StaResult> results) const {
-  arrival_soa_.assign(static_cast<std::size_t>(node_count_) * width, kNegInf);
+  init_arrival_soa(width);
 
   for (std::size_t li = 0; li < launch_nodes_.size(); ++li) {
     const InstId i = launch_inst_[li];
@@ -403,7 +429,8 @@ void StaEngine::analyze_batch_core(const double* factor_soa, std::size_t width,
   // dispatched SIMD kernel (DESIGN.md §17); every dispatch target is
   // per-lane bit-identical to the scalar lane, so the arch choice is
   // invisible in the results.
-  simd::active_kernels().relax_edges(edges_.data(), edges_.size(), factor_soa,
+  simd::active_kernels().relax_edges(edges_.data(), first_write_.data(),
+                                     edges_.size(), factor_soa,
                                      arrival_soa_.data(), width);
 
   extract_batch_results(width, results);
@@ -795,7 +822,7 @@ void StaEngine::analyze_batch_bases(
     }
   }
 
-  arrival_soa_.assign(static_cast<std::size_t>(node_count_) * width, kNegInf);
+  init_arrival_soa(width);
   for (std::size_t li = 0; li < launch_nodes_.size(); ++li) {
     const InstId i = launch_inst_[li];
     double* a =
@@ -813,8 +840,8 @@ void StaEngine::analyze_batch_bases(
   // delay (this lane's own base times its factor) was formed above as one
   // IEEE multiply, so bits match the scalar path at every dispatch width.
   simd::active_kernels().relax_edges_delays(
-      edges_.data(), edges_.size(), delay_soa_.data(), arrival_soa_.data(),
-      width);
+      edges_.data(), first_write_.data(), edges_.size(), delay_soa_.data(),
+      arrival_soa_.data(), width);
 
   extract_batch_results(width, results);
 }

@@ -298,6 +298,11 @@ class StaEngine {
   void analyze_batch_core(const double* factor_soa, std::size_t width,
                           std::span<StaResult> results) const;
 
+  /// Sizes arrival_soa_ for `width` lanes and sets only the rows no
+  /// first-writer edge initializes — launch rows and never-written rows —
+  /// to -inf (the first-writer contract, DESIGN.md §17).
+  void init_arrival_soa(std::size_t width) const;
+
   /// Per-lane endpoint extraction from arrival_soa_ (identical
   /// arithmetic and endpoint order to the scalar path).
   void extract_batch_results(std::size_t width,
@@ -332,6 +337,12 @@ class StaEngine {
   std::uint32_t node_count_ = 0;
 
   std::vector<Edge> edges_;                 // sorted topologically
+  /// Per edge: 1 if it is the first edge writing a node no launch
+  /// initializes (the batch kernels' first-writer flag).
+  std::vector<std::uint8_t> first_write_;
+  /// Launch nodes plus nodes no edge writes: the only rows the batch
+  /// paths pre-fill with -inf.
+  std::vector<std::uint32_t> neg_inf_rows_;
   std::vector<std::uint32_t> launch_nodes_; // flop Q outputs & PIs
   std::vector<float> launch_base_;          // base launch delay (clk->q)
   std::vector<InstId> launch_inst_;         // flop for clk->q scaling

@@ -90,11 +90,10 @@ struct ScalarPolicy {
   static D mant_half(D x) {
     return detail::double_of((detail::bits_of(x) & kMantMask) | kHalfExp);
   }
-  /// W doubles from base at byte offsets idx[k]*8 (idx precomputed).
-  static D gather_idx(const double* base, const std::int32_t* idx) {
-    return base[idx[0]];
-  }
-  /// rc[2j] and rc[2j+1] for the lane-wise integral j held in jd.
+  /// rc[2j] and rc[2j+1] for the lane-wise integral j held in jd.  The
+  /// wide policies load each lane's (value, slope) pair as one 16-byte
+  /// load and transpose in registers instead of issuing two hardware
+  /// gathers: loads are exact, so the lanes' bits cannot differ.
   static void gather_pair(const double* rc, D jd, D& c0, D& c1) {
     const std::int32_t j = static_cast<std::int32_t>(jd);
     c0 = rc[2 * j];
@@ -146,15 +145,14 @@ struct Sse2Policy {
     u = _mm_or_si128(u, _mm_set1_epi64x(static_cast<long long>(kHalfExp)));
     return _mm_castsi128_pd(u);
   }
-  static D gather_idx(const double* base, const std::int32_t* idx) {
-    return _mm_set_pd(base[idx[1]], base[idx[0]]);
-  }
   static void gather_pair(const double* rc, D jd, D& c0, D& c1) {
     const __m128i ji = _mm_cvttpd_epi32(jd);
     const std::int32_t j0 = _mm_cvtsi128_si32(ji);
     const std::int32_t j1 = _mm_cvtsi128_si32(_mm_shuffle_epi32(ji, 0x55));
-    c0 = _mm_set_pd(rc[2 * j1], rc[2 * j0]);
-    c1 = _mm_set_pd(rc[2 * j1 + 1], rc[2 * j0 + 1]);
+    const __m128d p0 = _mm_loadu_pd(rc + 2 * j0);
+    const __m128d p1 = _mm_loadu_pd(rc + 2 * j1);
+    c0 = _mm_unpacklo_pd(p0, p1);
+    c1 = _mm_unpackhi_pd(p0, p1);
   }
 };
 #endif  // __SSE2__
@@ -202,15 +200,18 @@ struct Avx2Policy {
                         _mm256_set1_epi64x(static_cast<long long>(kHalfExp)));
     return _mm256_castsi256_pd(u);
   }
-  static D gather_idx(const double* base, const std::int32_t* idx) {
-    const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
-    return _mm256_i32gather_pd(base, vi, 8);
-  }
   static void gather_pair(const double* rc, D jd, D& c0, D& c1) {
-    const __m128i ji = _mm256_cvttpd_epi32(jd);
-    const __m128i j2 = _mm_add_epi32(ji, ji);
-    c0 = _mm256_i32gather_pd(rc, j2, 8);
-    c1 = _mm256_i32gather_pd(rc, _mm_add_epi32(j2, _mm_set1_epi32(1)), 8);
+    alignas(16) std::int32_t j[4];
+    _mm_store_si128(reinterpret_cast<__m128i*>(j), _mm256_cvttpd_epi32(jd));
+    // a = (c0, c1) of lanes 0 | 2, b = of lanes 1 | 3; unpack transposes.
+    const __m256d a = _mm256_insertf128_pd(
+        _mm256_castpd128_pd256(_mm_loadu_pd(rc + 2 * j[0])),
+        _mm_loadu_pd(rc + 2 * j[2]), 1);
+    const __m256d b = _mm256_insertf128_pd(
+        _mm256_castpd128_pd256(_mm_loadu_pd(rc + 2 * j[1])),
+        _mm_loadu_pd(rc + 2 * j[3]), 1);
+    c0 = _mm256_unpacklo_pd(a, b);
+    c1 = _mm256_unpackhi_pd(a, b);
   }
 };
 #endif  // __AVX2__
@@ -259,17 +260,21 @@ struct Avx512Policy {
                         _mm512_set1_epi64(static_cast<long long>(kHalfExp)));
     return _mm512_castsi512_pd(u);
   }
-  static D gather_idx(const double* base, const std::int32_t* idx) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return _mm512_i32gather_pd(vi, base, 8);
-  }
   static void gather_pair(const double* rc, D jd, D& c0, D& c1) {
-    const __m256i ji = _mm512_cvttpd_epi32(jd);
-    const __m256i j2 = _mm256_add_epi32(ji, ji);
-    c0 = _mm512_i32gather_pd(j2, rc, 8);
-    c1 = _mm512_i32gather_pd(_mm256_add_epi32(j2, _mm256_set1_epi32(1)), rc,
-                             8);
+    alignas(32) std::int32_t j[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(j), _mm512_cvttpd_epi32(jd));
+    // a = (c0, c1) of lanes 0|2|4|6, b = of lanes 1|3|5|7; unpack
+    // transposes within each 128-bit block.
+    __m512d a = _mm512_zextpd128_pd512(_mm_loadu_pd(rc + 2 * j[0]));
+    __m512d b = _mm512_zextpd128_pd512(_mm_loadu_pd(rc + 2 * j[1]));
+    a = _mm512_insertf64x2(a, _mm_loadu_pd(rc + 2 * j[2]), 1);
+    b = _mm512_insertf64x2(b, _mm_loadu_pd(rc + 2 * j[3]), 1);
+    a = _mm512_insertf64x2(a, _mm_loadu_pd(rc + 2 * j[4]), 2);
+    b = _mm512_insertf64x2(b, _mm_loadu_pd(rc + 2 * j[5]), 2);
+    a = _mm512_insertf64x2(a, _mm_loadu_pd(rc + 2 * j[6]), 3);
+    b = _mm512_insertf64x2(b, _mm_loadu_pd(rc + 2 * j[7]), 3);
+    c0 = _mm512_unpacklo_pd(a, b);
+    c1 = _mm512_unpackhi_pd(a, b);
   }
 };
 #endif  // __AVX512F__ && __AVX512DQ__

@@ -118,6 +118,13 @@ McResult MonteCarloSsta::run_with_systematic(
   }
   const std::vector<CorrelatedField::Stencil> stencils =
       model_->field_stencils(*design_);
+  // The table row per instance depends only on the engine's corners,
+  // which no worker clone changes during the run: built once here, read
+  // by every batch (DESIGN.md §11).
+  const std::vector<std::int32_t> rows =
+      cfg.profile != DrawProfile::Scalar
+          ? model_->table_rows(*design_, *sta_)
+          : std::vector<std::int32_t>{};
 
   // Pre-sized per-sample slots (the adaptive cap is the worst case);
   // workers only ever write their own indices, so the thread schedule
@@ -158,10 +165,11 @@ McResult MonteCarloSsta::run_with_systematic(
       // propagation kernel consumes; no per-batch transpose.  BatchedSimd
       // only swaps the bulk normal stream (Rng::normals_simd); the rest
       // of the engine is shared with Batched.
-      model_->draw_factors_batch(
-          *design_, w.engine, systematic, stencils, cfg.seed, first, lanes,
-          std::span(w.factor_soa).first(num_inst * lanes), w.scratch,
-          cfg.profile == DrawProfile::BatchedSimd);
+      model_->draw_eps_batch(stencils, num_inst, cfg.seed, first, lanes,
+                             w.scratch,
+                             cfg.profile == DrawProfile::BatchedSimd);
+      model_->transform_batch(rows, systematic, lanes, w.scratch,
+                              std::span(w.factor_soa).first(num_inst * lanes));
       w.engine.analyze_batch_soa(
           std::span<const double>(w.factor_soa).first(num_inst * lanes),
           lanes, std::span(w.results).first(lanes));

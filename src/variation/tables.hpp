@@ -67,17 +67,18 @@ class DelayFactorTables {
     return eval_row(row_data(row(corner, vth)), lgate_nm);
   }
 
-  /// Batched eval_row over a whole draw: for instance i and lane l,
-  ///   out[i * width + l] = eval_row(row_data(rows[i]),
-  ///                                 sys[i] + eps[l * n + i])
-  /// with eps lane-major (stride n between lanes) and out instance-major.
+  /// Batched, fused eval_row over a whole draw: for instance i and lane
+  /// l, with eps and out both instance-major [n x width],
+  ///   d = std::clamp(sigma * eps[i * width + l], -clamp, clamp)
+  ///   out[i * width + l] = eval_row(row_data(rows[i]), sys[i] + d)
   /// Runs through the runtime-dispatched SIMD kernel (DESIGN.md §17);
-  /// every dispatch target reproduces eval_row() bit-for-bit, so this is
-  /// a pure throughput variant, never a numeric one.  Defined in
-  /// tables.cpp.
+  /// every dispatch target reproduces the scalar scale, std::clamp and
+  /// eval_row() bit-for-bit, so this is a pure throughput variant, never
+  /// a numeric one.  sigma = 1, clamp = +inf passes eps through exactly.
+  /// Requires clamp >= 0.  Defined in tables.cpp.
   void eval_rows_batch(const std::int32_t* rows, const double* sys,
-                       const double* eps, std::size_t n, std::size_t width,
-                       double* out) const;
+                       const double* eps, double sigma, double clamp,
+                       std::size_t n, std::size_t width, double* out) const;
 
   /// Evaluate one row at `lgate_nm` and also report the segment slope
   /// d(factor)/d(Lgate) [1/nm] — the exact derivative of the

@@ -1,5 +1,6 @@
 #include "vi/compensate.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -17,20 +18,29 @@ VirtualChip fabricate_chip(const Design& design, const VariationModel& model,
   if (systematic.size() < design.num_instances()) {
     throw std::invalid_argument("fabricate_chip: short systematic map");
   }
+  for (InstId i = 0; i < design.num_instances(); ++i) {
+    if (!design.instance(i).placed) {
+      throw std::logic_error("fabricate_chip: unplaced instance");
+    }
+  }
   VirtualChip chip;
   chip.loc = loc;
   chip.lgate_nm.resize(design.num_instances());
+  // sample_lgate() is exactly systematic_lgate + random_lgate_dev, and
+  // the map holds those systematic_lgate evaluations.
   const CorrelatedField field = model.draw_field(rng);
-  const CorrelatedField* fp = field.active() ? &field : nullptr;
-  for (InstId i = 0; i < design.num_instances(); ++i) {
-    const Instance& inst = design.instance(i);
-    if (!inst.placed) {
-      throw std::logic_error("fabricate_chip: unplaced instance");
+  if (!field.active()) {
+    // All gates' deviations in one bulk polar fill: the same normals and
+    // the same RNG state as the per-gate loop (DESIGN.md §20).
+    model.random_lgate_devs(rng, chip.lgate_nm);
+    for (InstId i = 0; i < design.num_instances(); ++i) {
+      chip.lgate_nm[i] = systematic[i] + chip.lgate_nm[i];
     }
-    // sample_lgate() is exactly systematic_lgate + random_lgate_dev, and
-    // the map holds those systematic_lgate evaluations.
-    chip.lgate_nm[i] =
-        systematic[i] + model.random_lgate_dev(inst.pos, rng, fp);
+    return chip;
+  }
+  for (InstId i = 0; i < design.num_instances(); ++i) {
+    chip.lgate_nm[i] = systematic[i] + model.random_lgate_dev(
+                                           design.instance(i).pos, rng, &field);
   }
   return chip;
 }
@@ -70,7 +80,9 @@ CompensationController::CompensationController(const Design& design,
       own_bases_(shared == nullptr ? std::make_unique<LevelBases>(plan)
                                    : nullptr),
       bases_(shared == nullptr ? own_bases_.get() : shared),
-      snaps_(static_cast<std::size_t>(plan.num_islands()) + 2, nullptr) {}
+      snaps_(static_cast<std::size_t>(plan.num_islands()) + 2, nullptr),
+      flipped_(snaps_.size()),
+      flipped_ready_(snaps_.size(), 0) {}
 
 std::vector<double> CompensationController::chip_factors(
     const VirtualChip& chip) const {
@@ -82,16 +94,51 @@ std::vector<double> CompensationController::chip_factors(
   return factors;
 }
 
-std::vector<double> CompensationController::level_factors(
-    const VirtualChip& chip, const std::vector<double>& f0, int k) {
+void CompensationController::level0_factors(const VirtualChip& chip) {
+  const std::size_t n = chip.lgate_nm.size();
+  if (other_die_.size() != n) {
+    other_.assign(n, 0.0);
+    other_die_.assign(n, 0);
+    die_ = 0;
+  }
+  if (++die_ == 0) {  // stamp wrapped: forget every cached factor
+    std::fill(other_die_.begin(), other_die_.end(), 0);
+    die_ = 1;
+  }
+  terms_.resize(n);
+  f0_.resize(n);
+  const CharParams& cp = model_->char_params();
   const std::vector<int>& corner0 = state_snapshot(0).inst_corner;
-  const std::vector<int>& corner = state_snapshot(k).inst_corner;
-  std::vector<double> factors = f0;
-  for (InstId i = 0; i < factors.size(); ++i) {
-    if (corner[i] != corner0[i]) {
-      factors[i] = model_->delay_factor(chip.lgate_nm[i], corner[i],
-                                        design_->cell_of(i).vth);
+  for (InstId i = 0; i < n; ++i) {
+    terms_[i] = cp.lgate_terms(chip.lgate_nm[i]);
+    f0_[i] = model_->delay_factor(terms_[i], corner0[i],
+                                  design_->cell_of(i).vth);
+  }
+}
+
+const std::vector<InstId>& CompensationController::flipped(int k) {
+  const auto s = static_cast<std::size_t>(k);
+  if (flipped_ready_[s] == 0) {
+    const std::vector<int>& corner0 = state_snapshot(0).inst_corner;
+    const std::vector<int>& corner = state_snapshot(k).inst_corner;
+    for (InstId i = 0; i < corner.size(); ++i) {
+      if (corner[i] != corner0[i]) flipped_[s].push_back(i);
     }
+    flipped_ready_[s] = 1;
+  }
+  return flipped_[s];
+}
+
+std::vector<double> CompensationController::state_factors(int k) {
+  const std::vector<int>& corner = state_snapshot(k).inst_corner;
+  std::vector<double> factors = f0_;
+  for (const InstId i : flipped(k)) {
+    if (other_die_[i] != die_) {
+      other_[i] =
+          model_->delay_factor(terms_[i], corner[i], design_->cell_of(i).vth);
+      other_die_[i] = die_;
+    }
+    factors[i] = other_[i];
   }
   return factors;
 }
@@ -116,6 +163,14 @@ void CompensationController::set_chip_wide() {
   sta_->restore_bases(state_snapshot(plan_->num_islands() + 1));
 }
 
+StaResult CompensationController::analyze_chip_wide() {
+  if (die_ == 0) {
+    throw std::logic_error("analyze_chip_wide: no die compensated yet");
+  }
+  set_chip_wide();
+  return sta_->analyze(state_factors(plan_->num_islands() + 1));
+}
+
 CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
                                                        bool allow_escalation) {
   if (chip.lgate_nm.size() != design_->num_instances()) {
@@ -125,8 +180,8 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
 
   // --- post-silicon test at the nominal supply ----------------------------
   set_level(0);
-  const std::vector<double> f0 = chip_factors(chip);
-  const StaResult truth0 = sta_->analyze(f0);
+  level0_factors(chip);
+  const StaResult truth0 = sta_->analyze(f0_);
   out.wns_before = truth0.wns;
   out.sensor_stage_flags = sensor_flags(*sta_, *sensors_, truth0);
   for (PipeStage s :
@@ -161,7 +216,7 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
     out.timing_met = truth0.wns >= 0.0;
   } else {
     set_level(detected);
-    const StaResult truth = sta_->analyze(level_factors(chip, f0, detected));
+    const StaResult truth = sta_->analyze(state_factors(detected));
     out.wns_after = truth.wns;
     out.islands_raised = detected;
     out.timing_met = truth.wns >= 0.0;
@@ -181,7 +236,7 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
   std::vector<std::vector<double>> factors(lanes);
   for (std::size_t j = 0; j < lanes; ++j) {
     const int level = first_level + static_cast<int>(j);
-    factors[j] = level_factors(chip, f0, level);
+    factors[j] = state_factors(level);
     bases[j] = &state_snapshot(level);
   }
   std::vector<StaResult> results(lanes);

@@ -17,6 +17,7 @@
 // the transformed design.
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -109,10 +110,21 @@ class CompensationController {
   /// Escalation evaluates every remaining level as one multi-base
   /// analyze_batch_bases() batch (lane = level); the outcome is
   /// bit-identical to the historical one-level-at-a-time walk.  Delay
-  /// factors are computed in full once, at level 0; every raised level
-  /// re-evaluates only the gates whose corner it flips.
+  /// factors are computed in full once, at level 0, keeping each gate's
+  /// Lgate terms (CharParams::lgate_terms); a raised level replaces only
+  /// the gates whose corner it flips, and each such gate's other-corner
+  /// factor is evaluated at most once per die, with one pow(), then
+  /// shared by every level and by analyze_chip_wide() (DESIGN.md §20).
   CompensationOutcome compensate(const VirtualChip& chip,
                                  bool allow_escalation = true);
+
+  /// The chip-wide fallback for the die last passed to compensate():
+  /// set_chip_wide(), then the analysis of that die with every domain at
+  /// high Vdd.  Bit-identical to set_chip_wide() followed by
+  /// sta.analyze(chip_factors(chip)); the high-corner factors come from
+  /// the die's kept terms and the levels compensate() already evaluated.
+  /// Throws std::logic_error before the first compensate().
+  StaResult analyze_chip_wide();
 
   /// Per-instance delay factors of a chip under the engine's current
   /// corner assignment (exposed for power/analysis code).
@@ -138,12 +150,21 @@ class CompensationController {
   /// chip-wide), fetched from bases_ once and then read locally.
   const StaEngine::BaseSnapshot& state_snapshot(int k);
 
-  /// chip_factors() under level k's corner map, built from the level-0
-  /// factors `f0`: delay_factor is a pure function of (Lgate, corner,
-  /// Vth), so only instances whose corner differs from level 0 are
-  /// re-evaluated (DESIGN.md §20).
-  std::vector<double> level_factors(const VirtualChip& chip,
-                                    const std::vector<double>& f0, int k);
+  /// chip_factors(chip) under level 0 into f0_, keeping every gate's
+  /// Lgate terms in terms_, and opens a new die for the other-corner
+  /// cache.
+  void level0_factors(const VirtualChip& chip);
+
+  /// chip_factors() of the current die under supply state k's corner map:
+  /// f0_ with each gate whose corner differs from level 0 replaced by its
+  /// other-corner factor.  delay_factor is a pure function of (Lgate,
+  /// corner, Vth) and there are two corners, so that factor is the same
+  /// for every state that flips the gate and is computed once per die.
+  std::vector<double> state_factors(int k);
+
+  /// Gates whose corner under state k differs from level 0, built the
+  /// first time state k is asked for.
+  const std::vector<InstId>& flipped(int k);
 
   const Design* design_;
   StaEngine* sta_;
@@ -155,6 +176,17 @@ class CompensationController {
   LevelBases* bases_;
   /// Snapshots already fetched from bases_, by supply state.
   std::vector<const StaEngine::BaseSnapshot*> snaps_;
+  /// flipped(k) per supply state, and whether it is built yet.
+  std::vector<std::vector<InstId>> flipped_;
+  std::vector<std::uint8_t> flipped_ready_;
+  /// The die last passed to compensate(): its per-gate Lgate terms and
+  /// level-0 factors, and each gate's other-corner factor, valid where
+  /// other_die_[i] == die_ (die_ == 0: no die yet).
+  std::vector<CharParams::LgateTerms> terms_;
+  std::vector<double> f0_;
+  std::vector<double> other_;
+  std::vector<std::uint32_t> other_die_;
+  std::uint32_t die_ = 0;
 };
 
 }  // namespace vipvt

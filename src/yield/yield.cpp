@@ -376,7 +376,6 @@ DieOutcome YieldAnalyzer::analyze_die_impl(
   // the confidence band takes the analytic verdict instead and skips MC
   // — but still consumes the would-be MC seed so every downstream draw
   // (fabrication) stays bit-identical to the MC path.
-  ctrl.set_level(0);
   const EvalTier tier = cfg.effective_tier();
   if (tier != EvalTier::Flat && triage != nullptr && triage->decided) {
     (void)die_rng.next();  // the MC seed the skipped run would have taken
@@ -389,6 +388,9 @@ DieOutcome YieldAnalyzer::analyze_die_impl(
     out.mc_stop = McStop::FixedBudget;
     out.fmax_ghz = triage->fmax_ghz;
   } else {
+    // MC runs at level 0; compensate() restores level 0 itself, so a
+    // screen-decided die skips this restore (restore_bases is idempotent).
+    ctrl.set_level(0);
     McConfig mcc = cfg.mc;
     mcc.seed = die_rng.next();
     const McResult mc = MonteCarloSsta(*design_, engine, *model_)
@@ -429,9 +431,9 @@ DieOutcome YieldAnalyzer::analyze_die_impl(
     out.policy = comp.islands_raised == 0 ? TuningPolicy::AllLow
                                           : TuningPolicy::NestedIslands;
   } else if (cfg.allow_chip_wide_fallback) {
-    // Even all islands failed: the paper's chip-wide adaptive baseline.
-    ctrl.set_chip_wide();
-    const StaResult truth = engine.analyze(ctrl.chip_factors(chip));
+    // Even all islands failed: the paper's chip-wide adaptive baseline,
+    // reusing the high-corner factors compensate() already evaluated.
+    const StaResult truth = ctrl.analyze_chip_wide();
     out.wns_final_ns = truth.wns;
     if (truth.wns >= 0.0) {
       out.policy = TuningPolicy::ChipWideHigh;

@@ -339,6 +339,71 @@ TEST_F(CompensateFixture, EscalationToMaxLevelMatchesFullFactorWalk) {
   EXPECT_GE(fails_at_max, 3) << "too few chips failed even at max_k";
 }
 
+TEST_F(CompensateFixture, StressChipsMatchFullFactorWalkAndChipWide) {
+  // compensate() keeps each gate's Lgate terms and evaluates its
+  // high-corner factor at most once per die, sharing it across the
+  // detected level, the escalation lanes and analyze_chip_wide()
+  // (DESIGN.md §20).  Reference: a separate controller walking every
+  // supply state with a full chip_factors() fill.  Stress chips: 1.5x
+  // sigma at 0.85x clock, where every chip takes the chip-wide fallback
+  // after its raised level, plus clocks where chips escalate.
+  VariationConfig vc = model_->config();
+  vc.three_sigma_random_frac *= 1.5;
+  const VariationModel model(lib_->char_params(), *field_, vc);
+  const int max_k = plan_->num_islands();
+  int escalated = 0, failed = 0;
+  for (const double clock_scale : {0.85, 0.96, 1.03, 1.04}) {
+    StaEngine eng(*sta_);
+    eng.set_clock_period(sta_->options().clock_period_ns * clock_scale);
+    StaEngine ref_eng(eng);
+    CompensationController ctrl(*design_, eng, model, *plan_, *razor_);
+    CompensationController ref(*design_, ref_eng, model, *plan_, *razor_);
+    EXPECT_THROW(ctrl.analyze_chip_wide(), std::logic_error);
+    Rng rng(65536);
+    VirtualChip prev;
+    for (int c = 0; c < 24; ++c) {
+      SCOPED_TRACE("clock x" + std::to_string(clock_scale) + " chip " +
+                   std::to_string(c));
+      const VirtualChip chip =
+          fabricate_chip(*design_, model, worst_loc_, rng);
+      const CompensationOutcome out = ctrl.compensate(chip);
+      std::vector<StaResult> level(static_cast<std::size_t>(max_k) + 1);
+      for (int k = 0; k <= max_k; ++k) {
+        ref.set_level(k);
+        level[static_cast<std::size_t>(k)] =
+            ref_eng.analyze(ref.chip_factors(chip));
+      }
+      EXPECT_EQ(out.wns_before, level[0].wns);
+      EXPECT_EQ(out.wns_after,
+                level[static_cast<std::size_t>(out.islands_raised)].wns);
+      for (int k = out.detected_severity; k < out.islands_raised; ++k) {
+        EXPECT_LT(level[static_cast<std::size_t>(k)].wns, 0.0);
+      }
+      // The fallback: bit-identical to set_chip_wide + a full fill.
+      ref.set_chip_wide();
+      const StaResult wide_ref = ref_eng.analyze(ref.chip_factors(chip));
+      const StaResult wide = ctrl.analyze_chip_wide();
+      EXPECT_EQ(wide.wns, wide_ref.wns);
+      EXPECT_EQ(wide.endpoint_slack, wide_ref.endpoint_slack);
+      // chip_factors() never reads the controller's per-die cache: on a
+      // different chip after set_chip_wide() it is the exact quotient.
+      if (!prev.lgate_nm.empty()) {
+        const std::vector<double> f = ctrl.chip_factors(prev);
+        for (InstId i = 0; i < f.size(); ++i) {
+          ASSERT_EQ(f[i], model.delay_factor(prev.lgate_nm[i], kVddHigh,
+                                             design_->cell_of(i).vth))
+              << "inst " << i;
+        }
+      }
+      prev = chip;
+      escalated += out.escalated;
+      failed += !out.timing_met;
+    }
+  }
+  EXPECT_GE(escalated, 3) << "too few stress chips escalated";
+  EXPECT_GE(failed, 3) << "too few stress chips reached the fallback";
+}
+
 TEST_F(CompensateFixture, SetLevelBitIdenticalToComputeBase) {
   CompensationController ctrl(*design_, *sta_, *model_, *plan_, *razor_);
   StaEngine eng(*sta_);
