@@ -34,9 +34,7 @@
 //      (equally valid) random streams, so their stage-slack fits must
 //      agree to sampling error — disagreement beyond ~8 standard errors
 //      means one of the engines is wrong;
-//  11. incremental re-cornering (recorner_delta vs full compute_base)
-//      over a single-island escalation ladder;
-//  12. adaptive sequential sampling vs the fixed budget at an equal
+//  11. adaptive sequential sampling vs the fixed budget at an equal
 //      a-priori CI target: sample savings (soft), plus the hard
 //      prefix-equivalence gate — the adaptive run stopping at N must be
 //      bit-identical to a fixed run with samples = N, serial and pooled.
@@ -772,111 +770,7 @@ int main(int argc, char** argv) {
   const bool simd_stats_ok = stages_statistically_agree(
       "scalar-vs-batchedsimd", scalar_ref, simd_ref, samples);
 
-  // 11. Incremental re-cornering (StaEngine::recorner_delta, DESIGN.md
-  // §12).  The compensation loop flips exactly ONE voltage island per
-  // escalation step, so re-cornering should cost the flipped domain's
-  // fan-out cone, not a full compute_base + whole-graph propagation.
-  // Slice the core into nested right-edge islands (the paper's
-  // VI1⊂VI2⊂VI3 geometry), walk an escalation ladder up and down, and
-  // time the full path against recorner_delta for the same flip
-  // sequence.  Every step must stay bit-identical — result fields and
-  // the whole base/slew/corner state alike (hard gate, like sections
-  // 1-5).
-  bool recorner_identical = true;
-  {
-    const Rect& die = fp.die();
-    for (InstId i = 0; i < design.num_instances(); ++i) {
-      const double frac = (design.instance(i).pos.x - die.lo.x) / die.width();
-      DomainId dom = 0;
-      if (frac > 0.985) dom = 1;
-      else if (frac > 0.97) dom = 2;
-      else if (frac > 0.955) dom = 3;
-      design.instance(i).domain = dom;
-    }
-    StaEngine full_eng(sta);
-    StaEngine delta_eng(sta);
-    std::vector<int> corners(4, kVddLow);
-    full_eng.compute_base(corners);
-    (void)full_eng.analyze();
-    delta_eng.compute_base(corners);
-    (void)delta_eng.recorner_delta(1, kVddLow);  // warm index + caches
-
-    // Escalation ladder: raise islands 1..3 then lower them again; every
-    // step is a single-island flip (the compensation loop's unit of work).
-    const std::pair<DomainId, int> ladder[] = {
-        {1, kVddHigh}, {2, kVddHigh}, {3, kVddHigh},
-        {3, kVddLow},  {2, kVddLow},  {1, kVddLow}};
-    constexpr int kReps = 25;
-    constexpr int kSteps = kReps * static_cast<int>(std::size(ladder));
-    std::vector<StaResult> full_res(kSteps), delta_res(kSteps);
-
-    t0 = clock::now();
-    for (int r = 0, s = 0; r < kReps; ++r) {
-      for (const auto& [dom, corner] : ladder) {
-        corners[dom] = corner;
-        full_eng.compute_base(corners);
-        full_res[static_cast<std::size_t>(s++)] = full_eng.analyze();
-      }
-    }
-    const std::chrono::duration<double> full_s = clock::now() - t0;
-
-    double cone_nodes_sum = 0.0, slew_visited_sum = 0.0;
-    t0 = clock::now();
-    for (int r = 0, s = 0; r < kReps; ++r) {
-      for (const auto& [dom, corner] : ladder) {
-        delta_res[static_cast<std::size_t>(s++)] =
-            delta_eng.recorner_delta(dom, corner);
-        cone_nodes_sum += delta_eng.recorner_stats().cone_nodes;
-        slew_visited_sum += delta_eng.recorner_stats().slew_nodes_visited;
-      }
-    }
-    const std::chrono::duration<double> delta_s = clock::now() - t0;
-
-    for (int s = 0; s < kSteps; ++s) {
-      const StaResult& a = full_res[static_cast<std::size_t>(s)];
-      const StaResult& b = delta_res[static_cast<std::size_t>(s)];
-      recorner_identical &= a.wns == b.wns && a.tns == b.tns &&
-                            a.min_period_ns == b.min_period_ns &&
-                            a.stage_wns == b.stage_wns &&
-                            a.endpoint_slack == b.endpoint_slack;
-    }
-    const auto snap_full = full_eng.snapshot_bases();
-    const auto snap_delta = delta_eng.snapshot_bases();
-    recorner_identical &= snap_full.edge_base == snap_delta.edge_base &&
-                          snap_full.launch_base == snap_delta.launch_base &&
-                          snap_full.slew == snap_delta.slew &&
-                          snap_full.inst_corner == snap_delta.inst_corner;
-
-    const double full_us = full_s.count() / kSteps * 1e6;
-    const double delta_us = delta_s.count() / kSteps * 1e6;
-    const double recorner_speedup = full_us / delta_us;
-    std::printf("incremental re-corner (%d single-island flips, nested "
-                "right-edge islands):\n"
-                "  full compute_base+analyze  %8.1f us/flip\n"
-                "  recorner_delta             %8.1f us/flip  -> %.2fx, %s\n"
-                "  mean cone %.0f nodes (%.1f%% of graph), mean slew-pass "
-                "visits %.0f nodes\n\n",
-                kSteps, full_us, delta_us, recorner_speedup,
-                recorner_identical ? "bit-identical" : "MISMATCH (BUG)",
-                cone_nodes_sum / kSteps,
-                100.0 * cone_nodes_sum / kSteps /
-                    static_cast<double>(sta.num_nodes()),
-                slew_visited_sum / kSteps);
-    out.set("recorner_flips", kSteps);
-    out.set("recorner_full_us_per_flip", full_us);
-    out.set("recorner_delta_us_per_flip", delta_us);
-    out.set("recorner_speedup", recorner_speedup);
-    out.set("recorner_mean_cone_nodes", cone_nodes_sum / kSteps);
-    out.set("recorner_mean_cone_fraction",
-            cone_nodes_sum / kSteps / static_cast<double>(sta.num_nodes()));
-    out.set("recorner_mean_slew_visits", slew_visited_sum / kSteps);
-    if (recorner_speedup < 3.0) {
-      std::printf("WARNING: recorner_delta speedup %.2fx below the 3x "
-                  "target\n", recorner_speedup);
-    }
-  }
-
-  // 12. Adaptive sequential sampling vs the fixed budget (DESIGN.md §14).
+  // 11. Adaptive sequential sampling vs the fixed budget (DESIGN.md §14).
   // The CI target is fixed a priori off the scalar reference fits: pin
   // every stage's sigma to +/-15 % and its mean to +/-40 % of the worst
   // stage sigma, at 95 % — a precision the fixed budget comfortably
@@ -1011,11 +905,6 @@ int main(int argc, char** argv) {
     std::printf("STATISTICAL DISAGREEMENT: a profile's stage-slack fits "
                 "differ from the Scalar profile beyond sampling error — one "
                 "of the draw engines is biased\n");
-    return 1;
-  }
-  if (!recorner_identical) {
-    std::printf("DETERMINISM VIOLATION: recorner_delta diverged from the "
-                "full compute_base+analyze re-corner\n");
     return 1;
   }
   if (!adaptive_identical) {

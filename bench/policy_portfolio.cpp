@@ -3,9 +3,7 @@
 // criticality buffering + VI, and all three — reporting the
 // power/area/yield point each mix buys.  Transforming mixes compile the
 // netlist once (compile_policy_mix) and fabricate every die on the
-// transformed design; the §12 incremental-STA path (recorner_delta)
-// works on the compiled netlists exactly as on the baseline, and is
-// hard-gated here on the transformed design.
+// transformed design.
 //
 // Hard determinism gates (any failure exits 1):
 //   1. Per mix, the serialized report (CSV + JSON) is byte-identical for
@@ -20,9 +18,6 @@
 //      threshold no gate reaches compiles a transformed-but-identical
 //      netlist whose per-die bits still equal the baseline (the
 //      rebuilt-StaEngine path is exact, DESIGN.md §18).
-//   5. §12 on the transformed netlist: per-escalation-level snapshots
-//      delta-built with recorner_delta are byte-identical to full
-//      compute_base snapshots.
 //
 // Emits BENCH_policy.json (one metric block per mix) for trajectory
 // tracking across PRs.
@@ -34,7 +29,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -45,7 +39,6 @@
 #include "io/yield_writers.hpp"
 #include "timing/sta.hpp"
 #include "util/table.hpp"
-#include "vi/islands.hpp"
 #include "vi/policy.hpp"
 #include "yield/wafer.hpp"
 #include "yield/yield.hpp"
@@ -277,49 +270,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("zero-strength + portfolio-off bit-identity: ok\n");
-  }
-
-  // ---- gate 5: §12 level snapshots on the transformed netlist ------------
-  // The sizing+buffering netlist through the escalation ladder: every
-  // level's delta-built snapshot must be byte-identical to a full
-  // compute_base of that level's corner assignment.
-  const IslandPlan& plan = flow.island_plan();
-  const MixRun& all3 = mixes.back();
-  if (const int levels = plan.num_islands();
-      levels > 0 && all3.compiled.transformed()) {
-    StaEngine full_eng(*all3.compiled.sta);
-    StaEngine delta_eng(*all3.compiled.sta);
-    const auto floats_same = [](const std::vector<float>& a,
-                                const std::vector<float>& b) {
-      return a.size() == b.size() &&
-             std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-    };
-    const auto snap_same = [&](const StaEngine::BaseSnapshot& got,
-                               const StaEngine::BaseSnapshot& want) {
-      return floats_same(got.edge_base, want.edge_base) &&
-             floats_same(got.launch_base, want.launch_base) &&
-             floats_same(got.slew, want.slew) &&
-             got.inst_corner == want.inst_corner;
-    };
-    delta_eng.compute_base(plan.corners_for_severity(0));
-    delta_eng.analyze({});
-    bool identical = true;
-    for (int k = 1; k <= levels; ++k) {
-      delta_eng.recorner_delta(static_cast<DomainId>(k), kVddHigh);
-      full_eng.compute_base(plan.corners_for_severity(k));
-      identical = identical &&
-                  snap_same(delta_eng.snapshot_bases(),
-                            full_eng.snapshot_bases());
-    }
-    if (!identical) {
-      std::printf("DETERMINISM VIOLATION: recorner_delta level snapshots "
-                  "diverged from full compute_base on the transformed "
-                  "netlist\n");
-      return 1;
-    }
-    std::printf("transformed-netlist level snapshots (x%d): byte-identical "
-                "to full compute_base\n\n",
-                levels);
   }
 
   // ---- the Pareto table ---------------------------------------------------

@@ -14,8 +14,7 @@
 // analytic severity verdict agreeing with full MC within the confidence
 // band's stated error rate — exit 1 beyond either bound.  A fourth
 // sweep runs the stage-macromodel tier (DESIGN.md §19) under the same
-// gates, plus bit-identity of restricted recharacterization up the
-// escalation ladder against characterizing from scratch.
+// gates.
 //
 // Emits BENCH_wafer.json with dies/sec and speedups for trajectory
 // tracking across PRs.
@@ -28,7 +27,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -40,7 +38,6 @@
 #include "timing/sta.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "vi/islands.hpp"
 #include "yield/wafer.hpp"
 #include "yield/yield.hpp"
 
@@ -323,10 +320,7 @@ int main(int argc, char** argv) {
   // of a full canonical gate-graph pass.  The triage section's hard
   // gates all apply — byte-determinism across thread counts, non-MC
   // exactness vs the macro-off Batched run, statistical severity
-  // agreement within the band's stated error rate — plus a macromodel-
-  // specific one further down: restricted recharacterization up the
-  // escalation ladder must be bit-identical to characterizing from
-  // scratch.
+  // agreement within the band's stated error rate.
   YieldConfig mcc = with_profile(DrawProfile::Batched);
   mcc.tier = EvalTier::Macro;
   double characterize_s;
@@ -417,9 +411,7 @@ int main(int argc, char** argv) {
   // pass over the reticle slots.  This is the per-die work the macro
   // tier replaces; the honest bottom line is the BREAK-EVEN wafer count
   // (characterization cost / per-wafer screen saving), printed so small
-  // cores don't read as a free win — the same honesty the level_warmup
-  // section applies to the re-corner delta (its committed small-core
-  // speedup is 0.9992x, i.e. a wash).
+  // cores don't read as a free win.
   {
     StaEngine eng(flow.sta());
     eng.compute_base_all_low();
@@ -457,205 +449,6 @@ int main(int argc, char** argv) {
     out.set("macro_canonical_us_per_slot", canon_us);
     out.set("macro_eval_speedup", canon_us / eval_us);
     out.set("macro_break_even_wafers", break_even);
-  }
-
-  // Escalation-level re-corner cost.  The yield loop builds each
-  // level's BaseSnapshot with one full compute_base(), once per analyzer
-  // (DESIGN.md §20); StaEngine::recorner_delta (§12) could delta-build
-  // them instead, but lost on this core (level_warmup_speedup < 1) and
-  // has no production caller.  Measure the per-level re-corner cost
-  // both ways — full compute_base()+analyze() at each level vs a warm
-  // recorner_delta flip into it (level k differs from k-1 only in
-  // domain k) — and hard-gate on the delta-built snapshots being
-  // byte-identical to the full ones at every level (recorner_delta's
-  // correctness contract).
-  const IslandPlan& plan = flow.island_plan();
-  if (const int levels = plan.num_islands(); levels > 0) {
-    constexpr int kReps = 40;
-    StaEngine full_eng(flow.sta());
-    StaEngine delta_eng(flow.sta());
-    std::vector<double> full_us(static_cast<std::size_t>(levels) + 1, 0.0);
-    std::vector<double> delta_us(static_cast<std::size_t>(levels) + 1, 0.0);
-
-    // Reference snapshot per level from the full path, taken once.
-    std::vector<StaEngine::BaseSnapshot> ref;
-    for (int k = 0; k <= levels; ++k) {
-      full_eng.compute_base(plan.corners_for_severity(k));
-      ref.push_back(full_eng.snapshot_bases());
-    }
-    const auto floats_same = [](const std::vector<float>& a,
-                                const std::vector<float>& b) {
-      return a.size() == b.size() &&
-             std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-    };
-    const auto snap_same = [&](const StaEngine::BaseSnapshot& got,
-                               const StaEngine::BaseSnapshot& want) {
-      return floats_same(got.edge_base, want.edge_base) &&
-             floats_same(got.launch_base, want.launch_base) &&
-             floats_same(got.slew, want.slew) &&
-             got.inst_corner == want.inst_corner;
-    };
-
-    // The one full computation the delta-chained controller pays, plus
-    // one untimed flip so the nominal-arrival cache is warm (a worker's
-    // very first recorner_delta after compute_base pays one full arrival
-    // propagation; every later one is cone-bounded).
-    double delta_level0_us;
-    {
-      const auto t0 = clock::now();
-      delta_eng.compute_base(plan.corners_for_severity(0));
-      delta_eng.analyze({});
-      const std::chrono::duration<double, std::micro> dt = clock::now() - t0;
-      delta_level0_us = dt.count();
-    }
-    delta_eng.recorner_delta(1, kVddHigh);
-    const StaEngine::RecornerStats warm_stats = delta_eng.recorner_stats();
-    delta_eng.recorner_delta(1, kVddLow);
-    std::printf("island 1 fan-out cone: %zu/%zu nodes (%.0f %%)%s\n",
-                warm_stats.cone_nodes, delta_eng.num_nodes(),
-                100.0 * static_cast<double>(warm_stats.cone_nodes) /
-                    static_cast<double>(delta_eng.num_nodes()),
-                warm_stats.full_fallback ? ", full fallback" : "");
-
-    // Which path each level's re-corner actually took on a warm engine:
-    // recorner_delta falls back to a full recompute when the dirty cone
-    // exceeds StaOptions::recorner_fallback_fraction (DESIGN.md §12), so
-    // the table says which regime the measured cost belongs to.  Level 0
-    // is the one full compute_base by construction.
-    std::vector<int> path_full(static_cast<std::size_t>(levels) + 1, 1);
-    bool identical = snap_same(delta_eng.snapshot_bases(), ref[0]);
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (int k = 0; k <= levels; ++k) {
-        const auto t0 = clock::now();
-        full_eng.compute_base(plan.corners_for_severity(k));
-        full_eng.analyze({});
-        const std::chrono::duration<double, std::micro> dt = clock::now() - t0;
-        full_us[static_cast<std::size_t>(k)] += dt.count();
-      }
-      // Climb the ladder: flip domain k high to move level k-1 -> k.
-      for (int k = 1; k <= levels; ++k) {
-        const auto t0 = clock::now();
-        delta_eng.recorner_delta(static_cast<DomainId>(k), kVddHigh);
-        const std::chrono::duration<double, std::micro> dt = clock::now() - t0;
-        delta_us[static_cast<std::size_t>(k)] += dt.count();
-        if (rep == 0) {
-          path_full[static_cast<std::size_t>(k)] =
-              delta_eng.recorner_stats().full_fallback ? 1 : 0;
-          identical = identical &&
-                      snap_same(delta_eng.snapshot_bases(),
-                                ref[static_cast<std::size_t>(k)]);
-        }
-      }
-      // Walk back down (untimed) so the next rep climbs again.
-      for (int k = levels; k >= 1; --k) {
-        delta_eng.recorner_delta(static_cast<DomainId>(k), kVddLow);
-      }
-    }
-
-    double full_total = 0.0, delta_total = delta_level0_us;
-    Table lt({"level", "full [us]", "delta [us]", "speedup", "path"});
-    for (int k = 0; k <= levels; ++k) {
-      const double f = full_us[static_cast<std::size_t>(k)] / kReps;
-      const double d = k == 0 ? delta_level0_us
-                              : delta_us[static_cast<std::size_t>(k)] / kReps;
-      const bool fell_back = path_full[static_cast<std::size_t>(k)] != 0;
-      full_total += f;
-      if (k > 0) delta_total += d;
-      char label[32];
-      std::snprintf(label, sizeof label, "%d%s", k, k == 0 ? " (full)" : "");
-      lt.add_row({label, Table::num(f, 1), Table::num(d, 1),
-                  k == 0 ? "-" : Table::num(f / d, 2),
-                  k == 0 ? "full" : (fell_back ? "fallback" : "delta")});
-      char key[64];
-      std::snprintf(key, sizeof key, "level%d_full_us", k);
-      out.set(key, f);
-      std::snprintf(key, sizeof key, "level%d_delta_us", k);
-      out.set(key, d);
-      if (k > 0) {
-        std::snprintf(key, sizeof key, "level%d_fallback", k);
-        out.set(key, fell_back ? 1.0 : 0.0);
-      }
-    }
-    std::printf("escalation re-corner cost (%d levels, mean of %d reps, "
-                "snapshots %s):\n%s\n",
-                levels + 1, kReps,
-                identical ? "byte-identical" : "DIVERGED", lt.render().c_str());
-    std::printf("all levels: %d fulls %.0f us vs 1 full + %d deltas %.0f us "
-                "-> %.2fx\n\n",
-                levels + 1, full_total, levels, delta_total,
-                full_total / delta_total);
-    out.set("level_warmup_levels", levels + 1);
-    out.set("level_warmup_full_us", full_total);
-    out.set("level_warmup_delta_us", delta_total);
-    out.set("level_warmup_speedup", full_total / delta_total);
-    if (!identical) {
-      std::printf("DETERMINISM VIOLATION: recorner_delta level snapshots "
-                  "diverged from full compute_base\n");
-      return 1;
-    }
-  }
-
-  // Macromodel recharacterization up the same ladder (DESIGN.md §19): a
-  // VI escalation flips exactly one island's domain, so the library
-  // re-runs its characterization passes restricted to the union of the
-  // stage fan-in cones that domain touches.  Hard gate: the restricted
-  // rebuild must be BIT-IDENTICAL to characterizing from scratch at the
-  // new corner — same contract, and same honest framing, as the
-  // level_warmup section above.
-  if (const int levels = plan.num_islands(); levels > 0) {
-    constexpr int kMacReps = 10;
-    StaEngine eng(flow.sta());
-    eng.compute_base(plan.corners_for_severity(0));
-    StageMacroLibrary delta_lib(flow.design(), eng, flow.variation());
-    Table rt({"level", "full [ms]", "delta [ms]", "speedup", "cone"});
-    double full_total_ms = 0.0, delta_total_ms = 0.0;
-    bool identical = true;
-    for (int k = 1; k <= levels; ++k) {
-      eng.compute_base(plan.corners_for_severity(k));
-      double full_ms = 0.0, delta_ms = 0.0;
-      std::string full_print;
-      for (int rep = 0; rep < kMacReps; ++rep) {
-        auto t0 = clock::now();
-        const StageMacroLibrary full_lib(flow.design(), eng,
-                                         flow.variation());
-        std::chrono::duration<double, std::milli> dt = clock::now() - t0;
-        full_ms += dt.count();
-        if (rep == 0) full_print = full_lib.fingerprint();
-        t0 = clock::now();
-        delta_lib.recharacterize(eng, static_cast<DomainId>(k));
-        dt = clock::now() - t0;
-        delta_ms += dt.count();
-      }
-      full_ms /= kMacReps;
-      delta_ms /= kMacReps;
-      full_total_ms += full_ms;
-      delta_total_ms += delta_ms;
-      identical = identical && delta_lib.fingerprint() == full_print;
-      const double frac =
-          delta_lib.recharacterize_fraction(static_cast<DomainId>(k));
-      char label[16], cone[16];
-      std::snprintf(label, sizeof label, "%d", k);
-      std::snprintf(cone, sizeof cone, "%.0f %%", 100.0 * frac);
-      rt.add_row({label, Table::num(full_ms, 2), Table::num(delta_ms, 2),
-                  Table::num(full_ms / delta_ms, 2), cone});
-      char key[64];
-      std::snprintf(key, sizeof key, "macro_rechar_level%d_full_ms", k);
-      out.set(key, full_ms);
-      std::snprintf(key, sizeof key, "macro_rechar_level%d_delta_ms", k);
-      out.set(key, delta_ms);
-    }
-    std::printf("macromodel recharacterization (%d escalation levels, mean "
-                "of %d reps, models %s):\n%s\n",
-                levels, kMacReps,
-                identical ? "bit-identical" : "DIVERGED", rt.render().c_str());
-    out.set("macro_recharacterize_full_ms", full_total_ms);
-    out.set("macro_recharacterize_delta_ms", delta_total_ms);
-    out.set("macro_recharacterize_speedup", full_total_ms / delta_total_ms);
-    if (!identical) {
-      std::printf("MACRO VIOLATION: restricted recharacterization diverged "
-                  "from characterizing at the corner from scratch\n");
-      return 1;
-    }
   }
 
   std::printf("yield: %.1f %% parametric (%zu/%zu shipped), "

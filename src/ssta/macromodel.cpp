@@ -51,8 +51,6 @@ double form_sigma(double var_ind, std::span<const double> sens) {
   return std::sqrt(v);
 }
 
-constexpr std::uint8_t kAllStagesMask = (1u << kNumPipeStages) - 1;
-
 }  // namespace
 
 StageMacroLibrary::StageMacroLibrary(const Design& design, const StaEngine& sta,
@@ -62,8 +60,9 @@ StageMacroLibrary::StageMacroLibrary(const Design& design, const StaEngine& sta,
   if (cfg_.knots < 2) {
     throw std::invalid_argument("StageMacroLibrary: knots must be >= 2");
   }
-  if (!(cfg_.grad_step > 0.0)) {
-    throw std::invalid_argument("StageMacroLibrary: grad_step must be > 0");
+  if (!(cfg_.grad_step > 0.0) || !std::isfinite(cfg_.grad_step)) {
+    throw std::invalid_argument(
+        "StageMacroLibrary: grad_step must be finite and > 0");
   }
   clock_ns_ = sta.options().clock_period_ns;
 
@@ -150,32 +149,20 @@ StageMacroLibrary::StageMacroLibrary(const Design& design, const StaEngine& sta,
                 Form{});
   for (Form& f : forms_) f.sens.assign(num_globals_, 0.0);
 
-  refresh_engine_state(sta);
+  read_engine_state(sta);
   build_cones();
-  characterize(sta);
+  for (int v = 0; v < kVariants; ++v) {
+    for (int k = 0; k < cfg_.knots; ++k) run_pass(v, k);
+  }
+  derive_min_period();
 }
 
-void StageMacroLibrary::refresh_engine_state(const StaEngine& sta) {
-  const bool first = edges_.empty() && num_nodes_ == 0;
+void StageMacroLibrary::read_engine_state(const StaEngine& sta) {
   num_nodes_ = sta.num_nodes();
-  std::size_t e = 0;
   sta.for_each_graph_edge(
       [&](std::uint32_t from, std::uint32_t to, InstId inst, double base) {
-        if (first) {
-          edges_.push_back({from, to, inst, base, 0});
-        } else {
-          if (e >= edges_.size() || edges_[e].from != from ||
-              edges_[e].to != to || edges_[e].inst != inst) {
-            throw std::logic_error(
-                "StageMacroLibrary: engine graph changed shape");
-          }
-          edges_[e].base = base;
-        }
-        ++e;
+        edges_.push_back({from, to, inst, base, 0});
       });
-  if (!first && e != edges_.size()) {
-    throw std::logic_error("StageMacroLibrary: engine graph changed shape");
-  }
 
   const auto ln = sta.launch_nodes();
   const auto lb = sta.launch_bases();
@@ -225,58 +212,6 @@ void StageMacroLibrary::build_cones() {
     launch_mask_[l] = node_mask[launch_nodes_[l]];
   }
 
-  // Stage <-> voltage-domain incidence from the instances inside each
-  // stage's cone.
-  num_domains_ = 1;
-  for (std::size_t i = 0; i < design_->num_instances(); ++i) {
-    num_domains_ = std::max(
-        num_domains_,
-        static_cast<std::size_t>(
-            design_->instance(static_cast<InstId>(i)).domain) +
-            1);
-  }
-  stage_domain_.assign(kNumPipeStages * num_domains_, 0);
-  const auto touch = [&](InstId inst, std::uint8_t mask) {
-    if (inst == kInvalidInst) return;
-    const auto dom = static_cast<std::size_t>(design_->instance(inst).domain);
-    for (std::size_t s = 0; s < kNumPipeStages; ++s) {
-      if (mask & (1u << s)) stage_domain_[s * num_domains_ + dom] = 1;
-    }
-  };
-  for (const Edge& e : edges_) touch(e.inst, e.mask);
-  for (std::size_t l = 0; l < launch_insts_.size(); ++l) {
-    touch(launch_insts_[l], launch_mask_[l]);
-  }
-
-  domain_edge_fraction_.assign(num_domains_, 0.0);
-  for (std::size_t d = 0; d < num_domains_; ++d) {
-    std::uint8_t um = 0;
-    for (std::size_t s = 0; s < kNumPipeStages; ++s) {
-      if (stage_domain_[s * num_domains_ + d]) {
-        um |= static_cast<std::uint8_t>(1u << s);
-      }
-    }
-    std::size_t in = 0;
-    for (const Edge& e : edges_) {
-      if (e.mask & um) ++in;
-    }
-    domain_edge_fraction_[d] =
-        edges_.empty() ? 0.0
-                       : static_cast<double>(in) /
-                             static_cast<double>(edges_.size());
-  }
-}
-
-bool StageMacroLibrary::stage_touched(PipeStage stage, DomainId domain) const {
-  const auto s = static_cast<std::size_t>(stage);
-  const auto d = static_cast<std::size_t>(domain);
-  if (s >= kNumPipeStages || d >= num_domains_) return false;
-  return stage_domain_[s * num_domains_ + d] != 0;
-}
-
-double StageMacroLibrary::recharacterize_fraction(DomainId domain) const {
-  const auto d = static_cast<std::size_t>(domain);
-  return d < num_domains_ ? domain_edge_fraction_[d] : 0.0;
 }
 
 std::vector<double> StageMacroLibrary::variant_map(int variant,
@@ -300,8 +235,7 @@ std::vector<double> StageMacroLibrary::variant_map(int variant,
   return map;
 }
 
-void StageMacroLibrary::run_pass(int variant, int knot,
-                                 std::uint8_t stage_mask) {
+void StageMacroLibrary::run_pass(int variant, int knot) {
   ++passes_;
   const std::size_t num_inst = design_->num_instances();
   const std::size_t G = num_globals_;
@@ -338,7 +272,7 @@ void StageMacroLibrary::run_pass(int variant, int knot,
   };
 
   for (std::size_t l = 0; l < launch_nodes_.size(); ++l) {
-    if (!(launch_mask_[l] & stage_mask)) continue;
+    if (launch_mask_[l] == 0) continue;
     std::fill(cand_sens_.begin(), cand_sens_.end(), 0.0);
     double m = 0.0;
     double vi = 0.0;
@@ -354,7 +288,7 @@ void StageMacroLibrary::run_pass(int variant, int knot,
   }
 
   for (const Edge& e : edges_) {
-    if (!(e.mask & stage_mask)) continue;
+    if (e.mask == 0) continue;
     if (mean_[e.from] == kNegInf) continue;
     double m = mean_[e.from];
     double vi = var_ind_[e.from];
@@ -377,7 +311,6 @@ void StageMacroLibrary::run_pass(int variant, int knot,
   std::vector<double> acc_sens(kNumPipeStages * G, 0.0);
   for (const End& ep : endpoints_) {
     if (ep.stage >= kNumPipeStages) continue;
-    if (!((1u << ep.stage) & stage_mask)) continue;
     if (mean_[ep.node] == kNegInf) continue;
     const double m = mean_[ep.node] + ep.setup;
     const double vi = var_ind_[ep.node];
@@ -388,7 +321,6 @@ void StageMacroLibrary::run_pass(int variant, int knot,
   }
 
   for (std::size_t s = 0; s < kNumPipeStages; ++s) {
-    if (!((1u << s) & stage_mask)) continue;
     Form& f = forms_[form_index(variant, knot, s)];
     f.present = acc_mean[s] != kNegInf;
     f.mean = f.present ? acc_mean[s] : 0.0;
@@ -405,8 +337,7 @@ void StageMacroLibrary::run_pass(int variant, int knot,
 
 void StageMacroLibrary::derive_min_period() {
   // min_period is a pure function of the stage rows: Clark-merge them in
-  // stage order so a stage-restricted recharacterization reproduces it
-  // bit-identically from the updated rows.
+  // stage order.  This merge order defines the stored min_period bits.
   const std::size_t G = num_globals_;
   std::vector<double> ts(G);
   for (int v = 0; v < kVariants; ++v) {
@@ -427,36 +358,6 @@ void StageMacroLibrary::derive_min_period() {
       if (G != 0) std::copy(ts.begin(), ts.end(), mp.sens.begin());
     }
   }
-}
-
-void StageMacroLibrary::characterize(const StaEngine& sta) {
-  refresh_engine_state(sta);
-  for (int v = 0; v < kVariants; ++v) {
-    for (int k = 0; k < cfg_.knots; ++k) {
-      run_pass(v, k, kAllStagesMask);
-    }
-  }
-  derive_min_period();
-}
-
-void StageMacroLibrary::recharacterize(const StaEngine& sta, DomainId domain) {
-  refresh_engine_state(sta);
-  std::uint8_t um = 0;
-  const auto d = static_cast<std::size_t>(domain);
-  if (d < num_domains_) {
-    for (std::size_t s = 0; s < kNumPipeStages; ++s) {
-      if (stage_domain_[s * num_domains_ + d]) {
-        um |= static_cast<std::uint8_t>(1u << s);
-      }
-    }
-  }
-  if (um == 0) return;
-  for (int v = 0; v < kVariants; ++v) {
-    for (int k = 0; k < cfg_.knots; ++k) {
-      run_pass(v, k, um);
-    }
-  }
-  derive_min_period();
 }
 
 CanonicalResult StageMacroLibrary::evaluate(

@@ -27,15 +27,7 @@
 //
 // min_period is NOT accumulated endpoint-by-endpoint like the flat pass:
 // it is derived by Clark-merging the stored per-stage forms in stage
-// order.  That makes it a pure function of the stage rows, so a
-// stage-restricted re-characterization reproduces it bit-identically.
-//
-// Escalation re-cornering: recharacterize(engine, domain) re-runs the
-// characterization passes restricted to the union fan-in cone of the
-// stages the flipped domain touches (stage <-> domain incidence is
-// precomputed from the structural cones).  Untouched stages keep their
-// stored rows, which is bit-identical to a full re-characterization
-// because their cones contain no instance of the flipped domain.
+// order, so it is a pure function of the stage rows.
 
 #include <cstdint>
 #include <span>
@@ -64,22 +56,15 @@ struct MacroConfig {
 
 /// Per-stage canonical interface models for one (netlist, corner state,
 /// sigma model), characterized from a StaEngine's current base delays.
+/// A library never changes after construction: another corner state or
+/// MacroConfig is another library (YieldAnalyzer::macro_library).
 class StageMacroLibrary {
  public:
-  /// Characterizes immediately at `sta`'s current corner state.
+  /// Characterizes once, at `sta`'s current corner state.  Throws
+  /// std::invalid_argument for knots < 2 or a grad_step that is not a
+  /// finite positive number.
   StageMacroLibrary(const Design& design, const StaEngine& sta,
                     const VariationModel& model, const MacroConfig& cfg = {});
-
-  /// Full re-characterization at `sta`'s current corner state (all
-  /// stages, all knots).  The engine must be the same graph the library
-  /// was built from.
-  void characterize(const StaEngine& sta);
-
-  /// Delta re-characterization after flipping `domain`'s corner: re-runs
-  /// the knot passes restricted to the union cone of the stages that
-  /// contain instances of `domain`, reusing every other stage's rows.
-  /// Bit-identical to characterize(sta) by construction.
-  void recharacterize(const StaEngine& sta, DomainId domain);
 
   /// Evaluates the macromodel for one die's systematic map (same span as
   /// CanonicalSsta::run).  No graph propagation — basis fit plus knot
@@ -88,21 +73,12 @@ class StageMacroLibrary {
 
   const MacroConfig& config() const { return cfg_; }
 
-  /// True when any instance of `stage`'s fan-in cone belongs to `domain`
-  /// — i.e. a corner flip of `domain` invalidates the stage's rows.
-  bool stage_touched(PipeStage stage, DomainId domain) const;
-
-  /// Fraction of graph edges inside the union cone recharacterize()
-  /// would re-propagate for a flip of `domain` (1.0 = no savings).
-  double recharacterize_fraction(DomainId domain) const;
-
   /// Hexfloat dump of every stored row (plus knots and fit matrix):
   /// bit-equality of two libraries' fingerprints is the characterization
   /// determinism contract tests and bench gates compare.
   std::string fingerprint() const;
 
-  /// Characterization passes run so far (5 basis variants x knots per
-  /// full characterize; fewer for restricted recharacterizations).
+  /// Characterization passes run (5 basis variants x knots).
   std::uint64_t passes() const { return passes_; }
 
  private:
@@ -126,11 +102,11 @@ class StageMacroLibrary {
            acc;
   }
 
-  void refresh_engine_state(const StaEngine& sta);
+  void read_engine_state(const StaEngine& sta);
   void build_cones();
-  // Propagates one (variant, knot) pass over the edges whose cone mask
-  // intersects `stage_mask`, updating that pass's stage forms.
-  void run_pass(int variant, int knot, std::uint8_t stage_mask);
+  // Propagates one (variant, knot) pass over the edges inside some
+  // stage's fan-in cone, storing that pass's stage forms.
+  void run_pass(int variant, int knot);
   void derive_min_period();
   std::vector<double> variant_map(int variant, int knot) const;
 
@@ -140,8 +116,7 @@ class StageMacroLibrary {
   double clock_ns_ = 0.0;
 
   // Structural graph copy (edge order = analyze()'s relaxation order)
-  // with per-edge base delays refreshed from the engine at every
-  // (re)characterization.
+  // with the engine's per-edge base delays.
   struct Edge {
     std::uint32_t from = 0;
     std::uint32_t to = 0;
@@ -179,10 +154,7 @@ class StageMacroLibrary {
   std::vector<CorrelatedField::Stencil> stencils_;
   std::size_t num_globals_ = 0;
 
-  std::vector<Form> forms_;                 // [variant][knot][acc]
-  std::vector<std::uint8_t> stage_domain_;  // [stage][domain] incidence
-  std::size_t num_domains_ = 1;
-  std::vector<double> domain_edge_fraction_;  // union-cone edge share
+  std::vector<Form> forms_;  // [variant][knot][acc]
   std::uint64_t passes_ = 0;
 };
 

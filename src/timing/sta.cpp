@@ -1,7 +1,6 @@
 #include "timing/sta.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <type_traits>
@@ -17,16 +16,6 @@ static_assert(std::is_same_v<InstId, std::uint32_t>);
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-// The delta pass decides "changed" on bit patterns, not operator==:
-// +0.0 == -0.0 would stop propagation while a from-scratch recompute
-// stores the other zero, breaking the byte-identical-snapshot contract.
-inline bool bits_differ(float a, float b) {
-  return std::bit_cast<std::uint32_t>(a) != std::bit_cast<std::uint32_t>(b);
-}
-inline bool bits_differ(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) != std::bit_cast<std::uint64_t>(b);
-}
 }  // namespace
 
 StaEngine::StaEngine(const Design& design, const StaOptions& opts)
@@ -158,9 +147,6 @@ void StaEngine::build_graph() {
   std::sort(edges_.begin(), edges_.end(), [&](const Edge& a, const Edge& b) {
     return rank[a.from] < rank[b.from];
   });
-  topo_rank_ = std::move(rank);  // kept for the re-corner cone ordering
-  recorner_graph_built_ = false;
-  inst_domain_.clear();
 
   // ---- launch nodes & endpoints ---------------------------------------------
   launch_nodes_.clear();
@@ -220,9 +206,6 @@ void StaEngine::build_graph() {
   arrival_.assign(node_count_, kNegInf);
   pred_edge_.assign(node_count_, -1);
   inst_corner_.assign(d.num_instances(), kVddLow);
-  slew_.assign(node_count_, 0.0f);
-  nominal_arrival_.assign(node_count_, kNegInf);
-  nominal_valid_ = false;
 }
 
 void StaEngine::compute_base(std::span<const int> domain_corner) {
@@ -235,10 +218,8 @@ void StaEngine::compute_base(std::span<const int> domain_corner) {
 
   // Slew propagation + cell-arc base delays, in topological edge order.
   // Only primary inputs start at the default slew; internal nodes take
-  // the max of their drivers' output slews.  Slews live in a member so
-  // recorner_delta() can patch them incrementally afterwards.
-  slew_.assign(node_count_, 0.0f);
-  auto& slew = slew_;
+  // the max of their drivers' output slews.
+  std::vector<float> slew(node_count_, 0.0f);
   for (NetId n : design_->primary_inputs()) {
     if (design_->net(n).is_clock) continue;
     slew[port_node_[n]] = static_cast<float>(opts_.default_input_slew_ns);
@@ -284,7 +265,6 @@ void StaEngine::compute_base(std::span<const int> domain_corner) {
           slew[e.to], static_cast<float>(slew[e.from] + 2.0 * e.base_delay));
     }
   }
-  nominal_valid_ = false;  // cached nominal arrivals no longer match
 }
 
 StaResult StaEngine::analyze(std::span<const double> inst_factor) const {
@@ -477,7 +457,6 @@ StaEngine::BaseSnapshot StaEngine::snapshot_bases() const {
     snap.edge_base[ei] = edges_[ei].base_delay;
   }
   snap.launch_base = launch_base_;
-  snap.slew = slew_;
   snap.inst_corner = inst_corner_;
   return snap;
 }
@@ -485,7 +464,6 @@ StaEngine::BaseSnapshot StaEngine::snapshot_bases() const {
 void StaEngine::restore_bases(const BaseSnapshot& snap) {
   if (snap.edge_base.size() != edges_.size() ||
       snap.launch_base.size() != launch_base_.size() ||
-      snap.slew.size() != slew_.size() ||
       snap.inst_corner.size() != inst_corner_.size()) {
     throw std::invalid_argument("restore_bases: snapshot/graph mismatch");
   }
@@ -493,298 +471,7 @@ void StaEngine::restore_bases(const BaseSnapshot& snap) {
     edges_[ei].base_delay = snap.edge_base[ei];
   }
   launch_base_ = snap.launch_base;
-  slew_ = snap.slew;
   inst_corner_ = snap.inst_corner;
-  nominal_valid_ = false;  // restored bases invalidate the arrival cache
-}
-
-void StaEngine::ensure_recorner_index() {
-  const Design& d = *design_;
-
-  // Graph-shape part: CSR adjacency in both directions over the sorted
-  // edge list, plus the node->launch map.  Domain-independent, built once.
-  if (!recorner_graph_built_) {
-    in_head_.assign(node_count_ + 1, 0);
-    out_head_.assign(node_count_ + 1, 0);
-    for (const Edge& e : edges_) {
-      ++in_head_[e.to + 1];
-      ++out_head_[e.from + 1];
-    }
-    for (std::size_t v = 1; v <= node_count_; ++v) {
-      in_head_[v] += in_head_[v - 1];
-      out_head_[v] += out_head_[v - 1];
-    }
-    in_adj_.resize(edges_.size());
-    out_adj_.resize(edges_.size());
-    {
-      std::vector<std::uint32_t> in_cur(in_head_.begin(), in_head_.end() - 1);
-      std::vector<std::uint32_t> out_cur(out_head_.begin(),
-                                         out_head_.end() - 1);
-      for (std::uint32_t ei = 0; ei < edges_.size(); ++ei) {
-        in_adj_[in_cur[edges_[ei].to]++] = ei;
-        out_adj_[out_cur[edges_[ei].from]++] = ei;
-      }
-    }
-    launch_of_node_.assign(node_count_, kNoLaunch);
-    for (std::uint32_t li = 0; li < launch_nodes_.size(); ++li) {
-      launch_of_node_[launch_nodes_[li]] = li;
-    }
-    slew_mark_.assign(node_count_, 0);
-    arr_mark_.assign(node_count_, 0);
-    mark_epoch_ = 0;
-    recorner_graph_built_ = true;
-  }
-
-  // Domain part: the island generator reassigns Instance::domain AFTER
-  // engine construction, so revalidate the cached map on every call and
-  // rebuild the per-domain instance sets + fan-out cones on mismatch.
-  bool domains_current = inst_domain_.size() == d.num_instances();
-  if (domains_current) {
-    for (InstId i = 0; i < d.num_instances(); ++i) {
-      if (inst_domain_[i] != d.instance(i).domain) {
-        domains_current = false;
-        break;
-      }
-    }
-  }
-  if (domains_current) return;
-
-  inst_domain_.resize(d.num_instances());
-  std::size_t num_domains = 1;
-  for (InstId i = 0; i < d.num_instances(); ++i) {
-    inst_domain_[i] = d.instance(i).domain;
-    num_domains = std::max(num_domains,
-                           static_cast<std::size_t>(inst_domain_[i]) + 1);
-  }
-  domain_insts_.assign(num_domains, {});
-  for (InstId i = 0; i < d.num_instances(); ++i) {
-    domain_insts_[inst_domain_[i]].push_back(i);
-  }
-
-  // Fan-out cone per domain: forward closure from every member
-  // instance's output node.  Flop D pins have no out-edges (clk->q is a
-  // launch arc, not a graph edge), so cones stop at register boundaries.
-  domain_cone_.assign(num_domains, {});
-  std::vector<std::uint8_t> in_cone(node_count_, 0);
-  std::vector<std::uint32_t> stack;
-  for (std::size_t dom = 0; dom < num_domains; ++dom) {
-    auto& cone = domain_cone_[dom];
-    stack.clear();
-    for (InstId i : domain_insts_[dom]) {
-      const std::uint32_t v = pin_offset_[i] + d.cell_of(i).output_pin();
-      if (!in_cone[v]) {
-        in_cone[v] = 1;
-        cone.push_back(v);
-        stack.push_back(v);
-      }
-    }
-    while (!stack.empty()) {
-      const std::uint32_t u = stack.back();
-      stack.pop_back();
-      for (std::uint32_t ai = out_head_[u]; ai < out_head_[u + 1]; ++ai) {
-        const std::uint32_t v = edges_[out_adj_[ai]].to;
-        if (!in_cone[v]) {
-          in_cone[v] = 1;
-          cone.push_back(v);
-          stack.push_back(v);
-        }
-      }
-    }
-    std::sort(cone.begin(), cone.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return topo_rank_[a] < topo_rank_[b];
-              });
-    for (std::uint32_t v : cone) in_cone[v] = 0;  // reset for next domain
-  }
-}
-
-void StaEngine::propagate_nominal_full() {
-  // Identical relaxation order and arithmetic to analyze({}) — launches
-  // seeded first (factor 1.0), then one max-plus sweep in edge order.
-  std::fill(nominal_arrival_.begin(), nominal_arrival_.end(), kNegInf);
-  for (std::size_t li = 0; li < launch_nodes_.size(); ++li) {
-    nominal_arrival_[launch_nodes_[li]] =
-        std::max(nominal_arrival_[launch_nodes_[li]],
-                 static_cast<double>(launch_base_[li]));
-  }
-  for (const Edge& e : edges_) {
-    const double a = nominal_arrival_[e.from];
-    if (a == kNegInf) continue;
-    const double cand = a + static_cast<double>(e.base_delay);
-    if (cand > nominal_arrival_[e.to]) nominal_arrival_[e.to] = cand;
-  }
-  nominal_valid_ = true;
-}
-
-StaResult StaEngine::recorner_full(DomainId domain, int corner) {
-  recorner_stats_.full_fallback = true;
-  // Synthesize the per-domain corner vector the equivalent compute_base()
-  // would receive: every other domain keeps its current corner (read off
-  // any member instance — consistent by the recorner_delta precondition).
-  std::vector<int> corners(
-      std::max<std::size_t>(domain_insts_.size(), domain + std::size_t{1}),
-      kVddLow);
-  for (std::size_t dom = 0; dom < domain_insts_.size(); ++dom) {
-    if (!domain_insts_[dom].empty()) {
-      corners[dom] = inst_corner_[domain_insts_[dom].front()];
-    }
-  }
-  corners[domain] = corner;
-  compute_base(corners);
-  propagate_nominal_full();
-  recorner_stats_.arrival_nodes_visited = node_count_;
-  return extract_scalar_result(nominal_arrival_);
-}
-
-StaResult StaEngine::recorner_delta(DomainId domain, int corner) {
-  if (corner < 0 || corner >= kNumCorners) {
-    throw std::invalid_argument("recorner_delta: corner out of range");
-  }
-  ensure_recorner_index();
-  recorner_stats_ = {};
-  const Design& d = *design_;
-  const auto dom = static_cast<std::size_t>(domain);
-
-  std::size_t flips = 0;
-  if (dom < domain_insts_.size()) {
-    for (InstId i : domain_insts_[dom]) {
-      flips += inst_corner_[i] != corner ? 1 : 0;
-    }
-  }
-  if (flips == 0) {
-    // Unknown/empty domain, or already at the requested corner: nothing
-    // in the timing state changes; just (re)extract the nominal result.
-    recorner_stats_.noop = true;
-    if (!nominal_valid_) {
-      propagate_nominal_full();
-      recorner_stats_.arrival_nodes_visited = node_count_;
-    }
-    return extract_scalar_result(nominal_arrival_);
-  }
-  recorner_stats_.instances_flipped = flips;
-  const auto& cone = domain_cone_[dom];
-  recorner_stats_.cone_nodes = cone.size();
-  if (static_cast<double>(cone.size()) >
-      opts_.recorner_fallback_fraction * static_cast<double>(node_count_)) {
-    return recorner_full(domain, corner);
-  }
-
-  // O(1) clear of the dirty marks (epoch stamps; wrap resets the arrays).
-  if (mark_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    std::fill(slew_mark_.begin(), slew_mark_.end(), 0u);
-    std::fill(arr_mark_.begin(), arr_mark_.end(), 0u);
-    mark_epoch_ = 0;
-  }
-  const std::uint32_t ep = ++mark_epoch_;
-  const bool track_arrival = nominal_valid_;
-  auto mark_out_neighbors = [&](std::uint32_t v,
-                                std::vector<std::uint32_t>& marks) {
-    for (std::uint32_t ai = out_head_[v]; ai < out_head_[v + 1]; ++ai) {
-      marks[edges_[out_adj_[ai]].to] = ep;
-    }
-  };
-
-  // ---- seed: flip corners, refresh launch arcs, mark dirty fronts -----
-  for (InstId i : domain_insts_[dom]) {
-    if (inst_corner_[i] == corner) continue;
-    inst_corner_[i] = corner;
-    const Cell& cell = d.cell_of(i);
-    const std::uint32_t out_node = pin_offset_[i] + cell.output_pin();
-    if (cell.is_sequential()) {
-      // The clk->q launch arc is not a graph edge: recompute it (and the
-      // Q slew) directly, exactly as compute_base's launch loop does.
-      const std::uint32_t li = launch_of_node_[out_node];
-      const NetId qnet = d.instance(i).conns[cell.output_pin()];
-      const auto& arc = cell.arcs.at(0);
-      const double in_slew = opts_.default_input_slew_ns;
-      const double load = net_load_[qnet];
-      const auto nb = static_cast<float>(
-          arc.corner[corner].delay.lookup(in_slew, load));
-      const auto ns = static_cast<float>(
-          arc.corner[corner].out_slew.lookup(in_slew, load));
-      if (bits_differ(nb, launch_base_[li])) {
-        launch_base_[li] = nb;
-        if (track_arrival) arr_mark_[out_node] = ep;
-      }
-      if (bits_differ(ns, slew_[out_node])) {
-        slew_[out_node] = ns;
-        mark_out_neighbors(out_node, slew_mark_);
-      }
-    } else {
-      // All of a combinational cell's arcs end at its output pin, so
-      // marking that node re-derives every arc delay at the new corner.
-      slew_mark_[out_node] = ep;
-    }
-  }
-
-  // ---- slew/delay pass: recompute dirty nodes in topological order ----
-  // A dirty node's slew is re-derived from ALL in-edges (max over floats
-  // is order-independent, so the result is bitwise what a full
-  // compute_base would store); cell in-edge base delays are re-looked-up
-  // en route, and changes push the dirty front downstream.
-  for (const std::uint32_t v : cone) {
-    if (slew_mark_[v] != ep) continue;
-    ++recorner_stats_.slew_nodes_visited;
-    float ns = 0.0f;
-    for (std::uint32_t ai = in_head_[v]; ai < in_head_[v + 1]; ++ai) {
-      Edge& e = edges_[in_adj_[ai]];
-      if (e.inst != kInvalidInst) {
-        const Cell& cell = d.cell_of(e.inst);
-        const int c = inst_corner_[e.inst];
-        const auto from_pin =
-            static_cast<std::uint16_t>(e.from - pin_offset_[e.inst]);
-        const TimingArc* arc = cell.arc_from(from_pin);
-        if (arc == nullptr) {
-          throw std::logic_error("recorner_delta: missing arc");
-        }
-        const NetId out_net = d.instance(e.inst).conns[arc->to_pin];
-        const double in_slew = slew_[e.from];
-        const double load = net_load_[out_net];
-        const auto nd = static_cast<float>(
-            arc->corner[c].delay.lookup(in_slew, load));
-        if (bits_differ(nd, e.base_delay)) {
-          e.base_delay = nd;
-          ++recorner_stats_.delay_edges_changed;
-          if (track_arrival) arr_mark_[v] = ep;  // e.to == v
-        }
-        ns = std::max(ns, static_cast<float>(
-                              arc->corner[c].out_slew.lookup(in_slew, load)));
-      } else {
-        ns = std::max(ns, static_cast<float>(slew_[e.from] +
-                                             2.0 * e.base_delay));
-      }
-    }
-    if (bits_differ(ns, slew_[v])) {
-      slew_[v] = ns;
-      mark_out_neighbors(v, slew_mark_);
-    }
-  }
-
-  // ---- arrival pass: early-terminating delta propagation -------------
-  if (!track_arrival) {
-    propagate_nominal_full();
-    recorner_stats_.arrival_nodes_visited = node_count_;
-  } else {
-    for (const std::uint32_t v : cone) {
-      if (arr_mark_[v] != ep) continue;
-      ++recorner_stats_.arrival_nodes_visited;
-      const std::uint32_t li = launch_of_node_[v];
-      double a = li != kNoLaunch ? static_cast<double>(launch_base_[li])
-                                 : kNegInf;
-      for (std::uint32_t ai = in_head_[v]; ai < in_head_[v + 1]; ++ai) {
-        const Edge& e = edges_[in_adj_[ai]];
-        const double af = nominal_arrival_[e.from];
-        if (af == kNegInf) continue;
-        a = std::max(a, af + static_cast<double>(e.base_delay));
-      }
-      // Early termination: an unchanged arrival marks no successors.
-      if (bits_differ(a, nominal_arrival_[v])) {
-        nominal_arrival_[v] = a;
-        mark_out_neighbors(v, arr_mark_);
-      }
-    }
-  }
-  return extract_scalar_result(nominal_arrival_);
 }
 
 void StaEngine::analyze_batch_bases(

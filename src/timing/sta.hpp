@@ -34,21 +34,6 @@ struct StaOptions {
   double clock_period_ns = 3.9;  ///< ~256 MHz, the paper's fmax
   double default_input_slew_ns = 0.02;
   double primary_output_load_pf = 0.003;
-  /// recorner_delta() falls back to a full compute_base() + propagation
-  /// when the flipped domain's precomputed fan-out cone spans more than
-  /// this fraction of the timing-graph nodes — checked up front, BEFORE
-  /// any dirty-mark sweep, so an oversized cone costs exactly one full
-  /// recompute and nothing else (DESIGN.md §12).  0 forces the full path
-  /// on every flip, 1 never falls back; both produce bit-identical
-  /// results — the threshold is purely a cost choice.  The sweep is
-  /// branchy per cone node (epoch compares, adjacency chasing) while the
-  /// full path is a straight-line pass over all edges, so the measured
-  /// break-even sits well below 1: on the paper's 4-way core the delta
-  /// sweep costs ~1.5x the full pass per node touched, i.e. cones past
-  /// ~2/3 of the graph tie or lose (BENCH_wafer.json's
-  /// level_warmup_speedup row tracks exactly this).  0.5 keeps a safety
-  /// margin under that break-even across island shapes.
-  double recorner_fallback_fraction = 0.5;
 };
 
 /// One timing endpoint: a flop D pin or a primary output.
@@ -94,12 +79,11 @@ class StaEngine {
   /// run analyses on multiple threads: analyze() is const but writes the
   /// per-engine scalar scratchpad (arrival_ / pred_edge_), the batch
   /// entry points write the SoA scratch (arrival_soa_ / factor_soa_ /
-  /// delay_soa_), compute_base() / restore_bases() rewrite the base
-  /// delays and slews, and recorner_delta() additionally mutates the
-  /// lazily built re-corner index and the cached nominal arrivals — so
-  /// concurrent use of ONE engine races on every entry point, const or
-  /// not.  A copy carries the source's base delays, snapshots-compatible
-  /// graph order, and options (no recomputation) and its own scratch.
+  /// delay_soa_), and compute_base() / restore_bases() rewrite the base
+  /// delays — so concurrent use of ONE engine races on every entry point,
+  /// const or not.  A copy carries the source's base delays,
+  /// snapshots-compatible graph order, and options (no recomputation) and
+  /// its own scratch.
   /// The referenced Design must outlive every copy and stay unmodified
   /// while copies are in flight.
   StaEngine(const StaEngine&) = default;
@@ -110,60 +94,18 @@ class StaEngine {
   const Design& design() const { return *design_; }
   const StaOptions& options() const { return opts_; }
   void set_clock_period(double ns) { opts_.clock_period_ns = ns; }
-  /// Adjusts the recorner_delta() full-recompute threshold (see
-  /// StaOptions::recorner_fallback_fraction).  Results are bit-identical
-  /// at any setting; tests use 0 / 1 to force each path.
-  void set_recorner_fallback_fraction(double f) {
-    opts_.recorner_fallback_fraction = f;
-  }
 
   /// Recomputes base (nominal) delays with the given supply corner per
   /// voltage domain (index = DomainId, value = VddCorner).  Domains not
-  /// covered default to the low corner.
+  /// covered default to the low corner.  Every supply state's bases come
+  /// from one full call; the compensation flow builds each state once per
+  /// analyzer and restores it from a snapshot (DESIGN.md §12, §20).
   void compute_base(std::span<const int> domain_corner);
   /// Convenience: everything at the low corner.
   void compute_base_all_low() { compute_base({}); }
 
   /// Supply corner assigned to an instance in the last compute_base().
   int inst_corner(InstId id) const { return inst_corner_.at(id); }
-
-  /// Telemetry from the last recorner_delta() call (DESIGN.md §12).
-  struct RecornerStats {
-    bool noop = false;           ///< no instance actually changed corner
-    bool full_fallback = false;  ///< cone exceeded the fraction threshold
-    std::size_t instances_flipped = 0;   ///< instances whose corner changed
-    std::size_t cone_nodes = 0;          ///< precomputed cone of the domain
-    std::size_t slew_nodes_visited = 0;  ///< slew/delay pass recomputes
-    std::size_t arrival_nodes_visited = 0;  ///< arrival pass recomputes
-    std::size_t delay_edges_changed = 0;    ///< edge bases rewritten
-  };
-
-  /// Incremental re-cornering: moves voltage domain `domain` to supply
-  /// `corner` and returns the nominal analysis, BIT-IDENTICAL (result
-  /// fields, edge/launch bases, slews, inst corners — i.e. the whole
-  /// BaseSnapshot) to calling compute_base() with the matching per-domain
-  /// corner vector followed by analyze({}).  Cost scales with the flipped
-  /// domain's fan-out cone, not the design: the per-domain instance sets
-  /// and topologically-ordered cones are precomputed once per domain
-  /// assignment, only instances whose corner actually changed get fresh
-  /// NLDM lookups, and slew/arrival deltas propagate through the cone
-  /// with early termination as soon as a recomputed value is bitwise
-  /// unchanged.  Cones larger than recorner_fallback_fraction of the
-  /// graph fall back to the full path (same results, different cost).
-  /// See DESIGN.md §12 for the delta-propagation contract and
-  /// README.md "Which analyze entry point do I want?" for when to prefer
-  /// this over analyze()/analyze_batch_bases().
-  ///
-  /// Precondition: per-domain corners are consistent, i.e. the engine
-  /// state came from compute_base()/restore_bases()/recorner_delta()
-  /// under the CURRENT Design domain assignment.  (Reassigning domains
-  /// rebuilds the index automatically on the next call, but the caller
-  /// must then re-run compute_base() once before going incremental.)
-  /// A domain with no instances, or a flip to the corner the domain
-  /// already sits at, is a no-op that just re-extracts the nominal
-  /// result.  Throws std::invalid_argument for an out-of-range corner.
-  StaResult recorner_delta(DomainId domain, int corner);
-  const RecornerStats& recorner_stats() const { return recorner_stats_; }
 
   /// Fast annotated analysis.  `inst_factor` scales every cell arc of
   /// instance i by inst_factor[i]; pass {} for the nominal (all-ones) run.
@@ -191,17 +133,16 @@ class StaEngine {
                          std::span<StaResult> results) const;
 
   /// Frozen output of one compute_base(): per-edge and per-launch base
-  /// delays, the propagated per-node slews (so recorner_delta() can
-  /// resume incrementally from a restored snapshot), plus the
-  /// per-instance corner map.  restore_bases() writes a snapshot back
-  /// bit-identically at memcpy cost — the compensation controller uses
-  /// this to flip between island escalation levels without re-running
-  /// delay calculation.  A snapshot is tied to this engine's graph (edge
-  /// order); copies of the same engine may exchange snapshots.
+  /// delays plus the per-instance corner map.  restore_bases() writes a
+  /// snapshot back bit-identically at memcpy cost — the compensation
+  /// controller uses this to flip between island escalation levels
+  /// without re-running delay calculation.  A snapshot is tied to this
+  /// engine's graph (edge order); copies of the same engine may exchange
+  /// snapshots.  restore_bases() throws std::invalid_argument when any
+  /// field's size does not match the graph.
   struct BaseSnapshot {
     std::vector<float> edge_base;
     std::vector<float> launch_base;
-    std::vector<float> slew;
     std::vector<int> inst_corner;
   };
   BaseSnapshot snapshot_bases() const;
@@ -228,7 +169,7 @@ class StaEngine {
   /// calling fn(from_node, to_node, inst, base_delay_ns).  inst ==
   /// kInvalidInst marks a wire/port edge, never scaled by variation
   /// factors.  Base delays reflect the last compute_base() /
-  /// restore_bases() / recorner_delta(), same as analyze().
+  /// restore_bases(), same as analyze().
   template <class F>
   void for_each_graph_edge(F&& fn) const {
     for (const Edge& e : edges_) {
@@ -308,25 +249,8 @@ class StaEngine {
   void extract_batch_results(std::size_t width,
                              std::span<StaResult> results) const;
 
-  /// Endpoint extraction from a full per-node arrival array — the shared
-  /// tail of analyze() and recorner_delta(), so both produce the result
-  /// through the exact same arithmetic in the exact same endpoint order.
+  /// Endpoint extraction from analyze()'s per-node arrival array.
   StaResult extract_scalar_result(std::span<const double> arrival) const;
-
-  /// (Re)builds the re-corner index: CSR in/out adjacency over the
-  /// topologically sorted edge list, per-domain instance sets and
-  /// topo-ordered fan-out cones.  Revalidated against the Design's
-  /// current domain assignment on every recorner_delta() call (the
-  /// island generator reassigns Instance::domain after construction).
-  void ensure_recorner_index();
-
-  /// Full-cost re-corner (compute_base at the synthesized per-domain
-  /// corner vector + full nominal propagation); the fallback path.
-  StaResult recorner_full(DomainId domain, int corner);
-
-  /// Full nominal arrival propagation into nominal_arrival_ — identical
-  /// relaxation order and arithmetic to analyze({}).
-  void propagate_nominal_full();
 
   const Design* design_;
   StaOptions opts_;
@@ -350,28 +274,6 @@ class StaEngine {
   std::vector<double> endpoint_setup_;
   std::vector<int> inst_corner_;
   std::vector<float> net_load_;  // pin caps + wire cap per net [pF]
-  std::vector<float> slew_;      // per-node propagated slew (compute_base)
-
-  // Re-corner index (ensure_recorner_index; DESIGN.md §12).  The graph
-  // part is built once; the domain part is rebuilt whenever the Design's
-  // domain assignment changes.
-  static constexpr std::uint32_t kNoLaunch = 0xffffffffu;
-  bool recorner_graph_built_ = false;
-  std::vector<std::uint32_t> topo_rank_;      // per node (build_graph order)
-  std::vector<std::uint32_t> in_head_, in_adj_;    // edge idx by e.to
-  std::vector<std::uint32_t> out_head_, out_adj_;  // edge idx by e.from
-  std::vector<std::uint32_t> launch_of_node_;      // launch idx or kNoLaunch
-  std::vector<DomainId> inst_domain_;              // cached vs the Design
-  std::vector<std::vector<InstId>> domain_insts_;
-  std::vector<std::vector<std::uint32_t>> domain_cone_;  // topo-sorted
-  // Epoch-stamped dirty marks (cleared O(1) per call, not O(V)).
-  std::vector<std::uint32_t> slew_mark_, arr_mark_;
-  std::uint32_t mark_epoch_ = 0;
-  // Cached nominal arrivals (analyze({}) equivalent) that the delta pass
-  // patches in place; invalidated by compute_base()/restore_bases().
-  std::vector<double> nominal_arrival_;
-  bool nominal_valid_ = false;
-  RecornerStats recorner_stats_;
 
   // Scratch reused across analyze() calls (sized once).
   mutable std::vector<double> arrival_;

@@ -45,7 +45,8 @@ using RelaxEdgesFn = void (*)(const RelaxEdge* edges,
                               std::size_t num_edges, const double* factor_soa,
                               double* arrival_soa, std::size_t width);
 
-/// Same relaxation against per-edge precomputed delays (recorner path):
+/// Same relaxation against per-edge precomputed delays (the per-lane-base
+/// path, StaEngine::analyze_batch_bases):
 ///   to[b] = max(to[b], from[b] + delay_soa[edge][b])
 /// delay_soa rows are edge-major [num_edges x width]; the caller folds
 /// every lane's own base (and factor, 1.0 for fixed edges) into the row.

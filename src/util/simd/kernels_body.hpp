@@ -189,9 +189,9 @@ inline void relax_edges_body(const RelaxEdge* edges,
   }
 }
 
-/// Relaxation against per-edge precomputed delays (recorner path,
-/// StaEngine::analyze_batch_bases): `to[b] = max(to[b], from[b] + d[b])`,
-/// with the same first-writer rule as relax_edges_body.
+/// Relaxation against per-edge precomputed delays (the per-lane-base
+/// path, StaEngine::analyze_batch_bases): `to[b] = max(to[b], from[b] +
+/// d[b])`, with the same first-writer rule as relax_edges_body.
 template <class P>
 inline void relax_edges_delays_body(const RelaxEdge* edges,
                                     const std::uint8_t* first_write,

@@ -51,14 +51,12 @@ class DelayFactorTables {
                   static_cast<std::size_t>(intervals_)];
   }
 
-  /// Evaluate one row at `lgate_nm`, clamping to the table range.  The
-  /// row pointer form lets the per-instance batch loop hoist the row
-  /// lookup out of its lane loop.
+  /// Evaluate one row at `lgate_nm`, clamping to the table range: past
+  /// either end (±inf included) the edge segment extrapolates, and NaN
+  /// stays NaN.  The row pointer form lets the per-instance batch loop
+  /// hoist the row lookup out of its lane loop.
   double eval_row(const double* row_coef, double lgate_nm) const {
-    double x = (lgate_nm - lo_) * inv_step_;
-    if (x < 0.0) x = 0.0;
-    int j = static_cast<int>(x);
-    if (j >= intervals_) j = intervals_ - 1;
+    const int j = segment(lgate_nm);
     const double t = lgate_nm - (lo_ + static_cast<double>(j) * step_);
     return row_coef[2 * j] + row_coef[2 * j + 1] * t;
   }
@@ -88,16 +86,26 @@ class DelayFactorTables {
   /// The value is bitwise identical to eval_row() on the same inputs.
   double eval_row_slope(const double* row_coef, double lgate_nm,
                         double* slope_per_nm) const {
-    double x = (lgate_nm - lo_) * inv_step_;
-    if (x < 0.0) x = 0.0;
-    int j = static_cast<int>(x);
-    if (j >= intervals_) j = intervals_ - 1;
+    const int j = segment(lgate_nm);
     const double t = lgate_nm - (lo_ + static_cast<double>(j) * step_);
     *slope_per_nm = row_coef[2 * j + 1];
     return row_coef[2 * j] + row_coef[2 * j + 1] * t;
   }
 
  private:
+  /// Segment index of `lgate_nm`, in [0, intervals - 1].  x is bounded
+  /// BEFORE the int conversion (NaN maps to segment 0), so an input far
+  /// outside the table, infinite or NaN never converts an out-of-range
+  /// double; inside the range the segment is trunc(x), as the SIMD draw
+  /// transform computes it.
+  int segment(double lgate_nm) const {
+    double x = (lgate_nm - lo_) * inv_step_;
+    if (!(x >= 0.0)) x = 0.0;
+    const double last = static_cast<double>(intervals_ - 1);
+    if (x > last) x = last;
+    return static_cast<int>(x);
+  }
+
   double lo_ = 0.0;
   double step_ = 0.0;
   double inv_step_ = 0.0;

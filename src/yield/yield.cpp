@@ -211,6 +211,14 @@ SlotTriage YieldAnalyzer::slot_verdict(const CanonicalResult& r,
                                        const YieldConfig& cfg) const {
   const auto n = static_cast<std::size_t>(per_die_mc_budget(cfg.mc));
   const TriageConfig& tc = cfg.triage;
+  // A negative band would decide slots inside the CI band (voiding the
+  // 1 - confidence error rate); a NaN one would silently decide none.
+  if (!(tc.band_scale >= 0.0) || !std::isfinite(tc.band_scale) ||
+      !(tc.model_error_ns >= 0.0) || !std::isfinite(tc.model_error_ns)) {
+    throw std::invalid_argument(
+        "YieldAnalyzer: triage band_scale and model_error_ns must be finite "
+        "and >= 0");
+  }
   const MomentIntervals& ci = screen_intervals(n, tc.confidence);
   SlotTriage out;
   out.decided = true;

@@ -106,7 +106,8 @@ struct TriageConfig {
   /// stated error rate of the analytic verdict is 1 - confidence).
   double confidence = 0.95;
   /// Multiplier on the CI-derived part of the band (>1 = stricter
-  /// triage: fewer dies decided analytically).
+  /// triage: fewer dies decided analytically).  Must be finite and >= 0,
+  /// like model_error_ns: a screen throws std::invalid_argument otherwise.
   double band_scale = 1.0;
   /// Absolute allowance [ns] for canonical-model bias (table
   /// linearization, Clark's normal approximation, the dropped sample

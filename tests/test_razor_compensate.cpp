@@ -444,57 +444,7 @@ TEST_F(CompensateFixture, LevelSnapshotsAscendingBuildOrderBitIdentical) {
     const auto want = ref_eng.snapshot_bases();
     EXPECT_EQ(got.edge_base, want.edge_base) << "level " << k;
     EXPECT_EQ(got.launch_base, want.launch_base) << "level " << k;
-    EXPECT_EQ(got.slew, want.slew) << "level " << k;
     EXPECT_EQ(got.inst_corner, want.inst_corner) << "level " << k;
-  }
-}
-
-TEST_F(CompensateFixture, LevelSnapshotsMatchForcedFullRecornerController) {
-  // The controller builds levels with compute_base(), never through
-  // StaEngine::recorner_delta, so the engine's re-corner fallback setting
-  // (fraction 0 forces recorner_delta's full path) must change nothing
-  // observable: the two snapshot caches are identical byte-for-byte.
-  StaEngine delta_eng(*sta_);
-  StaEngine full_eng(*sta_);
-  full_eng.set_recorner_fallback_fraction(0.0);
-  CompensationController delta_ctrl(*design_, delta_eng, *model_, *plan_,
-                                    *razor_);
-  CompensationController full_ctrl(*design_, full_eng, *model_, *plan_,
-                                   *razor_);
-  for (int k = 0; k <= plan_->num_islands(); ++k) {
-    delta_ctrl.set_level(k);
-    full_ctrl.set_level(k);
-    const auto a = delta_eng.snapshot_bases();
-    const auto b = full_eng.snapshot_bases();
-    EXPECT_EQ(a.edge_base, b.edge_base) << "level " << k;
-    EXPECT_EQ(a.launch_base, b.launch_base) << "level " << k;
-    EXPECT_EQ(a.slew, b.slew) << "level " << k;
-    EXPECT_EQ(a.inst_corner, b.inst_corner) << "level " << k;
-  }
-}
-
-TEST_F(CompensateFixture, CompensateBitIdenticalUnderForcedFullRecorner) {
-  // End-to-end: whole compensation outcomes are unaffected by the
-  // engine's re-corner fallback setting.
-  StaEngine delta_eng(*sta_);
-  StaEngine full_eng(*sta_);
-  full_eng.set_recorner_fallback_fraction(0.0);
-  CompensationController delta_ctrl(*design_, delta_eng, *model_, *plan_,
-                                    *razor_);
-  CompensationController full_ctrl(*design_, full_eng, *model_, *plan_,
-                                   *razor_);
-  Rng rng(271828);
-  for (int c = 0; c < 6; ++c) {
-    const VirtualChip chip =
-        fabricate_chip(*design_, *model_, worst_loc_, rng);
-    const CompensationOutcome a = delta_ctrl.compensate(chip);
-    const CompensationOutcome b = full_ctrl.compensate(chip);
-    EXPECT_EQ(a.detected_severity, b.detected_severity) << "chip " << c;
-    EXPECT_EQ(a.islands_raised, b.islands_raised) << "chip " << c;
-    EXPECT_EQ(a.timing_met, b.timing_met) << "chip " << c;
-    EXPECT_EQ(a.escalated, b.escalated) << "chip " << c;
-    EXPECT_EQ(a.wns_before, b.wns_before) << "chip " << c;
-    EXPECT_EQ(a.wns_after, b.wns_after) << "chip " << c;
   }
 }
 
@@ -534,7 +484,6 @@ TEST_F(CompensateFixture, SharedLevelBasesBuildEachStateOnce) {
     const auto got = eng_b.snapshot_bases();
     EXPECT_EQ(got.edge_base, want.edge_base) << "state " << k;
     EXPECT_EQ(got.launch_base, want.launch_base) << "state " << k;
-    EXPECT_EQ(got.slew, want.slew) << "state " << k;
     EXPECT_EQ(got.inst_corner, want.inst_corner) << "state " << k;
   }
   EXPECT_THROW(shared.get(-1, eng_a), std::invalid_argument);

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -395,6 +394,30 @@ TEST(StaVex, SnapshotRestoreRoundTrips) {
   EXPECT_EQ(after.min_period_ns, before.min_period_ns);
 }
 
+TEST(StaVex, RestoreBasesRejectsMismatchedSnapshot) {
+  Library lib = make_st65lp_like();
+  Design d = make_vex_design(lib, VexConfig::tiny());
+  Floorplan fp = Floorplan::for_design(d, FloorplanConfig{});
+  PlacementDb db(fp);
+  place_design(d, fp, PlacerConfig{}, db);
+  StaEngine sta(d, StaOptions{});
+  const StaEngine::BaseSnapshot good = sta.snapshot_bases();
+  ASSERT_EQ(good.edge_base.size(), sta.num_edges());
+  ASSERT_EQ(good.launch_base.size(), sta.launch_bases().size());
+  ASSERT_EQ(good.inst_corner.size(), d.num_instances());
+  // Each field in turn one entry short of the graph.
+  StaEngine::BaseSnapshot snap = good;
+  snap.edge_base.pop_back();
+  EXPECT_THROW(sta.restore_bases(snap), std::invalid_argument);
+  snap = good;
+  snap.launch_base.pop_back();
+  EXPECT_THROW(sta.restore_bases(snap), std::invalid_argument);
+  snap = good;
+  snap.inst_corner.pop_back();
+  EXPECT_THROW(sta.restore_bases(snap), std::invalid_argument);
+  EXPECT_NO_THROW(sta.restore_bases(good));
+}
+
 TEST(StaVex, AnalyzeBatchRejectsBadInput) {
   Library lib = make_st65lp_like();
   Design d = make_vex_design(lib, VexConfig::tiny());
@@ -411,278 +434,6 @@ TEST(StaVex, AnalyzeBatchRejectsBadInput) {
   lanes[0].assign(3, 1.0);  // shorter than num_instances
   EXPECT_THROW(sta.analyze_batch(std::span(lanes), std::span(results)),
                std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Incremental re-cornering (StaEngine::recorner_delta, DESIGN.md §12).
-// The contract under test: for ANY reachable escalation sequence, the
-// incremental path leaves the engine in a state byte-identical to a full
-// compute_base() at the equivalent per-domain corner vector — result
-// fields, edge/launch bases, slews and corner map alike.
-// ---------------------------------------------------------------------------
-
-void expect_results_equal(const StaResult& got, const StaResult& want,
-                          const char* what) {
-  EXPECT_EQ(got.clock_period_ns, want.clock_period_ns) << what;
-  EXPECT_EQ(got.wns, want.wns) << what;
-  EXPECT_EQ(got.tns, want.tns) << what;
-  EXPECT_EQ(got.min_period_ns, want.min_period_ns) << what;
-  for (std::size_t s = 0; s < kNumPipeStages; ++s) {
-    EXPECT_EQ(got.stage_wns[s], want.stage_wns[s]) << what << " stage " << s;
-  }
-  ASSERT_EQ(got.endpoint_slack.size(), want.endpoint_slack.size()) << what;
-  for (std::size_t k = 0; k < want.endpoint_slack.size(); ++k) {
-    ASSERT_EQ(got.endpoint_slack[k], want.endpoint_slack[k])
-        << what << " endpoint " << k;
-  }
-}
-
-void expect_snapshots_byte_identical(const StaEngine::BaseSnapshot& got,
-                                     const StaEngine::BaseSnapshot& want,
-                                     const char* what) {
-  ASSERT_EQ(got.edge_base.size(), want.edge_base.size()) << what;
-  ASSERT_EQ(got.launch_base.size(), want.launch_base.size()) << what;
-  ASSERT_EQ(got.slew.size(), want.slew.size()) << what;
-  ASSERT_EQ(got.inst_corner.size(), want.inst_corner.size()) << what;
-  EXPECT_EQ(std::memcmp(got.edge_base.data(), want.edge_base.data(),
-                        got.edge_base.size() * sizeof(float)),
-            0)
-      << what << " edge_base";
-  EXPECT_EQ(std::memcmp(got.launch_base.data(), want.launch_base.data(),
-                        got.launch_base.size() * sizeof(float)),
-            0)
-      << what << " launch_base";
-  EXPECT_EQ(std::memcmp(got.slew.data(), want.slew.data(),
-                        got.slew.size() * sizeof(float)),
-            0)
-      << what << " slew";
-  EXPECT_EQ(got.inst_corner, want.inst_corner) << what << " inst_corner";
-}
-
-/// Tiny VEX, placed, sliced into 4 position-based voltage domains
-/// (domain 0 = the bulk, 1..3 = progressively thinner right-edge slices,
-/// mimicking the paper's nested-island geometry).  Built once — every
-/// test takes fresh StaEngine instances over the shared design.
-class StaRecorner : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    lib_ = new Library(make_st65lp_like());
-    design_ = new Design(make_vex_design(*lib_, VexConfig::tiny()));
-    Floorplan fp = Floorplan::for_design(*design_, FloorplanConfig{});
-    PlacementDb db(fp);
-    place_design(*design_, fp, PlacerConfig{}, db);
-    const Rect& die = fp.die();
-    for (InstId i = 0; i < design_->num_instances(); ++i) {
-      const double frac =
-          (design_->instance(i).pos.x - die.lo.x) / die.width();
-      DomainId dom = 0;
-      if (frac > 0.90) dom = 1;
-      else if (frac > 0.80) dom = 2;
-      else if (frac > 0.70) dom = 3;
-      design_->instance(i).domain = dom;
-    }
-  }
-  static void TearDownTestSuite() {
-    delete design_;
-    design_ = nullptr;
-    delete lib_;
-    lib_ = nullptr;
-  }
-
-  /// Full-recompute reference for a corner vector (fresh propagation).
-  static StaResult reference(StaEngine& ref, std::span<const int> corners) {
-    ref.compute_base(corners);
-    return ref.analyze();
-  }
-
-  static Library* lib_;
-  static Design* design_;
-};
-
-Library* StaRecorner::lib_ = nullptr;
-Design* StaRecorner::design_ = nullptr;
-
-TEST_F(StaRecorner, SingleIslandFlipBitIdenticalToFullRecompute) {
-  StaEngine inc(*design_, StaOptions{});
-  StaEngine ref(*design_, StaOptions{});
-  for (DomainId dom : {DomainId{1}, DomainId{2}, DomainId{3}}) {
-    std::vector<int> corners(4, kVddLow);
-    corners[dom] = kVddHigh;
-    const StaResult got = inc.recorner_delta(dom, kVddHigh);
-    const StaResult want = reference(ref, corners);
-    expect_results_equal(got, want, "single flip");
-    expect_snapshots_byte_identical(inc.snapshot_bases(), ref.snapshot_bases(),
-                                    "single flip");
-    EXPECT_FALSE(inc.recorner_stats().noop);
-    EXPECT_GT(inc.recorner_stats().instances_flipped, 0u);
-    // Back down before the next domain (also through the delta path).
-    inc.recorner_delta(dom, kVddLow);
-    ASSERT_FALSE(::testing::Test::HasFailure()) << "domain " << int(dom);
-  }
-}
-
-TEST_F(StaRecorner, FuzzEscalationSequencesBitIdenticalForcedDelta) {
-  // recorner_fallback_fraction = 1 forces the delta path for every flip,
-  // whatever the cone size: the pure incremental machinery must track a
-  // full recompute bit-for-bit across a long random walk of corner flips.
-  StaOptions opts;
-  opts.recorner_fallback_fraction = 1.0;
-  StaEngine inc(*design_, opts);
-  StaEngine ref(*design_, opts);
-  std::vector<int> corners(4, kVddLow);
-  Rng rng(0xd17a5eedULL);
-  for (int step = 0; step < 48; ++step) {
-    const auto dom = static_cast<DomainId>(rng.next() % 4);
-    const int corner = (rng.next() & 1) != 0 ? kVddHigh : kVddLow;
-    corners[dom] = corner;
-    const StaResult got = inc.recorner_delta(dom, corner);
-    EXPECT_FALSE(inc.recorner_stats().full_fallback) << "step " << step;
-    const StaResult want = reference(ref, corners);
-    expect_results_equal(got, want, "fuzz step");
-    expect_snapshots_byte_identical(inc.snapshot_bases(), ref.snapshot_bases(),
-                                    "fuzz step");
-    ASSERT_FALSE(::testing::Test::HasFailure()) << "step " << step;
-  }
-}
-
-TEST_F(StaRecorner, FuzzWithDefaultFallbackThresholdStaysBitIdentical) {
-  // At the default threshold some flips (big cones) take the full path
-  // and some (thin slices) the delta path; the mix must be externally
-  // invisible.
-  StaEngine inc(*design_, StaOptions{});
-  StaEngine ref(*design_, StaOptions{});
-  std::vector<int> corners(4, kVddLow);
-  Rng rng(0xab5c0ffeULL);
-  std::size_t delta_flips = 0;
-  for (int step = 0; step < 32; ++step) {
-    const auto dom = static_cast<DomainId>(rng.next() % 4);
-    const int corner = (rng.next() & 1) != 0 ? kVddHigh : kVddLow;
-    corners[dom] = corner;
-    const StaResult got = inc.recorner_delta(dom, corner);
-    if (!inc.recorner_stats().noop && !inc.recorner_stats().full_fallback) {
-      ++delta_flips;
-    }
-    const StaResult want = reference(ref, corners);
-    expect_results_equal(got, want, "mixed-path step");
-    expect_snapshots_byte_identical(inc.snapshot_bases(), ref.snapshot_bases(),
-                                    "mixed-path step");
-    ASSERT_FALSE(::testing::Test::HasFailure()) << "step " << step;
-  }
-  EXPECT_GT(delta_flips, 0u);  // the thin slices must go incremental
-}
-
-TEST_F(StaRecorner, NoopWhenCornerUnchanged) {
-  StaEngine inc(*design_, StaOptions{});
-  const StaResult want = inc.analyze();
-  const StaResult got = inc.recorner_delta(1, kVddLow);  // already low
-  EXPECT_TRUE(inc.recorner_stats().noop);
-  EXPECT_EQ(inc.recorner_stats().instances_flipped, 0u);
-  expect_results_equal(got, want, "noop");
-}
-
-TEST_F(StaRecorner, UnknownOrEmptyDomainIsNoop) {
-  StaEngine inc(*design_, StaOptions{});
-  const StaResult want = inc.analyze();
-  const StaResult got = inc.recorner_delta(200, kVddHigh);
-  EXPECT_TRUE(inc.recorner_stats().noop);
-  expect_results_equal(got, want, "unknown domain");
-}
-
-TEST_F(StaRecorner, RejectsOutOfRangeCorner) {
-  StaEngine inc(*design_, StaOptions{});
-  EXPECT_THROW(inc.recorner_delta(1, kNumCorners), std::invalid_argument);
-  EXPECT_THROW(inc.recorner_delta(1, -1), std::invalid_argument);
-}
-
-TEST_F(StaRecorner, FallbackFractionZeroForcesFullPath) {
-  StaEngine inc(*design_, StaOptions{});
-  inc.set_recorner_fallback_fraction(0.0);
-  StaEngine ref(*design_, StaOptions{});
-  std::vector<int> corners(4, kVddLow);
-  corners[1] = kVddHigh;
-  const StaResult got = inc.recorner_delta(1, kVddHigh);
-  EXPECT_TRUE(inc.recorner_stats().full_fallback);
-  const StaResult want = reference(ref, corners);
-  expect_results_equal(got, want, "forced full");
-  expect_snapshots_byte_identical(inc.snapshot_bases(), ref.snapshot_bases(),
-                                  "forced full");
-}
-
-TEST_F(StaRecorner, DeltaPathVisitsAreConeBounded) {
-  StaOptions opts;
-  opts.recorner_fallback_fraction = 1.0;  // never fall back
-  StaEngine inc(*design_, opts);
-  // First call on a cold engine pays one full arrival propagation to
-  // seed the nominal cache; the cone bound applies from then on.
-  inc.recorner_delta(1, kVddHigh);
-  EXPECT_EQ(inc.recorner_stats().arrival_nodes_visited, inc.num_nodes());
-  inc.recorner_delta(1, kVddLow);
-  const auto& st = inc.recorner_stats();
-  EXPECT_FALSE(st.full_fallback);
-  EXPECT_GT(st.cone_nodes, 0u);
-  EXPECT_LT(st.cone_nodes, inc.num_nodes());  // cones stop at flop D pins
-  EXPECT_LE(st.slew_nodes_visited, st.cone_nodes);
-  EXPECT_LE(st.arrival_nodes_visited, st.cone_nodes);
-  EXPECT_GT(st.delay_edges_changed, 0u);
-}
-
-TEST_F(StaRecorner, DeltaAfterRestoreBasesStaysExact) {
-  // The snapshot carries slews, so an engine restored to a cached level
-  // can continue incrementally from it — the controller's access pattern.
-  StaOptions opts;
-  opts.recorner_fallback_fraction = 1.0;
-  StaEngine inc(*design_, opts);
-  StaEngine ref(*design_, opts);
-  const StaEngine::BaseSnapshot level0 = inc.snapshot_bases();
-  inc.recorner_delta(1, kVddHigh);
-  inc.recorner_delta(2, kVddHigh);
-  inc.restore_bases(level0);
-  const StaResult got = inc.recorner_delta(3, kVddHigh);
-  std::vector<int> corners(4, kVddLow);
-  corners[3] = kVddHigh;
-  const StaResult want = reference(ref, corners);
-  expect_results_equal(got, want, "delta after restore");
-  expect_snapshots_byte_identical(inc.snapshot_bases(), ref.snapshot_bases(),
-                                  "delta after restore");
-}
-
-TEST_F(StaRecorner, SnapshotCarriesSlewAndRejectsMismatch) {
-  StaEngine inc(*design_, StaOptions{});
-  StaEngine::BaseSnapshot snap = inc.snapshot_bases();
-  EXPECT_EQ(snap.slew.size(), inc.num_nodes());
-  snap.slew.pop_back();
-  EXPECT_THROW(inc.restore_bases(snap), std::invalid_argument);
-}
-
-TEST_F(StaRecorner, ReflectsClockPeriodChanges) {
-  // recorner_delta must report slacks against the engine's CURRENT clock,
-  // like every other analysis entry point.
-  StaEngine inc(*design_, StaOptions{});
-  StaEngine ref(*design_, StaOptions{});
-  const double period = inc.min_period() * 1.003;
-  inc.set_clock_period(period);
-  ref.set_clock_period(period);
-  const StaResult got = inc.recorner_delta(2, kVddHigh);
-  EXPECT_EQ(got.clock_period_ns, period);
-  std::vector<int> corners(4, kVddLow);
-  corners[2] = kVddHigh;
-  expect_results_equal(got, reference(ref, corners), "clock change");
-}
-
-TEST_F(StaRecorner, StatsCountEveryDomainInstanceOnFirstFlip) {
-  StaEngine inc(*design_, StaOptions{});
-  std::size_t in_domain = 0;
-  for (InstId i = 0; i < design_->num_instances(); ++i) {
-    in_domain += design_->instance(i).domain == 2 ? 1 : 0;
-  }
-  ASSERT_GT(in_domain, 0u);
-  inc.recorner_delta(2, kVddHigh);
-  EXPECT_EQ(inc.recorner_stats().instances_flipped, in_domain);
-  // Flipping again is a no-op; flipping back flips the same set.
-  inc.recorner_delta(2, kVddHigh);
-  EXPECT_TRUE(inc.recorner_stats().noop);
-  inc.recorner_delta(2, kVddLow);
-  EXPECT_EQ(inc.recorner_stats().instances_flipped, in_domain);
 }
 
 TEST(StaVex, MonotoneUnderUniformSlowdown) {

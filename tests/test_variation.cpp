@@ -449,6 +449,29 @@ TEST_F(ModelTest, DelayFactorTablesClampOutsideRange) {
   EXPECT_TRUE(std::isfinite(below));
   EXPECT_TRUE(std::isfinite(above));
   EXPECT_LT(below, above);  // still monotone through the clamp
+
+  // Far outside the range, and at ±inf, both helpers extrapolate the edge
+  // segment j: c[2j] + c[2j+1] * (lgate - knot_j), where the knot offset
+  // vanishes in rounding at these magnitudes.  NaN stays NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  const int last = tables.intervals() - 1;
+  for (int r = 0; r < DelayFactorTables::kRows; ++r) {
+    const double* rd = tables.row_data(r);
+    for (const double lg : {-1e300, -inf, 1e300, inf}) {
+      const int j = lg < 0.0 ? 0 : last;
+      const double want = rd[2 * j] + rd[2 * j + 1] * lg;
+      double slope = 0.0;
+      EXPECT_EQ(tables.eval_row(rd, lg), want) << "row " << r << " at " << lg;
+      EXPECT_EQ(tables.eval_row_slope(rd, lg, &slope), want)
+          << "row " << r << " at " << lg;
+      EXPECT_EQ(slope, rd[2 * j + 1]) << "row " << r << " at " << lg;
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    double slope = 0.0;
+    EXPECT_TRUE(std::isnan(tables.eval_row(rd, nan))) << "row " << r;
+    EXPECT_TRUE(std::isnan(tables.eval_row_slope(rd, nan, &slope)))
+        << "row " << r;
+  }
 }
 
 // ---- correlated-field stencils --------------------------------------------

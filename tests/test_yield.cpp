@@ -235,22 +235,6 @@ TEST_F(YieldFixture, ReportBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serialize(*wafer_, one_thread), parallel_txt);
 }
 
-TEST_F(YieldFixture, ReportBitIdenticalUnderForcedFullRecorner) {
-  // Wafer workers restore level bases that the analyzer built with one
-  // compute_base per level; StaEngine::recorner_delta is on no path of
-  // the wafer loop, so the engine's re-corner fallback setting (fraction
-  // 0 propagates through the engine clones) must not change a byte.
-  StaEngine full_sta(flow_->sta());
-  full_sta.set_recorner_fallback_fraction(0.0);
-  const YieldAnalyzer full_analyzer(
-      flow_->design(), full_sta, flow_->variation(), flow_->island_plan(),
-      flow_->razor_plan(), flow_->activity(),
-      1.0 / flow_->post_shifter_clock_ns());
-  const YieldReport full_report =
-      full_analyzer.analyze(*wafer_, test_yield_config(), nullptr);
-  EXPECT_EQ(serialize(*wafer_, full_report), serialize(*wafer_, *report_));
-}
-
 // ---- adaptive per-die sampling (DESIGN.md §14) -----------------------------
 
 /// Fixed-budget runs read as the degenerate adaptive case: every die
@@ -705,6 +689,40 @@ TEST_F(YieldFixture, AnalyzeShardRejectsShortSlotSpans) {
   const YieldAggregate agg =
       analyzer.analyze_shard(engine, ctrl, *wafer_, cfg, 0, 6, maps, screen);
   EXPECT_EQ(agg.dies, 6u);
+}
+
+// A negative screen band decides slots inside the CI band and a NaN one
+// decides none, so every screen (both tiers and the single-die path)
+// refuses a negative or non-finite band knob; zero stays legal.
+TEST_F(YieldFixture, ScreensRejectNegativeOrNonFiniteBandKnobs) {
+  const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
+  const auto maps = analyzer.reticle_slot_maps(*wafer_);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  StaEngine engine(flow_->sta());
+  for (const EvalTier tier : {EvalTier::Triage, EvalTier::Macro}) {
+    for (const bool scale : {true, false}) {
+      for (const double bad : {-1.0, nan, inf}) {
+        SCOPED_TRACE(std::string(eval_tier_name(tier)) +
+                     (scale ? " band_scale " : " model_error_ns ") +
+                     std::to_string(bad));
+        YieldConfig cfg = test_yield_config();
+        cfg.tier = tier;
+        double& knob =
+            scale ? cfg.triage.band_scale : cfg.triage.model_error_ns;
+        knob = bad;
+        EXPECT_THROW(analyzer.tier_screen(*wafer_, cfg, maps),
+                     std::invalid_argument);
+        EXPECT_THROW(analyzer.analyze_die(engine, wafer_->dies()[0], cfg),
+                     std::invalid_argument);
+      }
+    }
+    YieldConfig zero = test_yield_config();
+    zero.tier = tier;
+    zero.triage.band_scale = 0.0;
+    zero.triage.model_error_ns = 0.0;
+    EXPECT_NO_THROW(analyzer.tier_screen(*wafer_, zero, maps));
+  }
 }
 
 // The Batched draw profile carries the same determinism-under-
