@@ -84,6 +84,59 @@ bool get_moments(std::string_view line, std::string_view prefix,
   return true;
 }
 
+/// Sums `counts` into `sum`, failing as soon as the running sum would
+/// pass `cap`: no wrap-around can fake an equality.
+template <class Counts>
+bool sum_within(const Counts& counts, std::uint64_t cap, std::uint64_t& sum) {
+  sum = 0;
+  for (const std::uint64_t c : counts) {
+    if (c > cap - sum) return false;
+    sum += c;
+  }
+  return true;
+}
+
+/// The exact invariants YieldAggregate::add keeps over a die range.  A
+/// record breaking one was not written by the reducer, so the loader
+/// treats it like a torn line and resume recomputes it.
+bool consistent(const ShardRecord& r) {
+  const YieldAggregate& a = r.agg;
+  if (r.die_end < r.die_begin || a.dies != r.die_end - r.die_begin) {
+    return false;
+  }
+  std::uint64_t total = 0;
+  if (!sum_within(a.policy_count, a.dies, total) || total != a.dies) {
+    return false;
+  }
+  const auto policy = [&a](TuningPolicy p) {
+    return a.policy_count[static_cast<std::size_t>(p)];
+  };
+  const std::uint64_t island_dies =
+      policy(TuningPolicy::AllLow) + policy(TuningPolicy::NestedIslands);
+  if (!sum_within(a.island_activation, island_dies, total) ||
+      total != island_dies) {
+    return false;
+  }
+  if (a.wns_all_low_ns.count() != a.dies || a.wns_final_ns.count() != a.dies) {
+    return false;
+  }
+  for (std::size_t p = 0; p < a.policy_count.size(); ++p) {
+    if (a.power_mw[p].count() != a.policy_count[p] ||
+        a.leakage_mw[p].count() != a.policy_count[p]) {
+      return false;
+    }
+  }
+  if (a.fmax_ghz.count() > a.shipped_dies()) return false;
+  for (const std::uint64_t tally : {a.timing_met, a.escalated,
+                                    a.missed_violation, a.mc_converged_dies}) {
+    if (tally > a.dies) return false;
+  }
+  const std::array<std::uint64_t, 3> tiers = {
+      a.triage_analytical, a.triage_mc_fallback, a.triage_macro};
+  return sum_within(tiers, a.dies, total) &&
+         a.mc_samples_drawn <= a.mc_samples_budget;
+}
+
 }  // namespace
 
 std::string serialize_campaign_header(std::uint64_t spec_digest,
@@ -170,6 +223,7 @@ bool parse_shard_record(std::string_view line, ShardRecord& out) {
   for (std::size_t i = 0; i < kMomentPrefixes.size(); ++i) {
     if (!get_moments(line, kMomentPrefixes[i], *moments[i])) return false;
   }
+  if (!consistent(r)) return false;
   out = std::move(r);
   return true;
 }

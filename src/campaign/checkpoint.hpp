@@ -56,8 +56,14 @@ std::string serialize_campaign_header(std::uint64_t spec_digest,
 std::string serialize_shard_record(const ShardRecord& r);
 std::string serialize_campaign_trailer(std::uint64_t jobs_total);
 
-/// Parse one t=s line.  Returns false on any malformed or non-shard line
-/// (the loader treats that as the end of the resumable prefix).
+/// Parse one t=s line.  Returns false on any malformed or non-shard line,
+/// and on a well-formed one whose values break an invariant that
+/// YieldAggregate::add keeps: de >= db and dies == de - db; the policy
+/// counts sum to dies; the island histogram sums to the AllLow plus
+/// NestedIslands count; wnsa_n == wnsf_n == dies; pw{p}_n == lk{p}_n ==
+/// policy[p]; fmax_n <= dies - policy[Discard]; met, esc, miss and conv
+/// each <= dies; tga + tgm + mac <= dies; drawn <= budget.  The loader
+/// treats either as the end of the resumable prefix.
 bool parse_shard_record(std::string_view line, ShardRecord& out);
 
 /// What load_campaign_stream recovered from a (possibly truncated)

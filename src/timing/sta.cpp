@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "util/simd/dispatch.hpp"
 
@@ -16,6 +17,18 @@ static_assert(std::is_same_v<InstId, std::uint32_t>);
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+/// Bounds of base * f over f in instance i's factor bracket [bounds[2i],
+/// bounds[2i + 1]] (analyze_lazy); min/max keep them ordered even for a
+/// negative base.  No instance: the base itself, unscaled.
+std::pair<double, double> delay_bounds(double base,
+                                       std::span<const double> bounds,
+                                       InstId i) {
+  if (i == kInvalidInst) return {base, base};
+  const double p = base * bounds[2 * static_cast<std::size_t>(i)];
+  const double q = base * bounds[2 * static_cast<std::size_t>(i) + 1];
+  return {std::min(p, q), std::max(p, q)};
+}
 }  // namespace
 
 StaEngine::StaEngine(const Design& design, const StaOptions& opts)
@@ -202,6 +215,26 @@ void StaEngine::build_graph() {
   for (std::uint32_t v = 0; v < node_count_; ++v) {
     if (written[v] == 0) neg_inf_rows_.push_back(v);
   }
+
+  // In-edge index for analyze_lazy's backward refinement (DESIGN.md §21):
+  // counting sort of edges and launches by target node.
+  auto in = std::make_shared<InEdges>();
+  const auto num_edges = static_cast<std::uint32_t>(edges_.size());
+  in->head.assign(node_count_ + 1, 0);
+  for (const Edge& e : edges_) ++in->head[e.to + 1];
+  for (const std::uint32_t v : launch_nodes_) ++in->head[v + 1];
+  for (std::size_t v = 1; v <= node_count_; ++v) in->head[v] += in->head[v - 1];
+  in->src.resize(in->head[node_count_]);
+  {
+    std::vector<std::uint32_t> cursor(in->head.begin(), in->head.end() - 1);
+    for (std::uint32_t ei = 0; ei < num_edges; ++ei) {
+      in->src[cursor[edges_[ei].to]++] = ei;
+    }
+    for (std::uint32_t li = 0; li < launch_nodes_.size(); ++li) {
+      in->src[cursor[launch_nodes_[li]]++] = num_edges + li;
+    }
+  }
+  in_edges_ = std::move(in);
 
   arrival_.assign(node_count_, kNegInf);
   pred_edge_.assign(node_count_, -1);
@@ -474,63 +507,146 @@ void StaEngine::restore_bases(const BaseSnapshot& snap) {
   inst_corner_ = snap.inst_corner;
 }
 
-void StaEngine::analyze_batch_bases(
-    std::span<const BaseSnapshot* const> bases,
-    std::span<const std::vector<double>> inst_factor,
-    std::span<StaResult> results) const {
-  const std::size_t width = bases.size();
-  if (results.size() != width || inst_factor.size() != width) {
-    throw std::invalid_argument("analyze_batch_bases: lane count mismatch");
+double StaEngine::analyze_lazy(const BaseSnapshot& bases,
+                               std::span<const double> bounds,
+                               const std::function<double(InstId)>& exact,
+                               std::vector<std::uint8_t>& violating) const {
+  if (bases.edge_base.size() != edges_.size() ||
+      bases.launch_base.size() != launch_base_.size()) {
+    throw std::invalid_argument("analyze_lazy: snapshot/graph mismatch");
   }
-  if (width == 0) return;
-  const std::size_t num_inst = design_->num_instances();
-  for (std::size_t b = 0; b < width; ++b) {
-    if (bases[b] == nullptr || bases[b]->edge_base.size() != edges_.size() ||
-        bases[b]->launch_base.size() != launch_base_.size()) {
-      throw std::invalid_argument("analyze_batch_bases: snapshot mismatch");
-    }
-    if (!inst_factor[b].empty() && inst_factor[b].size() < num_inst) {
-      throw std::invalid_argument("analyze_batch_bases: short factor vector");
-    }
+  if (bounds.size() < 2 * design_->num_instances()) {
+    throw std::invalid_argument("analyze_lazy: short factor bounds");
   }
-
-  // Fold every lane's own base into a per-edge per-lane delay row once,
-  // so the relaxation loop stays a pure max-plus sweep.
-  delay_soa_.resize(edges_.size() * width);
+  // One sweep, two lanes over the engine's scratch: arrival_ carries
+  // every arrival's lower bound and arrival_soa_ (width 1) its upper
+  // bound, each delay bounded from this snapshot's base and the factor
+  // bracket.  The first-writer rule is the batch kernels'.
+  init_arrival_soa(1);
+  double* lo_arr = arrival_.data();
+  double* hi_arr = arrival_soa_.data();
+  for (const std::uint32_t v : neg_inf_rows_) lo_arr[v] = kNegInf;
+  for (std::size_t li = 0; li < launch_nodes_.size(); ++li) {
+    const auto [lo, hi] = delay_bounds(
+        static_cast<double>(bases.launch_base[li]), bounds, launch_inst_[li]);
+    const std::uint32_t v = launch_nodes_[li];
+    lo_arr[v] = std::max(lo_arr[v], lo);
+    hi_arr[v] = std::max(hi_arr[v], hi);
+  }
   for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
     const Edge& e = edges_[ei];
-    double* d = &delay_soa_[ei * width];
-    for (std::size_t b = 0; b < width; ++b) {
-      const double base = static_cast<double>(bases[b]->edge_base[ei]);
-      const double f = (e.inst == kInvalidInst || inst_factor[b].empty())
-                           ? 1.0
-                           : inst_factor[b][e.inst];
-      d[b] = base * f;
+    auto [lo, hi] = delay_bounds(static_cast<double>(bases.edge_base[ei]),
+                                 bounds, e.inst);
+    lo += lo_arr[e.from];
+    hi += hi_arr[e.from];
+    if (first_write_[ei] != 0) {
+      lo_arr[e.to] = lo;
+      hi_arr[e.to] = hi;
+    } else {
+      lo_arr[e.to] = std::max(lo_arr[e.to], lo);
+      hi_arr[e.to] = std::max(hi_arr[e.to], hi);
     }
   }
 
-  init_arrival_soa(width);
-  for (std::size_t li = 0; li < launch_nodes_.size(); ++li) {
-    const InstId i = launch_inst_[li];
-    double* a =
-        &arrival_soa_[static_cast<std::size_t>(launch_nodes_[li]) * width];
-    for (std::size_t b = 0; b < width; ++b) {
-      const double base = static_cast<double>(bases[b]->launch_base[li]);
-      const double f = (i == kInvalidInst || inst_factor[b].empty())
-                           ? 1.0
-                           : inst_factor[b][i];
-      a[b] = std::max(a[b], base * f);
+  // Slack is decreasing in arrival: the upper lane gives each endpoint's
+  // lower slack bound, the lower lane its upper one.  Only endpoints
+  // whose lower bound reaches the least upper bound can hold the worst
+  // slack, and only those whose bounds straddle 0 have an unknown sign;
+  // both are refined.  Folding exact slacks in endpoint order matches
+  // extract_scalar_result's min bit for bit: every skipped endpoint's
+  // slack is strictly above the minimum.
+  const double clock = opts_.clock_period_ns;
+  const auto slack_at = [&](std::size_t k, double a) {
+    return a == kNegInf ? std::numeric_limits<double>::infinity()
+                        : clock - endpoint_setup_[k] - a;
+  };
+  double wns_upper = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0; k < endpoints_.size(); ++k) {
+    wns_upper = std::min(wns_upper, slack_at(k, lo_arr[endpoints_[k].node]));
+  }
+  const LazyPass pass{bases, bounds, exact};
+  double wns = std::numeric_limits<double>::infinity();
+  violating.assign(endpoints_.size(), 0);
+  for (std::size_t k = 0; k < endpoints_.size(); ++k) {
+    const std::uint32_t v = endpoints_[k].node;
+    const double slack_lo = slack_at(k, hi_arr[v]);
+    const double slack_hi = slack_at(k, lo_arr[v]);
+    if (slack_lo <= wns_upper || (slack_lo < 0.0 && !(slack_hi < 0.0))) {
+      const double slack = slack_at(k, lazy_exact_arrival(v, pass));
+      wns = std::min(wns, slack);
+      violating[k] = slack < 0.0 ? 1 : 0;
+    } else {
+      violating[k] = slack_hi < 0.0 ? 1 : 0;
     }
   }
+  return wns;
+}
 
-  // Dispatched per-edge-delay relaxation (DESIGN.md §17): the per-lane
-  // delay (this lane's own base times its factor) was formed above as one
-  // IEEE multiply, so bits match the scalar path at every dispatch width.
-  simd::active_kernels().relax_edges_delays(
-      edges_.data(), first_write_.data(), edges_.size(), delay_soa_.data(),
-      arrival_soa_.data(), width);
+double StaEngine::lazy_source_hi(std::uint32_t s, const LazyPass& pass) const {
+  // The sweep's upper-lane candidate, from the source's current upper
+  // bound (exact once refined).
+  if (s < edges_.size()) {
+    const Edge& e = edges_[s];
+    return arrival_soa_[e.from] +
+           delay_bounds(static_cast<double>(pass.bases.edge_base[s]),
+                        pass.bounds, e.inst)
+               .second;
+  }
+  const std::size_t li = s - edges_.size();
+  return delay_bounds(static_cast<double>(pass.bases.launch_base[li]),
+                      pass.bounds, launch_inst_[li])
+      .second;
+}
 
-  extract_batch_results(width, results);
+double StaEngine::lazy_source_exact(std::uint32_t s,
+                                    const LazyPass& pass) const {
+  // analyze()'s own expressions: a + base * f for an edge, base * f for
+  // a launch, f = 1 where no instance scales the delay.
+  if (s < edges_.size()) {
+    const Edge& e = edges_[s];
+    const double a = lazy_exact_arrival(e.from, pass);
+    const double f = e.inst == kInvalidInst ? 1.0 : pass.exact(e.inst);
+    return a + static_cast<double>(pass.bases.edge_base[s]) * f;
+  }
+  const std::size_t li = s - edges_.size();
+  const InstId i = launch_inst_[li];
+  const double f = i == kInvalidInst ? 1.0 : pass.exact(i);
+  return static_cast<double>(pass.bases.launch_base[li]) * f;
+}
+
+double StaEngine::lazy_exact_arrival(std::uint32_t v,
+                                     const LazyPass& pass) const {
+  double& lo = arrival_[v];
+  double& hi = arrival_soa_[v];
+  if (lo == hi) return lo;  // equal bounds pin the exact value
+  // A source whose upper bound stays below the node's lower bound, or at
+  // or below an exact candidate already in hand, cannot raise the max;
+  // the rest are evaluated, the highest upper bound first.
+  const InEdges& in = *in_edges_;
+  const std::uint32_t begin = in.head[v];
+  const std::uint32_t end = in.head[v + 1];
+  const double floor = lo;
+  std::uint32_t top = end;
+  double top_hi = floor;
+  for (std::uint32_t s = begin; s < end; ++s) {
+    const double up = lazy_source_hi(in.src[s], pass);
+    if (up >= top_hi) {
+      top = s;
+      top_hi = up;
+    }
+  }
+  double best = kNegInf;
+  if (top != end) best = lazy_source_exact(in.src[top], pass);
+  for (std::uint32_t s = begin; s < end; ++s) {
+    if (s == top) continue;
+    const double up = lazy_source_hi(in.src[s], pass);
+    if (up >= floor && up > best) {
+      best = std::max(best, lazy_source_exact(in.src[s], pass));
+    }
+  }
+  lo = best;
+  hi = best;
+  return best;
 }
 
 double StaEngine::min_period(std::span<const double> inst_factor) const {

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -78,12 +79,12 @@ class StaEngine {
   /// The engine is cheaply copyable, and copying is the supported way to
   /// run analyses on multiple threads: analyze() is const but writes the
   /// per-engine scalar scratchpad (arrival_ / pred_edge_), the batch
-  /// entry points write the SoA scratch (arrival_soa_ / factor_soa_ /
-  /// delay_soa_), and compute_base() / restore_bases() rewrite the base
-  /// delays — so concurrent use of ONE engine races on every entry point,
-  /// const or not.  A copy carries the source's base delays,
-  /// snapshots-compatible graph order, and options (no recomputation) and
-  /// its own scratch.
+  /// entry points write the SoA scratch (arrival_soa_ / factor_soa_), and
+  /// compute_base() / restore_bases() rewrite the base delays — so
+  /// concurrent use of ONE engine races on every entry point, const or
+  /// not.  A copy carries the source's base delays,
+  /// snapshots-compatible graph order, and options (no recomputation), its
+  /// own scratch, and shares the source's immutable in-edge index.
   /// The referenced Design must outlive every copy and stay unmodified
   /// while copies are in flight.
   StaEngine(const StaEngine&) = default;
@@ -148,15 +149,24 @@ class StaEngine {
   BaseSnapshot snapshot_bases() const;
   void restore_bases(const BaseSnapshot& snap);
 
-  /// Batched analysis where every lane has its OWN base delays: lane b
-  /// evaluates bases[b] (a snapshot of some compute_base()) scaled by
-  /// inst_factor[b] (empty = nominal).  results[b] is bit-identical to
-  /// restore_bases(*bases[b]) followed by analyze(inst_factor[b]).  This
-  /// is how all island escalation levels of one die run as one batch:
-  /// same graph, same factors, different corner assignments per lane.
-  void analyze_batch_bases(std::span<const BaseSnapshot* const> bases,
-                           std::span<const std::vector<double>> inst_factor,
-                           std::span<StaResult> results) const;
+  /// Lazily exact analysis of one supply state (DESIGN.md §21).  bounds
+  /// holds, per instance i, an interleaved bracket bounds[2i] <= f_i <=
+  /// bounds[2i + 1] of its exact delay factor f_i, and exact(i) returns
+  /// f_i itself.  One two-lane sweep over `bases` propagates the lower
+  /// and upper bounds (IEEE add, multiply and max are monotone, so the
+  /// lanes bound the exact arrivals); a backward refinement then
+  /// recomputes exact arrivals only through in-edges whose upper bound
+  /// reaches the node's best lower bound, calling exact() for just those
+  /// instances.  Returns the worst slack — bit-identical to
+  /// restore_bases(bases) followed by analyze(f).wns — and sets
+  /// violating[k] to whether endpoint k's slack there is negative.
+  /// The engine's bases are left alone; the scalar and batch scratch are
+  /// not, so trace_from_last_analysis() must not follow this call.
+  /// Throws std::invalid_argument on a snapshot/graph mismatch or short
+  /// bounds.
+  double analyze_lazy(const BaseSnapshot& bases, std::span<const double> bounds,
+                      const std::function<double(InstId)>& exact,
+                      std::vector<std::uint8_t>& violating) const;
 
   const std::vector<Endpoint>& endpoints() const { return endpoints_; }
   /// Setup requirement per endpoint, aligned with endpoints().  Slack at
@@ -252,6 +262,20 @@ class StaEngine {
   /// Endpoint extraction from analyze()'s per-node arrival array.
   StaResult extract_scalar_result(std::span<const double> arrival) const;
 
+  /// One analyze_lazy() call's inputs, for its refinement.
+  struct LazyPass {
+    const BaseSnapshot& bases;
+    std::span<const double> bounds;
+    const std::function<double(InstId)>& exact;
+  };
+  /// Exact arrival at node v for analyze_lazy(): its lower (arrival_) and
+  /// upper (arrival_soa_) bounds collapse to it once known, so a node
+  /// whose bounds agree is already exact and nothing is recomputed.
+  double lazy_exact_arrival(std::uint32_t v, const LazyPass& pass) const;
+  /// Upper bound / exact value of in-edge-index source s of a node.
+  double lazy_source_hi(std::uint32_t s, const LazyPass& pass) const;
+  double lazy_source_exact(std::uint32_t s, const LazyPass& pass) const;
+
   const Design* design_;
   StaOptions opts_;
 
@@ -267,6 +291,14 @@ class StaEngine {
   /// Launch nodes plus nodes no edge writes: the only rows the batch
   /// paths pre-fill with -inf.
   std::vector<std::uint32_t> neg_inf_rows_;
+  /// Every write into a node: src[head[v] .. head[v + 1]) are edge
+  /// indices below edges_.size() and launches as edges_.size() + li.
+  /// Built once by build_graph and shared read-only by engine copies.
+  struct InEdges {
+    std::vector<std::uint32_t> head;
+    std::vector<std::uint32_t> src;
+  };
+  std::shared_ptr<const InEdges> in_edges_;
   std::vector<std::uint32_t> launch_nodes_; // flop Q outputs & PIs
   std::vector<float> launch_base_;          // base launch delay (clk->q)
   std::vector<InstId> launch_inst_;         // flop for clk->q scaling
@@ -283,7 +315,6 @@ class StaEngine {
   // cache line (util/aligned.hpp) — alignment changes no bits.
   mutable AlignedVec<double> arrival_soa_;  // node_count_ * batch
   mutable AlignedVec<double> factor_soa_;   // num_instances * batch
-  mutable AlignedVec<double> delay_soa_;    // num_edges * batch (multi-base)
 };
 
 }  // namespace vipvt

@@ -45,18 +45,6 @@ using RelaxEdgesFn = void (*)(const RelaxEdge* edges,
                               std::size_t num_edges, const double* factor_soa,
                               double* arrival_soa, std::size_t width);
 
-/// Same relaxation against per-edge precomputed delays (the per-lane-base
-/// path, StaEngine::analyze_batch_bases):
-///   to[b] = max(to[b], from[b] + delay_soa[edge][b])
-/// delay_soa rows are edge-major [num_edges x width]; the caller folds
-/// every lane's own base (and factor, 1.0 for fixed edges) into the row.
-/// first_write as for RelaxEdgesFn.
-using RelaxEdgesDelaysFn = void (*)(const RelaxEdge* edges,
-                                    const std::uint8_t* first_write,
-                                    std::size_t num_edges,
-                                    const double* delay_soa,
-                                    double* arrival_soa, std::size_t width);
-
 /// Fused draw transform (DelayFactorTables::eval_rows_batch): for
 /// instance i, lane l, with eps and out both instance-major [n x width]:
 ///   d  = std::clamp(sigma * eps[i * width + l], -clamp, clamp)
@@ -87,7 +75,6 @@ using NormalsFillFn = void (*)(const std::uint64_t* keys, std::size_t lanes,
 
 struct Kernels {
   RelaxEdgesFn relax_edges = nullptr;
-  RelaxEdgesDelaysFn relax_edges_delays = nullptr;
   DrawTransformFn draw_transform = nullptr;
   NormalsFillFn normals_fill = nullptr;
 };

@@ -31,13 +31,6 @@ void relax(const RelaxEdge* edges, const std::uint8_t* first_write,
                       width);
 }
 
-void relax_delays(const RelaxEdge* edges, const std::uint8_t* first_write,
-                  std::size_t num_edges, const double* delay_soa,
-                  double* arrival_soa, std::size_t width) {
-  relax_edges_delays_body<P>(edges, first_write, num_edges, delay_soa,
-                             arrival_soa, width);
-}
-
 void transform(const double* coef, std::int32_t row_stride, double lo,
                double step, double inv_step, std::int32_t intervals,
                const std::int32_t* rows, const double* sys, const double* eps,
@@ -54,7 +47,7 @@ void normals(const std::uint64_t* keys, std::size_t lanes, double* out,
 
 }  // namespace
 
-const Kernels kKernelsAvx512{&relax, &relax_delays, &transform, &normals};
+const Kernels kKernelsAvx512{&relax, &transform, &normals};
 
 }  // namespace vipvt::simd
 

@@ -189,29 +189,6 @@ inline void relax_edges_body(const RelaxEdge* edges,
   }
 }
 
-/// Relaxation against per-edge precomputed delays (the per-lane-base
-/// path, StaEngine::analyze_batch_bases): `to[b] = max(to[b], from[b] +
-/// d[b])`, with the same first-writer rule as relax_edges_body.
-template <class P>
-inline void relax_edges_delays_body(const RelaxEdge* edges,
-                                    const std::uint8_t* first_write,
-                                    std::size_t num_edges,
-                                    const double* delay_soa,
-                                    double* arrival_soa, std::size_t width) {
-  using S = ScalarPolicy;
-  for (std::size_t ei = 0; ei < num_edges; ++ei) {
-    const RelaxEdge& e = edges[ei];
-    const double* __restrict from =
-        arrival_soa + static_cast<std::size_t>(e.from) * width;
-    const double* __restrict d = delay_soa + ei * width;
-    relax_row<P>(
-        arrival_soa + static_cast<std::size_t>(e.to) * width, width,
-        first_write[ei] != 0,
-        [&](std::size_t b) { return P::add(P::load(from + b), P::load(d + b)); },
-        [&](std::size_t b) { return S::add(from[b], d[b]); });
-  }
-}
-
 /// Fused draw transform: reproduces, lane by lane, the scalar draw's
 ///   d = std::clamp(sigma * eps, -clamp, clamp)
 /// (libstdc++ defines clamp as min(max(v, lo), hi), which is exactly the

@@ -37,14 +37,16 @@ enum class DrawProfile : int {
   Batched = 1,
   /// The Batched engine with the Box-Muller log/sin/cos routed through
   /// the SIMD kernel layer's own vector math (Rng::normals_simd,
-  /// DESIGN.md §17) instead of libm/libmvec.  Batched's bits depend on
-  /// the host libm build; this profile's bits are ADDITIONALLY identical
-  /// across ISAs, compilers and build flags, because every dispatch
-  /// target instantiates the same kernel body with FMA contraction
-  /// disabled.  Same determinism contract as Batched (thread- and
-  /// width-invariant); yet another DIFFERENT, statistically equivalent
-  /// stream.  This versioned profile exists precisely so the SIMD math
-  /// is never silently substituted into an existing stream.
+  /// DESIGN.md §17) instead of libm/libmvec.  Its NORMAL STREAM is
+  /// identical across ISAs, compilers and build flags, because every
+  /// dispatch target instantiates the same kernel body with FMA
+  /// contraction disabled.  Its McResult is not: the factor-table knots
+  /// (pow) still come from the host libm, whose FMA and non-FMA builds
+  /// differ in the last bit on some inputs.  Same determinism contract
+  /// as Batched (thread- and width-invariant); yet another DIFFERENT,
+  /// statistically equivalent stream.  This versioned profile exists
+  /// precisely so the SIMD math is never silently substituted into an
+  /// existing stream.
   BatchedSimd = 2,
 };
 

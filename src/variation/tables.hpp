@@ -92,6 +92,38 @@ class DelayFactorTables {
     return row_coef[2 * j] + row_coef[2 * j + 1] * t;
   }
 
+  /// Factor brackets of the lazily exact compensation (DESIGN.md §21).
+  /// The exact delay_factor is strictly increasing in Lgate (Lgate^1.5
+  /// rises, the DIBL overdrive falls), so the stored knot values around
+  /// an Lgate bound its exact factor.  bracket_knot() is the knot index j
+  /// of the segment holding `lgate_nm` when knots j-1 and j+2 are both
+  /// stored (1 <= j <= intervals - 3), else -1: Lgates outside those
+  /// knots, ±inf and NaN take the exact path.  The neighbours one knot
+  /// out absorb a segment index that rounding moved across a knot.
+  int bracket_knot(double lgate_nm) const {
+    const double x = (lgate_nm - lo_) * inv_step_;
+    if (!(x >= 1.0 && x < static_cast<double>(intervals_ - 2))) return -1;
+    return static_cast<int>(x);
+  }
+
+  /// Relative widening of every bracket: the knot values and the exact
+  /// quotient each sit within ~10 ulp of the real function under any
+  /// libm whose exp and pow are accurate to 1 ulp; 1e-12 is ~4500 ulp.
+  static constexpr double kBracketMargin = 1e-12;
+
+  struct Bracket {
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+  /// [v(L_{j-1}) (1 - margin), v(L_{j+2}) (1 + margin)] on row r, for a
+  /// knot j = bracket_knot(lgate) >= 0: contains the exact factor of
+  /// that row at that Lgate.
+  Bracket bracket(int r, int j) const {
+    const double* rc = row_data(r);
+    return {rc[2 * (j - 1)] * (1.0 - kBracketMargin),
+            rc[2 * (j + 2)] * (1.0 + kBracketMargin)};
+  }
+
  private:
   /// Segment index of `lgate_nm`, in [0, intervals - 1].  x is bounded
   /// BEFORE the int conversion (NaN maps to segment 0), so an input far

@@ -1,7 +1,6 @@
 #include "vi/compensate.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace vipvt {
@@ -81,8 +80,11 @@ CompensationController::CompensationController(const Design& design,
                                    : nullptr),
       bases_(shared == nullptr ? own_bases_.get() : shared),
       snaps_(static_cast<std::size_t>(plan.num_islands()) + 2, nullptr),
-      flipped_(snaps_.size()),
-      flipped_ready_(snaps_.size(), 0) {}
+      vth_(design.num_instances()) {
+  for (InstId i = 0; i < vth_.size(); ++i) {
+    vth_[i] = static_cast<std::uint8_t>(design.cell_of(i).vth);
+  }
+}
 
 std::vector<double> CompensationController::chip_factors(
     const VirtualChip& chip) const {
@@ -94,53 +96,68 @@ std::vector<double> CompensationController::chip_factors(
   return factors;
 }
 
-void CompensationController::level0_factors(const VirtualChip& chip) {
+void CompensationController::begin_die(const VirtualChip& chip) {
   const std::size_t n = chip.lgate_nm.size();
-  if (other_die_.size() != n) {
-    other_.assign(n, 0.0);
-    other_die_.assign(n, 0);
-    die_ = 0;
+  exact_.resize(2 * n);
+  known_.assign((2 * n + 63) / 64, 0);
+  lgate_.assign(chip.lgate_nm.begin(), chip.lgate_nm.end());
+  has_die_ = true;
+  const DelayFactorTables& tables = model_->delay_factor_tables();
+  knot_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) knot_[i] = tables.bracket_knot(lgate_[i]);
+}
+
+double CompensationController::exact_factor(InstId i, int corner) {
+  const std::size_t s =
+      2 * static_cast<std::size_t>(i) + (corner == kVddHigh ? 1 : 0);
+  std::uint64_t& word = known_[s / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+  if ((word & bit) == 0) {
+    const auto vth = static_cast<VthClass>(vth_[i]);
+    const double f = model_->delay_factor(lgate_[i], corner, vth);
+    ++exact_evals_;
+    // The tripwire: a libm or table change that breaks the containment
+    // argument must fail loudly, never move a reported bit.
+    if (knot_[i] >= 0) {
+      const DelayFactorTables::Bracket b =
+          model_->delay_factor_tables().bracket(
+              DelayFactorTables::row(corner, vth), knot_[i]);
+      if (!(b.lo <= f && f <= b.hi)) {
+        throw std::logic_error(
+            "CompensationController: exact delay factor outside its "
+            "table bracket");
+      }
+    }
+    exact_[s] = f;
+    word |= bit;
   }
-  if (++die_ == 0) {  // stamp wrapped: forget every cached factor
-    std::fill(other_die_.begin(), other_die_.end(), 0);
-    die_ = 1;
-  }
-  terms_.resize(n);
-  f0_.resize(n);
-  const CharParams& cp = model_->char_params();
-  const std::vector<int>& corner0 = state_snapshot(0).inst_corner;
+  return exact_[s];
+}
+
+double CompensationController::analyze_state(int k) {
+  const StaEngine::BaseSnapshot& snap = state_snapshot(k);
+  const std::vector<int>& corner = snap.inst_corner;
+  const DelayFactorTables& tables = model_->delay_factor_tables();
+  const std::size_t n = lgate_.size();
+  bounds_.resize(2 * n);
   for (InstId i = 0; i < n; ++i) {
-    terms_[i] = cp.lgate_terms(chip.lgate_nm[i]);
-    f0_[i] = model_->delay_factor(terms_[i], corner0[i],
-                                  design_->cell_of(i).vth);
-  }
-}
-
-const std::vector<InstId>& CompensationController::flipped(int k) {
-  const auto s = static_cast<std::size_t>(k);
-  if (flipped_ready_[s] == 0) {
-    const std::vector<int>& corner0 = state_snapshot(0).inst_corner;
-    const std::vector<int>& corner = state_snapshot(k).inst_corner;
-    for (InstId i = 0; i < corner.size(); ++i) {
-      if (corner[i] != corner0[i]) flipped_[s].push_back(i);
+    const int j = knot_[i];
+    if (j >= 0) {
+      const DelayFactorTables::Bracket b = tables.bracket(
+          DelayFactorTables::row(corner[i], static_cast<VthClass>(vth_[i])),
+          j);
+      bounds_[2 * i] = b.lo;
+      bounds_[2 * i + 1] = b.hi;
+    } else {  // off the bracketable knots: exact path
+      const double f = exact_factor(i, corner[i]);
+      bounds_[2 * i] = f;
+      bounds_[2 * i + 1] = f;
     }
-    flipped_ready_[s] = 1;
   }
-  return flipped_[s];
-}
-
-std::vector<double> CompensationController::state_factors(int k) {
-  const std::vector<int>& corner = state_snapshot(k).inst_corner;
-  std::vector<double> factors = f0_;
-  for (const InstId i : flipped(k)) {
-    if (other_die_[i] != die_) {
-      other_[i] =
-          model_->delay_factor(terms_[i], corner[i], design_->cell_of(i).vth);
-      other_die_[i] = die_;
-    }
-    factors[i] = other_[i];
-  }
-  return factors;
+  return sta_->analyze_lazy(
+      snap, bounds_,
+      [this, &corner](InstId i) { return exact_factor(i, corner[i]); },
+      violating_);
 }
 
 const StaEngine::BaseSnapshot& CompensationController::state_snapshot(int k) {
@@ -164,11 +181,17 @@ void CompensationController::set_chip_wide() {
 }
 
 StaResult CompensationController::analyze_chip_wide() {
-  if (die_ == 0) {
+  if (!has_die_) {
     throw std::logic_error("analyze_chip_wide: no die compensated yet");
   }
   set_chip_wide();
-  return sta_->analyze(state_factors(plan_->num_islands() + 1));
+  const std::vector<int>& corner =
+      state_snapshot(plan_->num_islands() + 1).inst_corner;
+  std::vector<double> factors(lgate_.size());
+  for (InstId i = 0; i < factors.size(); ++i) {
+    factors[i] = exact_factor(i, corner[i]);
+  }
+  return sta_->analyze(factors);
 }
 
 CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
@@ -176,14 +199,12 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
   if (chip.lgate_nm.size() != design_->num_instances()) {
     throw std::invalid_argument("compensate: chip/design size mismatch");
   }
+  begin_die(chip);
   CompensationOutcome out;
 
   // --- post-silicon test at the nominal supply ----------------------------
-  set_level(0);
-  level0_factors(chip);
-  const StaResult truth0 = sta_->analyze(f0_);
-  out.wns_before = truth0.wns;
-  out.sensor_stage_flags = sensor_flags(*sta_, *sensors_, truth0);
+  out.wns_before = analyze_state(0);
+  out.sensor_stage_flags = sensor_flags(*sta_, *sensors_, violating_);
   for (PipeStage s :
        {PipeStage::Decode, PipeStage::Execute, PipeStage::WriteBack}) {
     if (out.sensor_stage_flags[static_cast<std::size_t>(s)]) {
@@ -192,8 +213,7 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
   }
   // Coverage check: did any endpoint violate in a stage no sensor flagged?
   for (std::size_t k = 0; k < sta_->endpoints().size(); ++k) {
-    const double slack = truth0.endpoint_slack[k];
-    if (std::isfinite(slack) && slack < 0.0 &&
+    if (violating_[k] != 0 &&
         !out.sensor_stage_flags[static_cast<std::size_t>(
             sta_->endpoints()[k].stage)]) {
       out.missed_violation = true;
@@ -202,57 +222,22 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
   }
 
   // --- raise islands per the detected scenario ------------------------------
-  // Common case first, scalar: the detected level usually closes timing.
-  const int detected = out.detected_severity;
+  // The plan nests one island per severity level, so a die flagging more
+  // gating stages than the plan has islands raises them all.
   const int max_k = plan_->num_islands();
-  if (detected == 0) {
-    // The engine already sits at level 0 and truth0 IS that level's
-    // analysis: chip_factors/analyze are pure functions of (bases,
-    // corners, chip), so re-running them here would reproduce f0/truth0
-    // bitwise.  Clean dies — the bulk of a healthy wafer — skip a second
-    // exact-factor fill and full propagation this way.
-    out.wns_after = truth0.wns;
-    out.islands_raised = 0;
-    out.timing_met = truth0.wns >= 0.0;
-  } else {
-    set_level(detected);
-    const StaResult truth = sta_->analyze(state_factors(detected));
-    out.wns_after = truth.wns;
-    out.islands_raised = detected;
-    out.timing_met = truth.wns >= 0.0;
+  int level = std::min(out.detected_severity, max_k);
+  double wns = level == 0 ? out.wns_before : analyze_state(level);
+  // Escalation: the lowest higher level that closes timing, else max_k.
+  if (wns < 0.0 && allow_escalation && level < max_k) {
+    out.escalated = true;
+    do {
+      wns = analyze_state(++level);
+    } while (wns < 0.0 && level < max_k);
   }
-  if (out.timing_met || !allow_escalation || detected >= max_k) return out;
-
-  // Escalation: evaluate ALL remaining levels as one multi-base batch —
-  // lane j carries level detected+1+j's own base-delay snapshot — and
-  // pick the lowest level that closes timing, exactly the level the
-  // historical one-at-a-time walk would stop at.  Per-lane results are
-  // bit-identical to restore_bases + analyze, so every reported number
-  // matches the sequential loop bit-for-bit.
-  out.escalated = true;
-  const int first_level = detected + 1;
-  const auto lanes = static_cast<std::size_t>(max_k - detected);
-  std::vector<const StaEngine::BaseSnapshot*> bases(lanes);
-  std::vector<std::vector<double>> factors(lanes);
-  for (std::size_t j = 0; j < lanes; ++j) {
-    const int level = first_level + static_cast<int>(j);
-    factors[j] = state_factors(level);
-    bases[j] = &state_snapshot(level);
-  }
-  std::vector<StaResult> results(lanes);
-  sta_->analyze_batch_bases(bases, factors, results);
-  std::size_t chosen = lanes - 1;  // none passing => stop at max_k
-  for (std::size_t j = 0; j < lanes; ++j) {
-    if (results[j].wns >= 0.0) {
-      chosen = j;
-      break;
-    }
-  }
-  out.islands_raised = first_level + static_cast<int>(chosen);
-  out.wns_after = results[chosen].wns;
-  out.timing_met = results[chosen].wns >= 0.0;
-  // Sequential postcondition: the engine holds the final level's bases.
-  set_level(out.islands_raised);
+  out.islands_raised = level;
+  out.wns_after = wns;
+  out.timing_met = wns >= 0.0;
+  set_level(level);
   return out;
 }
 

@@ -107,22 +107,23 @@ class CompensationController {
                          LevelBases* shared = nullptr);
 
   /// Runs detection + island raising (+ optional escalation) on one die.
-  /// Escalation evaluates every remaining level as one multi-base
-  /// analyze_batch_bases() batch (lane = level); the outcome is
-  /// bit-identical to the historical one-level-at-a-time walk.  Delay
-  /// factors are computed in full once, at level 0, keeping each gate's
-  /// Lgate terms (CharParams::lgate_terms); a raised level replaces only
-  /// the gates whose corner it flips, and each such gate's other-corner
-  /// factor is evaluated at most once per die, with one pow(), then
-  /// shared by every level and by analyze_chip_wide() (DESIGN.md §20).
+  /// Raises min(detected, num_islands) islands — more gating stages can
+  /// flag than the plan has islands — then, if timing still fails, walks
+  /// the higher levels in order and stops at the first that closes.
+  /// Every analysis is lazily exact (DESIGN.md §21): delay factors are
+  /// bracketed from the variation model's table knots, and libm runs only
+  /// for the gates the STA refinement needs, each once per (gate, corner)
+  /// per die.  The outcome is bit-identical to full chip_factors() fills
+  /// and analyze() at every level walked.  Leaves the engine at the
+  /// raised level's bases.
   CompensationOutcome compensate(const VirtualChip& chip,
                                  bool allow_escalation = true);
 
   /// The chip-wide fallback for the die last passed to compensate():
   /// set_chip_wide(), then the analysis of that die with every domain at
   /// high Vdd.  Bit-identical to set_chip_wide() followed by
-  /// sta.analyze(chip_factors(chip)); the high-corner factors come from
-  /// the die's kept terms and the levels compensate() already evaluated.
+  /// sta.analyze(chip_factors(chip)); the factors come from the die's
+  /// exact-factor cache, computing the ones compensate() did not need.
   /// Throws std::logic_error before the first compensate().
   StaResult analyze_chip_wide();
 
@@ -145,26 +146,28 @@ class CompensationController {
 
   const IslandPlan& plan() const { return *plan_; }
 
+  /// Delay factors this controller evaluated exactly (through libm) since
+  /// construction.  A cost probe for tests and benches; no report or
+  /// stream carries it.
+  std::uint64_t exact_factor_evals() const { return exact_evals_; }
+
  private:
   /// Supply state k's snapshot (0..num_islands levels, num_islands + 1
   /// chip-wide), fetched from bases_ once and then read locally.
   const StaEngine::BaseSnapshot& state_snapshot(int k);
 
-  /// chip_factors(chip) under level 0 into f0_, keeping every gate's
-  /// Lgate terms in terms_, and opens a new die for the other-corner
-  /// cache.
-  void level0_factors(const VirtualChip& chip);
+  /// Opens a new die: keeps its Lgates and bracket knots, and forgets
+  /// every cached factor.
+  void begin_die(const VirtualChip& chip);
 
-  /// chip_factors() of the current die under supply state k's corner map:
-  /// f0_ with each gate whose corner differs from level 0 replaced by its
-  /// other-corner factor.  delay_factor is a pure function of (Lgate,
-  /// corner, Vth) and there are two corners, so that factor is the same
-  /// for every state that flips the gate and is computed once per die.
-  std::vector<double> state_factors(int k);
+  /// Gate i's exact delay factor at `corner` for the current die, cached
+  /// per (gate, corner).  Each evaluation is checked against the gate's
+  /// table bracket; a miss throws std::logic_error (DESIGN.md §21).
+  double exact_factor(InstId i, int corner);
 
-  /// Gates whose corner under state k differs from level 0, built the
-  /// first time state k is asked for.
-  const std::vector<InstId>& flipped(int k);
+  /// Lazily exact analysis of supply state k for the current die: its
+  /// worst slack, with violating_ set per endpoint.
+  double analyze_state(int k);
 
   const Design* design_;
   StaEngine* sta_;
@@ -176,17 +179,22 @@ class CompensationController {
   LevelBases* bases_;
   /// Snapshots already fetched from bases_, by supply state.
   std::vector<const StaEngine::BaseSnapshot*> snaps_;
-  /// flipped(k) per supply state, and whether it is built yet.
-  std::vector<std::vector<InstId>> flipped_;
-  std::vector<std::uint8_t> flipped_ready_;
-  /// The die last passed to compensate(): its per-gate Lgate terms and
-  /// level-0 factors, and each gate's other-corner factor, valid where
-  /// other_die_[i] == die_ (die_ == 0: no die yet).
-  std::vector<CharParams::LgateTerms> terms_;
-  std::vector<double> f0_;
-  std::vector<double> other_;
-  std::vector<std::uint32_t> other_die_;
-  std::uint32_t die_ = 0;
+  /// VthClass per gate, read once at construction.
+  std::vector<std::uint8_t> vth_;
+  /// The die last passed to compensate(), if any: its Lgates, each
+  /// gate's DelayFactorTables::bracket_knot, and the exact factor per
+  /// (gate, corner) at index 2 * gate + corner, valid where that bit of
+  /// known_ is set.
+  std::vector<double> lgate_;
+  std::vector<std::int32_t> knot_;
+  std::vector<double> exact_;
+  std::vector<std::uint64_t> known_;
+  bool has_die_ = false;
+  std::uint64_t exact_evals_ = 0;
+  /// analyze_state scratch: per-gate [lo, hi] factor brackets and the
+  /// per-endpoint violation flags.
+  std::vector<double> bounds_;
+  std::vector<std::uint8_t> violating_;
 };
 
 }  // namespace vipvt

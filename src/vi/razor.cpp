@@ -45,9 +45,22 @@ double apply_razor_plan(Design& design, const StaEngine& sta,
 std::array<bool, kNumPipeStages> sensor_flags(const StaEngine& sta,
                                               const RazorPlan& plan,
                                               const StaResult& truth) {
+  std::vector<std::uint8_t> violating(truth.endpoint_slack.size());
+  for (std::size_t k = 0; k < violating.size(); ++k) {
+    violating[k] = truth.endpoint_slack[k] < 0.0 ? 1 : 0;
+  }
+  return sensor_flags(sta, plan, violating);
+}
+
+std::array<bool, kNumPipeStages> sensor_flags(
+    const StaEngine& sta, const RazorPlan& plan,
+    std::span<const std::uint8_t> violating) {
   std::array<bool, kNumPipeStages> flags{};
   for (std::size_t k : plan.endpoint_indices) {
-    if (truth.endpoint_slack.at(k) < 0.0) {
+    if (k >= violating.size()) {
+      throw std::out_of_range("sensor_flags: sensor endpoint out of range");
+    }
+    if (violating[k] != 0) {
       flags[static_cast<std::size_t>(sta.endpoints()[k].stage)] = true;
     }
   }

@@ -9,6 +9,8 @@
 // plain flop.
 
 #include <array>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netlist/design.hpp"
@@ -45,5 +47,12 @@ double apply_razor_plan(Design& design, const StaEngine& sta,
 std::array<bool, kNumPipeStages> sensor_flags(const StaEngine& sta,
                                               const RazorPlan& plan,
                                               const StaResult& all_low_truth);
+
+/// Same readout from per-endpoint violation flags (violating[k] != 0 iff
+/// endpoint k's slack is negative), as StaEngine::analyze_lazy reports
+/// them.
+std::array<bool, kNumPipeStages> sensor_flags(
+    const StaEngine& sta, const RazorPlan& plan,
+    std::span<const std::uint8_t> violating);
 
 }  // namespace vipvt

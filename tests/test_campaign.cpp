@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -386,6 +387,175 @@ TEST_F(CampaignFixture, ResumeRejectsMismatchedSpec) {
   std::remove(path.c_str());
 }
 
+// ---- shard-record invariants ------------------------------------------------
+
+void set_count(ExactMoments& m, std::uint64_t n) {
+  ExactMoments::State s = m.state();
+  s.n = n;
+  m = ExactMoments::from_state(s);
+}
+
+std::uint64_t& policy_count(ShardRecord& r, TuningPolicy p) {
+  return r.agg.policy_count[static_cast<std::size_t>(p)];
+}
+
+/// One edit per invariant parse_shard_record enforces (the ones
+/// YieldAggregate::add keeps), breaking that invariant alone: every other
+/// one still holds on any record the reducer wrote.
+struct BrokenInvariant {
+  const char* what;
+  void (*apply)(ShardRecord&);
+};
+
+const BrokenInvariant kBrokenInvariants[] = {
+    {"de >= db",  // de - db still wraps around to dies
+     [](ShardRecord& r) {
+       r.die_begin = std::numeric_limits<std::uint64_t>::max();
+       r.die_end = r.agg.dies - 1;
+     }},
+    {"dies == de - db", [](ShardRecord& r) { ++r.die_end; }},
+    {"sum(policy) == dies",
+     [](ShardRecord& r) {
+       ++policy_count(r, TuningPolicy::ChipWideHigh);
+       ExactMoments& pw = r.agg.power_mw[2];
+       ExactMoments& lk = r.agg.leakage_mw[2];
+       set_count(pw, pw.count() + 1);
+       set_count(lk, lk.count() + 1);
+     }},
+    {"sum(islands) == AllLow + NestedIslands",
+     [](ShardRecord& r) { ++r.agg.island_activation[0]; }},
+    {"wnsa_n == dies",
+     [](ShardRecord& r) {
+       set_count(r.agg.wns_all_low_ns, r.agg.dies + 1);
+     }},
+    {"wnsf_n == dies",
+     [](ShardRecord& r) { set_count(r.agg.wns_final_ns, r.agg.dies + 1); }},
+    {"pw0_n == policy[AllLow]",
+     [](ShardRecord& r) {
+       set_count(r.agg.power_mw[0], policy_count(r, TuningPolicy::AllLow) + 1);
+     }},
+    {"pw3_n == policy[Discard]",
+     [](ShardRecord& r) {
+       set_count(r.agg.power_mw[3], policy_count(r, TuningPolicy::Discard) + 1);
+     }},
+    {"lk1_n == policy[NestedIslands]",
+     [](ShardRecord& r) {
+       set_count(r.agg.leakage_mw[1],
+                 policy_count(r, TuningPolicy::NestedIslands) + 1);
+     }},
+    {"lk2_n == policy[ChipWideHigh]",
+     [](ShardRecord& r) {
+       set_count(r.agg.leakage_mw[2],
+                 policy_count(r, TuningPolicy::ChipWideHigh) + 1);
+     }},
+    {"fmax_n <= dies - policy[Discard]",
+     [](ShardRecord& r) {
+       set_count(r.agg.fmax_ghz, r.agg.shipped_dies() + 1);
+     }},
+    {"met <= dies", [](ShardRecord& r) { r.agg.timing_met = r.agg.dies + 1; }},
+    {"esc <= dies", [](ShardRecord& r) { r.agg.escalated = r.agg.dies + 1; }},
+    {"miss <= dies",
+     [](ShardRecord& r) { r.agg.missed_violation = r.agg.dies + 1; }},
+    {"conv <= dies",
+     [](ShardRecord& r) { r.agg.mc_converged_dies = r.agg.dies + 1; }},
+    {"tga + tgm + mac <= dies",
+     [](ShardRecord& r) {
+       r.agg.triage_analytical = r.agg.dies - r.agg.triage_mc_fallback -
+                                 r.agg.triage_macro + 1;
+     }},
+    {"drawn <= budget",
+     [](ShardRecord& r) {
+       r.agg.mc_samples_drawn = r.agg.mc_samples_budget + 1;
+     }},
+};
+
+std::vector<std::string> split_lines(const std::string& bytes) {
+  std::vector<std::string> lines;
+  std::istringstream in(bytes);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// `stream` with line `index` (a shard record) re-serialized after
+/// `edit`; throws if that line does not parse.
+std::string with_broken_record(const std::string& stream, std::size_t index,
+                               const BrokenInvariant& edit) {
+  std::vector<std::string> lines = split_lines(stream);
+  ShardRecord r;
+  if (!parse_shard_record(lines.at(index), r)) {
+    throw std::runtime_error("with_broken_record: line is no shard record");
+  }
+  edit.apply(r);
+  lines[index] = serialize_shard_record(r);
+  std::string out;
+  for (const std::string& line : lines) out += line + '\n';
+  return out;
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os << bytes;
+}
+
+TEST(CampaignCheckpoint, GoldenStreamPrefixEndsAtEachBrokenInvariant) {
+  const std::string golden =
+      file_bytes(std::string(VIPVT_GOLDEN_DIR) + "/campaign_stream.ndjson");
+  const std::vector<std::string> lines = split_lines(golden);
+  ASSERT_EQ(lines.size(), 4u);  // header, two shards, trailer
+  const std::string path = temp_path("campaign_invariants.ndjson");
+  write_bytes(path, golden);
+  const LoadedCampaignStream intact = load_campaign_stream(path);
+  ASSERT_EQ(intact.records.size(), 2u);
+  EXPECT_TRUE(intact.trailer_seen);
+  for (std::size_t rec = 1; rec <= 2; ++rec) {
+    // Re-serializing an unedited record reproduces its line.
+    ShardRecord r;
+    ASSERT_TRUE(parse_shard_record(lines[rec], r)) << "record " << rec;
+    ASSERT_EQ(serialize_shard_record(r), lines[rec]) << "record " << rec;
+    std::uint64_t prefix = 0;
+    for (std::size_t i = 0; i < rec; ++i) prefix += lines[i].size() + 1;
+    for (const BrokenInvariant& edit : kBrokenInvariants) {
+      SCOPED_TRACE(std::string(edit.what) + ", record " + std::to_string(rec));
+      ShardRecord broken = r;
+      edit.apply(broken);
+      ShardRecord back;
+      EXPECT_FALSE(parse_shard_record(serialize_shard_record(broken), back));
+      write_bytes(path, with_broken_record(golden, rec, edit));
+      const LoadedCampaignStream loaded = load_campaign_stream(path);
+      EXPECT_EQ(loaded.records.size(), rec - 1);
+      EXPECT_EQ(loaded.valid_bytes, prefix);
+      EXPECT_FALSE(loaded.trailer_seen);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(CampaignFixture, ResumeRecomputesRecordsBreakingAnInvariant) {
+  CampaignSpec spec = tiny_spec();
+  spec.wafers_per_cell = 1;
+  spec.sigma_scales = {1.0};
+  const std::string path = temp_path("campaign_broken.ndjson");
+  CampaignRunOptions opts;
+  opts.stream_path = path;
+  const CampaignReport reference = runner_->run(spec, opts);
+  const std::string intact = file_bytes(path);
+  const std::size_t middle = 1 + reference.jobs_total / 2;  // a shard line
+  for (const BrokenInvariant& edit : kBrokenInvariants) {
+    SCOPED_TRACE(edit.what);
+    write_bytes(path, with_broken_record(intact, middle, edit));
+    CampaignRunOptions resume;
+    resume.stream_path = path;
+    resume.resume = true;
+    CampaignRunStats stats;
+    resume.stats = &stats;
+    const CampaignReport resumed = runner_->run(spec, resume);
+    EXPECT_EQ(stats.jobs_resumed, middle - 1);
+    EXPECT_EQ(report_bytes(resumed), report_bytes(reference));
+    EXPECT_EQ(file_bytes(path), intact);
+  }
+  std::remove(path.c_str());
+}
+
 // ---- record round-trip ----------------------------------------------------
 
 TEST(CampaignCheckpoint, ShardRecordRoundTripsBitExactly) {
@@ -405,12 +575,19 @@ TEST(CampaignCheckpoint, ShardRecordRoundTripsBitExactly) {
   r.agg.mc_samples_drawn = 42;
   r.agg.mc_samples_budget = 56;
   r.agg.mc_converged_dies = 5;
-  for (const double v : {1.25, -0.32768111111, 3.0009765625, 1e-7}) {
-    r.agg.fmax_ghz.add(v + 1.0);
-    r.agg.wns_all_low_ns.add(-v);
-    r.agg.wns_final_ns.add(v * 0.5);
-    r.agg.power_mw[1].add(100.0 * v);
-    r.agg.leakage_mw[2].add(0.125 * v);
+  // Moments as YieldAggregate::add leaves them for these seven dies — one
+  // wns sample per die, one power and leakage sample per die under its
+  // policy — since parse_shard_record rejects a record that breaks the
+  // reducer's invariants.
+  const double v[] = {1.25, -0.32768111111, 3.0009765625, 1e-7,
+                      0.5,  2.75,           -1.0 / 3.0};
+  const std::size_t policy_of[] = {0, 0, 1, 1, 1, 2, 3};
+  for (std::size_t d = 0; d < 7; ++d) {
+    if (d < 4) r.agg.fmax_ghz.add(v[d] + 1.0);
+    r.agg.wns_all_low_ns.add(-v[d]);
+    r.agg.wns_final_ns.add(v[d] * 0.5);
+    r.agg.power_mw[policy_of[d]].add(100.0 * v[d]);
+    r.agg.leakage_mw[policy_of[d]].add(0.125 * v[d]);
   }
 
   const std::string line = serialize_shard_record(r);

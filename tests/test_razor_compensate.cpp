@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include "netlist/vex.hpp"
@@ -14,6 +16,7 @@
 #include "vi/islands.hpp"
 #include "vi/razor.hpp"
 #include "vi/scenario.hpp"
+#include "yield/wafer.hpp"
 
 namespace vipvt {
 namespace {
@@ -191,10 +194,10 @@ TEST_F(CompensateFixture, EscalationIsRare) {
 }
 
 TEST_F(CompensateFixture, CompensateMatchesSequentialReferenceWalk) {
-  // compensate() evaluates the escalation tail as one multi-base
-  // analyze_batch_bases pass and caches compute_base outputs per level;
-  // both are pure execution-layout choices.  Reference: the historical
-  // one-level-at-a-time walk, recomputed from scratch on an engine copy.
+  // compensate() analyzes each level lazily from its cached
+  // compute_base snapshot (DESIGN.md §21); both are pure execution-layout
+  // choices.  Reference: the one-level-at-a-time walk with full factor
+  // fills, recomputed from scratch on an engine copy.
   CompensationController ctrl(*design_, *sta_, *model_, *plan_, *razor_);
   Rng rng(40490);
   for (int c = 0; c < 8; ++c) {
@@ -277,9 +280,9 @@ TEST_F(CompensateFixture, SlotMapFabricationMatchesLocationFormBitForBit) {
 }
 
 TEST_F(CompensateFixture, EscalationToMaxLevelMatchesFullFactorWalk) {
-  // compensate() fills delay factors once at level 0 and re-evaluates
-  // only the gates a raised level flips (DESIGN.md §20).  Reference: for
-  // every level, set_level(k), a full chip_factors() fill and analyze().
+  // compensate() brackets delay factors and evaluates exactly only the
+  // gates its analyses need (DESIGN.md §21).  Reference: for every
+  // level, set_level(k), a full chip_factors() fill and analyze().
   // Chips at the worst location under 1.5x sigma, at three clocks: one
   // where chips fail even at max_k, two where many chips escalate to
   // max_k or close at their detected level.
@@ -340,13 +343,13 @@ TEST_F(CompensateFixture, EscalationToMaxLevelMatchesFullFactorWalk) {
 }
 
 TEST_F(CompensateFixture, StressChipsMatchFullFactorWalkAndChipWide) {
-  // compensate() keeps each gate's Lgate terms and evaluates its
-  // high-corner factor at most once per die, sharing it across the
-  // detected level, the escalation lanes and analyze_chip_wide()
-  // (DESIGN.md §20).  Reference: a separate controller walking every
-  // supply state with a full chip_factors() fill.  Stress chips: 1.5x
-  // sigma at 0.85x clock, where every chip takes the chip-wide fallback
-  // after its raised level, plus clocks where chips escalate.
+  // compensate() caches each exact factor per (gate, corner) for the
+  // die, sharing it across the detected level, the escalation levels and
+  // analyze_chip_wide() (DESIGN.md §21).  Reference: a separate
+  // controller walking every supply state with a full chip_factors()
+  // fill.  Stress chips: 1.5x sigma at 0.85x clock, where every chip
+  // takes the chip-wide fallback after its raised level, plus clocks
+  // where chips escalate.
   VariationConfig vc = model_->config();
   vc.three_sigma_random_frac *= 1.5;
   const VariationModel model(lib_->char_params(), *field_, vc);
@@ -488,6 +491,182 @@ TEST_F(CompensateFixture, SharedLevelBasesBuildEachStateOnce) {
   }
   EXPECT_THROW(shared.get(-1, eng_a), std::invalid_argument);
   EXPECT_THROW(shared.get(n + 2, eng_a), std::invalid_argument);
+}
+
+/// One supply state's lazily exact analysis as the controller runs it
+/// (DESIGN.md §21), rebuilt from public pieces: table brackets, the exact
+/// path off the bracketable knots, exact factors on demand.
+struct LazyState {
+  double wns = 0.0;
+  std::vector<std::uint8_t> violating;
+  std::size_t exact_gates = 0;  ///< distinct gates given an exact factor
+};
+
+LazyState lazy_state(const StaEngine& eng, const StaEngine::BaseSnapshot& snap,
+                     const Design& design, const VariationModel& model,
+                     const VirtualChip& chip) {
+  const DelayFactorTables& tables = model.delay_factor_tables();
+  const std::size_t n = design.num_instances();
+  const auto exact = [&](InstId i) {
+    return model.delay_factor(chip.lgate_nm[i], snap.inst_corner[i],
+                              design.cell_of(i).vth);
+  };
+  std::vector<double> bounds(2 * n);
+  for (InstId i = 0; i < n; ++i) {
+    const int j = tables.bracket_knot(chip.lgate_nm[i]);
+    if (j >= 0) {
+      const DelayFactorTables::Bracket b = tables.bracket(
+          DelayFactorTables::row(snap.inst_corner[i], design.cell_of(i).vth),
+          j);
+      bounds[2 * i] = b.lo;
+      bounds[2 * i + 1] = b.hi;
+    } else {
+      bounds[2 * i] = bounds[2 * i + 1] = exact(i);
+    }
+  }
+  LazyState out;
+  std::vector<std::uint8_t> seen(n, 0);
+  out.wns = eng.analyze_lazy(
+      snap, bounds,
+      [&](InstId i) {
+        if (seen[i] == 0) {
+          seen[i] = 1;
+          ++out.exact_gates;
+        }
+        return exact(i);
+      },
+      out.violating);
+  return out;
+}
+
+TEST_F(CompensateFixture, LazyStatesMatchFullAnalysisAtEverySupplyState) {
+  // Every supply state (levels 0..max_k and the chip-wide state), lazily
+  // exact vs a full factor fill and analyze(): WNS bits and every
+  // endpoint's violation sign.  Nominal chips at the fixture clock,
+  // 1.5x-sigma chips at the stress clocks, and an all-65 nm chip whose
+  // equal Lgates tie every factor bracket.
+  VariationConfig vc = model_->config();
+  vc.three_sigma_random_frac *= 1.5;
+  const VariationModel stress(lib_->char_params(), *field_, vc);
+  VirtualChip flat;
+  flat.lgate_nm.assign(design_->num_instances(), 65.0);
+  struct Case {
+    const VariationModel* model;
+    double clock_scale;
+    DieLocation loc;
+  };
+  const std::vector<Case> cases = {
+      {model_, 1.0, DieLocation::point('D')},
+      {model_, 1.0, worst_loc_},
+      {&stress, 0.85, worst_loc_},
+      {&stress, 0.96, worst_loc_},
+      {&stress, 1.03, worst_loc_},
+      {&stress, 1.04, worst_loc_}};
+  const int states = plan_->num_islands() + 2;
+  std::size_t violations = 0, flat_max_exact = 0;
+  for (const Case& c : cases) {
+    StaEngine eng(*sta_);
+    eng.set_clock_period(sta_->options().clock_period_ns * c.clock_scale);
+    LevelBases bases(*plan_);
+    Rng rng(90210);
+    std::vector<VirtualChip> chips = {flat};
+    for (int i = 0; i < 6; ++i) {
+      chips.push_back(fabricate_chip(*design_, *c.model, c.loc, rng));
+    }
+    for (std::size_t ci = 0; ci < chips.size(); ++ci) {
+      const VirtualChip& chip = chips[ci];
+      for (int k = 0; k < states; ++k) {
+        SCOPED_TRACE("clock x" + std::to_string(c.clock_scale) + " chip " +
+                     std::to_string(ci) + " state " + std::to_string(k));
+        const StaEngine::BaseSnapshot& snap = bases.get(k, eng);
+        StaEngine ref(eng);
+        ref.restore_bases(snap);
+        std::vector<double> f(chip.lgate_nm.size());
+        for (InstId i = 0; i < f.size(); ++i) {
+          f[i] = c.model->delay_factor(chip.lgate_nm[i], snap.inst_corner[i],
+                                       design_->cell_of(i).vth);
+        }
+        const StaResult want = ref.analyze(f);
+        const LazyState got = lazy_state(eng, snap, *design_, *c.model, chip);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.wns),
+                  std::bit_cast<std::uint64_t>(want.wns));
+        for (std::size_t e = 0; e < want.endpoint_slack.size(); ++e) {
+          EXPECT_EQ(got.violating[e] != 0, want.endpoint_slack[e] < 0.0)
+              << "endpoint " << e;
+          violations += got.violating[e];
+        }
+        if (ci == 0) flat_max_exact = std::max(flat_max_exact, got.exact_gates);
+      }
+    }
+  }
+  EXPECT_GT(violations, 0u);
+  // Ties cost refinement, not correctness: still a small share of gates.
+  EXPECT_LT(flat_max_exact, design_->num_instances() / 20);
+}
+
+TEST_F(CompensateFixture, NominalWaferEvaluatesUnderFivePercentOfFactors) {
+  // The lazily exact compensation's point: libm runs only for the gates
+  // the analyses need.  Every die of a nominal 300 mm wafer, fabricated
+  // and compensated: on average under 5 % of the gates get an exact
+  // delay factor per die.
+  StaEngine eng(*sta_);
+  CompensationController ctrl(*design_, eng, *model_, *plan_, *razor_);
+  const WaferModel wafer{WaferConfig{}};
+  Rng rng(2008);
+  int raised = 0;
+  for (const WaferDie& die : wafer.dies()) {
+    raised += ctrl.compensate(
+                      fabricate_chip(*design_, *model_, die.location, rng))
+                  .islands_raised > 0;
+  }
+  const double per_die = static_cast<double>(ctrl.exact_factor_evals()) /
+                         static_cast<double>(wafer.num_dies());
+  EXPECT_GT(ctrl.exact_factor_evals(), 0u);
+  EXPECT_LT(per_die, 0.05 * static_cast<double>(design_->num_instances()))
+      << per_die << " exact factors per die";
+  RecordProperty("exact_factors_per_die", std::to_string(per_die));
+  RecordProperty("dies_raising_islands", raised);
+}
+
+TEST_F(CompensateFixture, MoreFlaggedStagesThanIslandsRaisesThemAll) {
+  // Sensors on every DC/EX/WB flop endpoint at half the clock: all three
+  // gating stages flag, and a plan with two islands raises both — it
+  // used to throw from set_level(3).  detected_severity keeps the count
+  // the sensors read.
+  ASSERT_GE(plan_->num_islands(), 2);
+  IslandPlan two = *plan_;
+  two.cuts.resize(2);
+  two.cell_count.resize(2);
+  two.feasible.resize(2);
+  RazorPlan everywhere;
+  for (std::size_t k = 0; k < sta_->endpoints().size(); ++k) {
+    const Endpoint& ep = sta_->endpoints()[k];
+    if (ep.flop == kInvalidInst) continue;
+    if (ep.stage == PipeStage::Decode || ep.stage == PipeStage::Execute ||
+        ep.stage == PipeStage::WriteBack) {
+      everywhere.endpoint_indices.push_back(k);
+      ++everywhere.per_stage[static_cast<std::size_t>(ep.stage)];
+    }
+  }
+  StaEngine eng(*sta_);
+  eng.set_clock_period(sta_->options().clock_period_ns * 0.5);
+  StaEngine ref_eng(eng);
+  CompensationController ctrl(*design_, eng, *model_, two, everywhere);
+  CompensationController ref(*design_, ref_eng, *model_, two, everywhere);
+  Rng rng(1999);
+  for (int c = 0; c < 3; ++c) {
+    SCOPED_TRACE("chip " + std::to_string(c));
+    const VirtualChip chip = fabricate_chip(*design_, *model_, worst_loc_, rng);
+    CompensationOutcome out;
+    ASSERT_NO_THROW(out = ctrl.compensate(chip));
+    EXPECT_EQ(out.detected_severity, 3);
+    EXPECT_EQ(out.islands_raised, 2);
+    EXPECT_FALSE(out.escalated);
+    ref.set_level(2);
+    const StaResult want = ref_eng.analyze(ref.chip_factors(chip));
+    EXPECT_EQ(out.wns_after, want.wns);
+    EXPECT_FALSE(out.timing_met);
+  }
 }
 
 TEST_F(CompensateFixture, ChipSizeMismatchRejected) {

@@ -99,17 +99,12 @@ TEST(SimdKernels, RelaxEdgesBitIdenticalAcrossTargets) {
     for (auto& f : factors) f = 0.8 + 0.4 * rng.uniform();
     AlignedVec<double> init(kNodes * width);
     for (auto& a : init) a = rng.uniform();
-    AlignedVec<double> delays(edges.size() * width);
-    for (auto& d : delays) d = rng.uniform() * 0.3;
 
     // No first-writer flags: every edge reads its target row.
     const std::vector<std::uint8_t> none(edges.size(), 0);
     AlignedVec<double> ref = init;
     scalar->relax_edges(edges.data(), none.data(), edges.size(),
                         factors.data(), ref.data(), width);
-    AlignedVec<double> ref_d = init;
-    scalar->relax_edges_delays(edges.data(), none.data(), edges.size(),
-                               delays.data(), ref_d.data(), width);
     for (const simd::Arch a : archs) {
       const simd::Kernels* k = simd::kernels_for(a);
       ASSERT_NE(k, nullptr);
@@ -120,14 +115,6 @@ TEST(SimdKernels, RelaxEdgesBitIdenticalAcrossTargets) {
                             ref.size() * sizeof(double)),
                 0)
           << "relax_edges " << simd::arch_name(a) << " width " << width;
-      got = init;
-      k->relax_edges_delays(edges.data(), none.data(), edges.size(),
-                            delays.data(), got.data(), width);
-      EXPECT_EQ(std::memcmp(ref_d.data(), got.data(),
-                            ref_d.size() * sizeof(double)),
-                0)
-          << "relax_edges_delays " << simd::arch_name(a) << " width "
-          << width;
     }
   }
 }
@@ -330,8 +317,6 @@ TEST(SimdKernels, FirstWriterRelaxMatchesNegInfFill) {
       AlignedVec<double> factors(kInsts * width);
       for (auto& f : factors) f = 0.8 + 0.4 * rng.uniform();
       factors[5 * width] = std::nan("");
-      AlignedVec<double> delays(edges.size() * width);
-      for (auto& d : delays) d = rng.uniform() * 0.3;
       std::vector<double> launch_val(launches.size() * width);
       for (auto& l : launch_val) l = rng.uniform();
 
@@ -355,13 +340,10 @@ TEST(SimdKernels, FirstWriterRelaxMatchesNegInfFill) {
         }
       };
       const simd::Kernels* scalar = simd::kernels_for(simd::Arch::Scalar);
-      AlignedVec<double> ref, ref_d;
+      AlignedVec<double> ref;
       init(ref, true);
       scalar->relax_edges(edges.data(), none.data(), edges.size(),
                           factors.data(), ref.data(), width);
-      init(ref_d, true);
-      scalar->relax_edges_delays(edges.data(), none.data(), edges.size(),
-                                 delays.data(), ref_d.data(), width);
       for (const simd::Arch a : simd::available_archs()) {
         const simd::Kernels* k = simd::kernels_for(a);
         AlignedVec<double> got;
@@ -370,12 +352,6 @@ TEST(SimdKernels, FirstWriterRelaxMatchesNegInfFill) {
                        factors.data(), got.data(), width);
         EXPECT_EQ(std::memcmp(ref.data(), got.data(), ref.size() * 8), 0)
             << "relax_edges " << simd::arch_name(a) << " width " << width;
-        init(got, false);
-        k->relax_edges_delays(edges.data(), first.data(), edges.size(),
-                              delays.data(), got.data(), width);
-        EXPECT_EQ(std::memcmp(ref_d.data(), got.data(), ref_d.size() * 8), 0)
-            << "relax_edges_delays " << simd::arch_name(a) << " width "
-            << width;
       }
     }
   }

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -313,16 +316,17 @@ TEST(StaVex, AnalyzeBatchSoaBitIdenticalToAnalyzeBatch) {
   }
 }
 
-TEST(StaVex, AnalyzeBatchBasesBitIdenticalToRestoreAndAnalyze) {
-  // Multi-base batching (each lane under its OWN compute_base output) is
-  // what lets the compensation controller test every escalation level in
-  // one pass.  Reference: restore_bases + scalar analyze per lane.
+TEST(StaVex, AnalyzeLazyMatchesAnalyzeForAnyFactorBrackets) {
+  // analyze_lazy (DESIGN.md §21) must reproduce analyze()'s worst slack
+  // bit for bit, and every endpoint's violation sign, for ANY brackets
+  // that contain the exact factors: degenerate ones (nothing to refine),
+  // tight to wide ones (ever more refinement), lopsided random ones, and
+  // a snapshot carrying negative base delays.
   Library lib = make_st65lp_like();
   Design d = make_vex_design(lib, VexConfig::tiny());
   Floorplan fp = Floorplan::for_design(d, FloorplanConfig{});
   PlacementDb db(fp);
   place_design(d, fp, PlacerConfig{}, db);
-  // Three position-sliced domains so the corner assignments differ.
   const Rect& die = fp.die();
   for (InstId i = 0; i < d.num_instances(); ++i) {
     const double frac = (d.instance(i).pos.x - die.lo.x) / die.width();
@@ -330,47 +334,80 @@ TEST(StaVex, AnalyzeBatchBasesBitIdenticalToRestoreAndAnalyze) {
         static_cast<DomainId>(std::min(2, static_cast<int>(frac * 3)));
   }
   StaEngine sta(d, StaOptions{});
-  sta.set_clock_period(sta.min_period() * 1.02);
-
+  const double tmin = sta.min_period();
   std::vector<StaEngine::BaseSnapshot> snaps;
-  for (int raised : {0, 1, 2, 3}) {
+  for (int raised : {0, 1, 3}) {
     std::vector<int> corners(3, kVddLow);
-    for (int k = 0; k < raised; ++k) corners[static_cast<std::size_t>(k)] =
-        kVddHigh;
+    for (int k = 0; k < raised; ++k) {
+      corners[static_cast<std::size_t>(k)] = kVddHigh;
+    }
     sta.compute_base(corners);
     snaps.push_back(sta.snapshot_bases());
   }
-
-  const std::size_t width = snaps.size();
-  Rng rng(0xface0ffULL);
-  std::vector<std::vector<double>> factors(width);
-  std::vector<const StaEngine::BaseSnapshot*> bases(width);
-  for (std::size_t b = 0; b < width; ++b) {
-    factors[b].resize(d.num_instances());
-    for (auto& f : factors[b]) f = rng.uniform(0.92, 1.12);
-    bases[b] = &snaps[b];
+  StaEngine::BaseSnapshot negative = snaps[1];
+  for (std::size_t ei = 0; ei < negative.edge_base.size(); ei += 7) {
+    negative.edge_base[ei] = -negative.edge_base[ei];
   }
-  factors[2].clear();  // empty lane = nominal factors, a supported input
+  snaps.push_back(negative);
+  const StaEngine::BaseSnapshot held = sta.snapshot_bases();
 
-  std::vector<StaResult> batch(width);
-  sta.analyze_batch_bases(bases, factors, std::span(batch));
-  for (std::size_t b = 0; b < width; ++b) {
-    sta.restore_bases(snaps[b]);
-    const StaResult scalar =
-        factors[b].empty() ? sta.analyze() : sta.analyze(factors[b]);
-    EXPECT_EQ(batch[b].wns, scalar.wns) << "lane " << b;
-    EXPECT_EQ(batch[b].tns, scalar.tns) << "lane " << b;
-    EXPECT_EQ(batch[b].min_period_ns, scalar.min_period_ns) << "lane " << b;
-    for (std::size_t s = 0; s < kNumPipeStages; ++s) {
-      EXPECT_EQ(batch[b].stage_wns[s], scalar.stage_wns[s])
-          << "lane " << b << " stage " << s;
-    }
-    ASSERT_EQ(batch[b].endpoint_slack.size(), scalar.endpoint_slack.size());
-    for (std::size_t k = 0; k < scalar.endpoint_slack.size(); ++k) {
-      EXPECT_EQ(batch[b].endpoint_slack[k], scalar.endpoint_slack[k])
-          << "lane " << b << " endpoint " << k;
+  const std::size_t n = d.num_instances();
+  Rng rng(0x1a2fULL);
+  std::vector<double> f(n);
+  for (double& x : f) x = rng.uniform(0.92, 1.12);
+  std::size_t calls = 0;
+  const std::function<double(InstId)> exact = [&](InstId i) {
+    ++calls;
+    return f[i];
+  };
+  std::vector<double> bounds(2 * n);
+  std::vector<std::uint8_t> violating;
+  std::size_t violations = 0;
+  for (const double clock_scale : {1.02, 0.97, 0.9}) {
+    sta.set_clock_period(tmin * clock_scale);
+    for (std::size_t s = 0; s < snaps.size(); ++s) {
+      StaEngine ref(sta);
+      ref.restore_bases(snaps[s]);
+      const StaResult want = ref.analyze(f);
+      for (const double width : {0.0, 1e-9, 1e-3, 0.05, -0.05}) {
+        SCOPED_TRACE("clock x" + std::to_string(clock_scale) + " snapshot " +
+                     std::to_string(s) + " width " + std::to_string(width));
+        for (std::size_t i = 0; i < n; ++i) {
+          // width < 0: a random lopsided bracket up to |width| each side.
+          const double below = width < 0.0 ? -width * rng.uniform() : width;
+          const double above = width < 0.0 ? -width * rng.uniform() : width;
+          bounds[2 * i] = f[i] * (1.0 - below);
+          bounds[2 * i + 1] = f[i] * (1.0 + above);
+        }
+        calls = 0;
+        const double wns = sta.analyze_lazy(snaps[s], bounds, exact, violating);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(wns),
+                  std::bit_cast<std::uint64_t>(want.wns));
+        ASSERT_EQ(violating.size(), want.endpoint_slack.size());
+        for (std::size_t k = 0; k < violating.size(); ++k) {
+          EXPECT_EQ(violating[k] != 0, want.endpoint_slack[k] < 0.0)
+              << "endpoint " << k;
+          violations += violating[k];
+        }
+        if (width == 0.0) {
+          EXPECT_EQ(calls, 0u);
+        } else if (width == 0.05) {
+          EXPECT_GT(calls, 0u);
+        }
+      }
     }
   }
+  EXPECT_GT(violations, 0u);
+  // The engine's own bases are left alone.
+  EXPECT_EQ(sta.snapshot_bases().edge_base, held.edge_base);
+
+  StaEngine::BaseSnapshot bad = snaps[0];
+  bad.edge_base.pop_back();
+  EXPECT_THROW(sta.analyze_lazy(bad, bounds, exact, violating),
+               std::invalid_argument);
+  bounds.pop_back();
+  EXPECT_THROW(sta.analyze_lazy(snaps[0], bounds, exact, violating),
+               std::invalid_argument);
 }
 
 TEST(StaVex, SnapshotRestoreRoundTrips) {

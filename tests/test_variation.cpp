@@ -474,6 +474,75 @@ TEST_F(ModelTest, DelayFactorTablesClampOutsideRange) {
   }
 }
 
+TEST_F(ModelTest, DelayFactorBracketsContainTheExactFactor) {
+  // The lazily exact compensation (DESIGN.md §21) trusts every bracket to
+  // contain the exact pow/exp quotient.  Probe every row on a grid 64x
+  // finer than the knots, at every knot +/- 1 ulp, and at both range
+  // ends; every bracketable probe must be contained, and the brackets
+  // must be tight enough to decide anything.
+  const DelayFactorTables& tables = model_.delay_factor_tables();
+  const int intervals = tables.intervals();
+  const double lo = tables.lo_nm();
+  const double hi = tables.hi_nm();
+  const double step = (hi - lo) / intervals;
+  std::vector<double> probes;
+  for (int g = 0; g <= 64 * intervals; ++g) {
+    probes.push_back(lo + (hi - lo) * g / (64.0 * intervals));
+  }
+  for (int k = 0; k <= intervals; ++k) {
+    const double knot = lo + static_cast<double>(k) * step;
+    probes.push_back(std::nextafter(knot, -1.0));
+    probes.push_back(knot);
+    probes.push_back(std::nextafter(knot, 1e9));
+  }
+  probes.push_back(lo);
+  probes.push_back(hi);
+  for (int corner : {kVddLow, kVddHigh}) {
+    for (int v = 0; v < kNumVthClasses; ++v) {
+      const auto vth = static_cast<VthClass>(v);
+      const int r = DelayFactorTables::row(corner, vth);
+      std::size_t bracketed = 0;
+      double widest = 0.0;
+      for (const double l : probes) {
+        const int j = tables.bracket_knot(l);
+        if (j < 0) continue;
+        ASSERT_GE(j, 1);
+        ASSERT_LE(j, intervals - 3);
+        const DelayFactorTables::Bracket b = tables.bracket(r, j);
+        const double exact = model_.delay_factor(l, corner, vth);
+        ASSERT_LE(b.lo, exact) << "row " << r << " at " << l;
+        ASSERT_GE(b.hi, exact) << "row " << r << " at " << l;
+        widest = std::max(widest, b.hi / b.lo - 1.0);
+        ++bracketed;
+      }
+      // All but the first and last two segments are bracketable.
+      EXPECT_GE(bracketed, 64u * static_cast<std::size_t>(intervals - 3))
+          << "row " << r;
+      EXPECT_LT(widest, 0.01) << "row " << r;
+    }
+  }
+  EXPECT_EQ(tables.bracket_knot(lo), -1);
+  EXPECT_EQ(tables.bracket_knot(hi), -1);
+}
+
+TEST_F(ModelTest, DelayFactorBracketsSendOutOfRangeLgatesToExactPath) {
+  // No bracket without knots on both sides: the first and the last two
+  // segments, anything outside the table, +/-inf and NaN all return -1.
+  const DelayFactorTables& tables = model_.delay_factor_tables();
+  const double lo = tables.lo_nm();
+  const double hi = tables.hi_nm();
+  const double step = (hi - lo) / tables.intervals();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double l :
+       {lo + 0.5 * step, hi - 1.5 * step, hi - 0.5 * step, lo - 1.0,
+        hi + 1.0, -1e300, 1e300, -inf, inf,
+        std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(tables.bracket_knot(l), -1) << "at " << l;
+  }
+  EXPECT_EQ(tables.bracket_knot(lo + 1.5 * step), 1);
+  EXPECT_EQ(tables.bracket_knot(hi - 2.5 * step), tables.intervals() - 3);
+}
+
 // ---- correlated-field stencils --------------------------------------------
 
 TEST_F(McFixture, StencilDrawBitIdenticalToPointDraw) {
