@@ -12,40 +12,38 @@
 //      under separate oversub_* keys and never reported as speedups;
 //   4. the propagation kernel in isolation (pre-drawn factors, analyze
 //      vs analyze_batch);
-//   5. the Batched draw profile end-to-end (bulk Box-Muller normals +
-//      delay-factor tables writing the SoA directly) across widths and
-//      thread counts — bit-identical WITHIN the profile by contract;
-//   6. the factor draw in isolation, scalar vs batched, against the
+//   5. (unused: section 8 covers the BatchedSimd profile end to end);
+//   6. the factor draw in isolation, Scalar vs BatchedSimd, against the
 //      propagation cost — the batched engine exists to stop the draw
 //      from dominating propagation;
 //   7. the propagation kernel per SIMD dispatch target (DESIGN.md §17):
 //      the dispatcher pinned to every compiled ISA in turn, each one
 //      bit-compared against scalar analyze() and timed per lane;
-//   8. the BatchedSimd stream across dispatch targets: the arch-
-//      invariant draw byte-compared per target, pinned full runs
+//   8. the BatchedSimd profile end-to-end and across dispatch targets:
+//      the arch-invariant draw byte-compared per target, pinned full runs
 //      fingerprint-compared, plus the profile's width/thread invariance;
 //      then (8b) the fused draw transform and the first-writer
 //      relaxation per target against their scalar references;
-//   9. end-to-end time attribution of one batched sample into
+//   9. end-to-end time attribution of one BatchedSimd sample into
 //      normals / transform / propagation / tally phases, gated to sum to
 //      the wall clock within 5 % — the measurement that explains why
 //      batchN_speedup_e2e sits near 1.0 while the isolated kernel wins;
-//  10. statistical cross-profile gates: the profiles use different
-//      (equally valid) random streams, so their stage-slack fits must
-//      agree to sampling error — disagreement beyond ~8 standard errors
-//      means one of the engines is wrong;
+//  10. the statistical cross-profile gate: Scalar and BatchedSimd use
+//      different (equally valid) random streams, so their stage-slack
+//      fits must agree to sampling error — disagreement beyond ~8
+//      standard errors means one of the engines is wrong;
 //  11. adaptive sequential sampling vs the fixed budget at an equal
 //      a-priori CI target: sample savings (soft), plus the hard
 //      prefix-equivalence gate — the adaptive run stopping at N must be
 //      bit-identical to a fixed run with samples = N, serial and pooled.
 //
 // Scalar-profile configurations must reproduce the scalar-serial
-// reference bit-for-bit; Batched-profile configurations must reproduce
-// the batched reference bit-for-bit; every SIMD dispatch target must
-// reproduce the scalar propagation bits and the one BatchedSimd stream.
-// Any mismatch — or a statistical disagreement between the profiles —
-// is a hard failure; CI runs this binary as the smoke check.  Emits
-// BENCH_mc.json for trajectory tracking across PRs.
+// reference bit-for-bit; BatchedSimd configurations must reproduce one
+// BatchedSimd reference across widths, threads and every SIMD dispatch
+// target; every dispatch target must reproduce the scalar propagation
+// bits.  Any mismatch — or a statistical disagreement between the
+// profiles — is a hard failure; CI runs this binary as the smoke check.
+// Emits BENCH_mc.json for trajectory tracking across PRs.
 //
 // Options: --samples N (default 1536), --out PATH (default: repo root).
 
@@ -101,7 +99,7 @@ std::string fingerprint(const McResult& r) {
   return os.str();
 }
 
-/// Scalar-vs-batched statistical gate.  The profiles draw from different
+/// Scalar-vs-BatchedSimd statistical gate.  The profiles draw from different
 /// streams, so per-sample bits differ by design; the stage-slack normal
 /// fits, however, estimate the SAME population.  With n samples each,
 /// the difference of two independent mean estimates has standard error
@@ -208,11 +206,11 @@ int main(int argc, char** argv) {
   out.set("scalar_serial_s", scalar_s);
   out.set("scalar_samples_per_sec", scalar_sps);
 
-  // 2. Batched end-to-end, still serial: modest by design — the factor
-  // draw (RNG + device-physics transcendentals per gate) dominates a
-  // sample under the Scalar profile and is identical in both paths;
-  // sections 4-6 isolate the kernels and section 5 measures the Batched
-  // profile that removes the draw bottleneck.
+  // 2. The batched kernel end-to-end, still serial: modest by design —
+  // the factor draw (RNG + device-physics transcendentals per gate)
+  // dominates a sample under the Scalar profile and is identical in both
+  // paths; sections 4 and 6 isolate the kernels and section 8 measures
+  // the BatchedSimd profile that removes the draw bottleneck.
   for (int batch : {4, 8, 16, 32}) {
     auto [res_b, secs] = run(DrawProfile::Scalar, batch, nullptr);
     const bool same = fingerprint(res_b) == reference;
@@ -229,7 +227,7 @@ int main(int argc, char** argv) {
     out.set(key, speedup);
   }
 
-  // 3. Batched + parallel sampling.  Thread counts beyond the machine's
+  // 3. Batch 8 + parallel sampling.  Thread counts beyond the machine's
   // hardware concurrency measure scheduler thrash, not scaling: those
   // points still run (the determinism contract must hold at ANY thread
   // count) but are recorded under oversub_* keys, excluded from the
@@ -317,58 +315,11 @@ int main(int argc, char** argv) {
   out.set("kernel_batch8_us_per_lane", prop_us_per_lane);
   out.set("kernel_speedup_b8", kernel_speedup);
 
-  // 5. The Batched draw profile end-to-end: bulk normals + delay-factor
-  // tables write the propagation kernel's SoA directly.  Within the
-  // profile the McResult is bit-identical for any width and any thread
-  // count (a versioned contract, checked here the same way the Scalar
-  // profile is checked against the seed path above).
-  Table bt({"config", "wall [s]", "samples/sec", "vs scalar", "identical"});
-  auto [batched_ref, batched_ref_s] = run(DrawProfile::Batched, 8, nullptr);
-  const std::string batched_reference = fingerprint(batched_ref);
-  bool batched_identical = true;
-  double batched_best_serial_sps = samples / batched_ref_s;
-  bt.add_row({"batched w8 serial", Table::num(batched_ref_s, 3),
-              Table::num(samples / batched_ref_s, 0),
-              Table::num(scalar_s / batched_ref_s, 2), "ref"});
-  for (int batch : {4, 16, 32}) {
-    auto [res_b, secs] = run(DrawProfile::Batched, batch, nullptr);
-    const bool same = fingerprint(res_b) == batched_reference;
-    batched_identical &= same;
-    batched_best_serial_sps = std::max(batched_best_serial_sps, samples / secs);
-    char label[32];
-    std::snprintf(label, sizeof label, "batched w%d serial", batch);
-    bt.add_row({label, Table::num(secs, 3), Table::num(samples / secs, 0),
-                Table::num(scalar_s / secs, 2), same ? "yes" : "NO (BUG)"});
-  }
-  for (unsigned threads : {2u, 4u, 8u}) {
-    const bool oversub = threads > hw;
-    ThreadPool pool(threads);
-    auto [res_t, secs] = run(DrawProfile::Batched, 8, &pool);
-    const bool same = fingerprint(res_t) == batched_reference;
-    batched_identical &= same;
-    char label[48];
-    std::snprintf(label, sizeof label, "batched w8, %u threads%s", threads,
-                  oversub ? " (oversub)" : "");
-    bt.add_row({label, Table::num(secs, 3), Table::num(samples / secs, 0),
-                oversub ? "-" : Table::num(scalar_s / secs, 2),
-                same ? "yes" : "NO (BUG)"});
-    char key[56];
-    std::snprintf(key, sizeof key,
-                  oversub ? "batched_oversub_t%u_samples_per_sec"
-                          : "batched_samples_per_sec_t%u",
-                  threads);
-    out.set(key, samples / secs);
-  }
-  std::printf("%s\n", bt.render().c_str());
-  const double batched_speedup = batched_best_serial_sps / scalar_sps;
-  out.set("batched_profile_samples_per_sec", batched_best_serial_sps);
-  out.set("batched_profile_speedup_vs_scalar", batched_speedup);
-
   // 6. The draw in isolation: the batched engine's whole point is that
   // factor generation stops dominating propagation.  Time the scalar
-  // draw (per-gate polar normals + exact pow quotient) against
-  // draw_factors_batch (bulk Box-Muller + table lookup) and compare both
-  // to the batch-8 propagation cost per lane.
+  // draw (per-gate polar normals + exact pow quotient) against the
+  // BatchedSimd draw_factors_batch (bulk Box-Muller + table lookup) and
+  // compare both to the batch-8 propagation cost per lane.
   double draw_scalar_us = 0.0, draw_batch_us = 0.0;
   {
     const int draw_lanes = kernel_lanes;
@@ -394,7 +345,7 @@ int main(int argc, char** argv) {
     const double ratio_scalar = draw_scalar_us / prop_us_per_lane;
     const double ratio_batched = draw_batch_us / prop_us_per_lane;
     std::printf("factor draw alone (%d lanes): scalar %.2f us/sample "
-                "(%.1fx propagation), batched %.2f us/sample "
+                "(%.1fx propagation), BatchedSimd %.2f us/sample "
                 "(%.1fx propagation), draw speedup %.2fx\n",
                 draw_lanes, draw_scalar_us, ratio_scalar, draw_batch_us,
                 ratio_batched, draw_scalar_us / draw_batch_us);
@@ -404,7 +355,7 @@ int main(int argc, char** argv) {
     out.set("draw_over_prop_scalar", ratio_scalar);
     out.set("draw_over_prop_batched", ratio_batched);
     if (ratio_batched > 3.0) {
-      std::printf("WARNING: batched draw still dominates propagation "
+      std::printf("WARNING: BatchedSimd draw still dominates propagation "
                   "%.1fx > 3x\n", ratio_batched);
     }
     std::printf("\n");
@@ -477,13 +428,10 @@ int main(int argc, char** argv) {
   // 8. The BatchedSimd stream across dispatch targets.  The SIMD layer's
   // own Box-Muller (Rng::normals_simd -> v_log / v_sincos) must produce
   // the SAME bytes on every target — that is the whole reason the
-  // profile is versioned (DESIGN.md §17).  Three gates, all hard:
-  //   a) draw isolation: draw_factors_batch(simd_normals = true) byte-
-  //      compared (memcmp) across every target;
-  //   b) a pinned Batched full run must still reproduce the batched
-  //      reference — the relax and table kernels are TRANSPARENT: they
-  //      dispatch by ISA yet never change bits in any profile;
-  //   c) pinned BatchedSimd full runs must fingerprint identically
+  // profile is versioned (DESIGN.md §17).  Two gates, both hard:
+  //   a) draw isolation: draw_factors_batch byte-compared (memcmp)
+  //      across every target;
+  //   b) pinned BatchedSimd full runs must fingerprint identically
   //      across targets, plus the profile's own width/thread invariance.
   bool simd_identical = true;
   McResult simd_ref;
@@ -501,7 +449,7 @@ int main(int argc, char** argv) {
       for (int k = 0; k < draw_lanes; k += 8) {
         model.draw_factors_batch(design, sta, systematic, stencils, base.seed,
                                  static_cast<std::uint64_t>(k), 8,
-                                 std::span(factor_soa), scratch, true);
+                                 std::span(factor_soa), scratch);
       }
       const std::chrono::duration<double> dsimd_s = clock::now() - t0;
       // Untimed verify pass: regenerate every batch and byte-compare the
@@ -511,7 +459,7 @@ int main(int argc, char** argv) {
       for (int k = 0; k < draw_lanes; k += 8) {
         model.draw_factors_batch(design, sta, systematic, stencils, base.seed,
                                  static_cast<std::uint64_t>(k), 8,
-                                 std::span(factor_soa), scratch, true);
+                                 std::span(factor_soa), scratch);
         if (first_target) {
           ref_stream.insert(ref_stream.end(), factor_soa.begin(),
                             factor_soa.end());
@@ -532,11 +480,7 @@ int main(int argc, char** argv) {
       } else {
         fp_same = fp == simd_reference;
       }
-      auto [batched_again, batched_again_s] =
-          run(DrawProfile::Batched, 8, nullptr);
-      (void)batched_again_s;
-      const bool transparent = fingerprint(batched_again) == batched_reference;
-      simd_identical &= bytes_same && fp_same && transparent;
+      simd_identical &= bytes_same && fp_same;
       const double us = dsimd_s.count() / draw_lanes * 1e6;
       char key[48];
       std::snprintf(key, sizeof key, "draw_%s_us_per_sample",
@@ -545,14 +489,12 @@ int main(int argc, char** argv) {
       st.add_row({simd::arch_name(a), Table::num(us, 2),
                   bytes_same ? (first_target ? "ref" : "identical")
                              : "MISMATCH",
-                  !transparent
-                      ? "batched DIVERGED"
-                      : (fp_same ? (first_target ? "ref" : "identical")
-                                 : "MISMATCH")});
+                  fp_same ? (first_target ? "ref" : "identical")
+                          : "MISMATCH"});
     }
     simd::reset_arch();
     // Width/thread invariance of the BatchedSimd profile itself — the
-    // same contract Batched carries, checked the same way.  The unpinned
+    // same contract Scalar carries, checked the same way.  The unpinned
     // batch-8 serial run doubles as the profile's throughput number: the
     // pinned loop above starts with the scalar target, whose draw cost
     // says nothing about what the autodetected dispatch delivers.
@@ -597,7 +539,7 @@ int main(int argc, char** argv) {
     const DelayFactorTables& tbl = model.delay_factor_tables();
     const std::vector<std::int32_t> rows = model.table_rows(design, sta);
     VariationModel::DrawScratch scratch;
-    model.draw_eps_batch(stencils, n_inst, base.seed, 0, kW, scratch, true);
+    model.draw_eps_batch(stencils, n_inst, base.seed, 0, kW, scratch);
     AlignedVec<double> want(n_inst * kW);
     for (std::size_t k = 0; k < want.size(); ++k) {
       const double d = std::clamp(scratch.sigma * scratch.eps[k],
@@ -666,7 +608,7 @@ int main(int argc, char** argv) {
   }
 
   // 9. End-to-end time attribution of one batched sample.  Replicate the
-  // engine's Batched per-batch loop phase-by-phase — the factor draw
+  // engine's BatchedSimd per-batch loop phase-by-phase — the factor draw
   // split into its normals (draw_eps_batch) and fused transform
   // (transform_batch) halves, with the table rows built once per run as
   // the engine does, SoA propagation (analyze_batch_soa), tally reduce
@@ -677,8 +619,8 @@ int main(int argc, char** argv) {
   // isolated batch-8 kernel beats scalar propagation ~2x, yet
   // batchN_speedup_e2e sits near 1.0 because under the SCALAR profile
   // the per-gate draw (polar normals + pow) dominates wall time and is
-  // identical in both paths.  The Batched profile shrinks exactly that
-  // phase, which is where section 5's end-to-end speedup comes from.
+  // identical in both paths.  The BatchedSimd profile shrinks exactly
+  // that phase, which is where section 8's end-to-end speedup comes from.
   bool attribution_ok = true;
   double attribution_frac = 0.0;
   {
@@ -700,7 +642,7 @@ int main(int argc, char** argv) {
     for (int k = 0; k < att_samples; k += 8) {
       const auto tp = clock::now();
       model.draw_eps_batch(stencils, n_inst, base.seed,
-                           static_cast<std::uint64_t>(k), 8, scratch, false);
+                           static_cast<std::uint64_t>(k), 8, scratch);
       const auto tn = clock::now();
       model.transform_batch(rows, systematic, 8, scratch,
                             std::span(factor_soa));
@@ -735,7 +677,7 @@ int main(int argc, char** argv) {
     attribution_ok = std::abs(phase_sum - wall) <= 0.05 * wall;
     const double us = 1e6 / att_samples;
     std::printf(
-        "batched-profile time attribution (%d samples, batch 8, serial):\n"
+        "BatchedSimd time attribution (%d samples, batch 8, serial):\n"
         "  normals    %8.2f us/sample  (%4.1f%% of wall)\n"
         "  transform  %8.2f us/sample  (%4.1f%% of wall)\n"
         "  prop       %8.2f us/sample  (%4.1f%% of wall)\n"
@@ -750,8 +692,8 @@ int main(int argc, char** argv) {
         "  -> section 2's batchN_speedup_e2e ~ 1.0 explained: the Scalar "
         "profile draws at %.1f us/sample in BOTH the batch-1 and batch-N "
         "paths, dwarfing the %.2f -> %.2f us/lane propagation win; the "
-        "Batched draw cuts that phase to %.1f us/sample, which is where "
-        "section 5's end-to-end gain comes from\n\n",
+        "BatchedSimd draw cuts that phase to %.1f us/sample, which is where "
+        "section 8's end-to-end gain comes from\n\n",
         draw_scalar_us, kern_scalar_s.count() / kernel_lanes * 1e6,
         prop_us_per_lane, draw_batch_us);
     out.set("e2e_draw_us_per_sample", t_draw * us);
@@ -762,12 +704,10 @@ int main(int argc, char** argv) {
     out.set("e2e_phase_sum_over_wall", attribution_frac);
   }
 
-  // 10. Statistical agreement between the profiles (hard gates): Batched
-  // and BatchedSimd each use a different stream than Scalar, but all
-  // three estimate the same population.
+  // 10. Statistical agreement between the profiles (hard gate):
+  // BatchedSimd uses a different stream than Scalar, but both estimate
+  // the same population.
   const bool stats_ok = stages_statistically_agree(
-      "scalar-vs-batched", scalar_ref, batched_ref, samples);
-  const bool simd_stats_ok = stages_statistically_agree(
       "scalar-vs-batchedsimd", scalar_ref, simd_ref, samples);
 
   // 11. Adaptive sequential sampling vs the fixed budget (DESIGN.md §14).
@@ -869,12 +809,6 @@ int main(int argc, char** argv) {
                 "differs from the scalar-serial reference\n");
     return 1;
   }
-  if (!batched_identical) {
-    std::printf("DETERMINISM VIOLATION: a Batched-profile configuration "
-                "differs from the batched reference (width/thread layout "
-                "leaked into the draw)\n");
-    return 1;
-  }
   if (!isa_identical) {
     std::printf("BIT-IDENTITY VIOLATION: a pinned dispatch target's batched "
                 "propagation diverged from scalar analyze() — the per-lane "
@@ -889,8 +823,7 @@ int main(int argc, char** argv) {
   }
   if (!simd_identical) {
     std::printf("BIT-IDENTITY VIOLATION: the BatchedSimd stream is not "
-                "invariant across dispatch targets / widths / threads, or a "
-                "pinned Batched run diverged from the batched reference\n");
+                "invariant across dispatch targets / widths / threads\n");
     return 1;
   }
   if (!attribution_ok) {
@@ -901,10 +834,10 @@ int main(int argc, char** argv) {
                 100.0 * attribution_frac);
     return 1;
   }
-  if (!stats_ok || !simd_stats_ok) {
-    std::printf("STATISTICAL DISAGREEMENT: a profile's stage-slack fits "
-                "differ from the Scalar profile beyond sampling error — one "
-                "of the draw engines is biased\n");
+  if (!stats_ok) {
+    std::printf("STATISTICAL DISAGREEMENT: the BatchedSimd stage-slack fits "
+                "differ from the Scalar profile's beyond sampling error — "
+                "one of the draw engines is biased\n");
     return 1;
   }
   if (!adaptive_identical) {
@@ -920,10 +853,6 @@ int main(int argc, char** argv) {
   if (kernel_speedup < 1.5) {
     std::printf("WARNING: batched kernel speedup %.2fx below the 1.5x "
                 "target\n", kernel_speedup);
-  }
-  if (batched_speedup < 2.0) {
-    std::printf("WARNING: Batched-profile serial throughput %.2fx the scalar "
-                "baseline, below the 2x target\n", batched_speedup);
   }
   // The 4x combined target needs real cores; smaller machines still
   // verified bit-identity above, which is the part that silently breaks.

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   const WaferModel wafer{wc};
   YieldConfig yc;
   yc.mc.samples = bench::arg_int(argc, argv, "--samples", 12);
-  yc.mc.profile = DrawProfile::Batched;
+  yc.mc.profile = DrawProfile::BatchedSimd;
   std::printf("# wafer: %zu dies (%.0f mm), %d MC samples/die\n\n",
               wafer.num_dies(), wc.wafer_diameter_mm, yc.mc.samples);
 

@@ -6,7 +6,7 @@
 // report (the determinism-under-parallelism contract).  Thread counts
 // beyond hardware_concurrency() still run the determinism check but are
 // recorded under oversub_* keys and never reported as speedups.  A
-// second sweep repeats the run under the Batched draw profile (bulk
+// second sweep repeats the run under the BatchedSimd draw profile (bulk
 // normals + factor tables in the per-die MC), which must be identical
 // across thread counts WITHIN the profile.  A third sweep turns the
 // analytical triage tier on (DESIGN.md §16) and hard-gates on its
@@ -169,14 +169,14 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", t.render().c_str());
 
-  // The same wafer under the Batched draw profile: the per-die MC draws
-  // its factors through the bulk engine.  The report is bit-identical
+  // The same wafer under the BatchedSimd draw profile: the per-die MC
+  // draws its factors through the bulk engine.  The report is bit-identical
   // across thread counts within the profile (its own contract; the
   // per-sample stream differs from Scalar by design, so the two
   // profiles' reports are compared statistically in bench/mc_ssta, not
   // here).
-  auto [batched_serial, batched_s] = run(with_profile(DrawProfile::Batched),
-                                         nullptr);
+  auto [batched_serial, batched_s] =
+      run(with_profile(DrawProfile::BatchedSimd), nullptr);
   const std::string batched_reference = fingerprint(batched_serial);
   Table bt({"threads", "wall [s]", "dies/sec", "vs scalar", "identical"});
   bt.add_row({"serial", Table::num(batched_s, 2),
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
   for (unsigned threads : {2u, 4u}) {
     const bool oversub = threads > hw;
     ThreadPool pool(threads);
-    auto [report, secs] = run(with_profile(DrawProfile::Batched), &pool);
+    auto [report, secs] = run(with_profile(DrawProfile::BatchedSimd), &pool);
     const bool same = fingerprint(report) == batched_reference;
     char label[32];
     std::snprintf(label, sizeof label, "%u%s", threads,
@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
       out.set(key, dies / secs);
     }
     if (!same) {
-      std::printf("DETERMINISM VIOLATION within the Batched profile at "
+      std::printf("DETERMINISM VIOLATION within the BatchedSimd profile at "
                   "%u threads\n", threads);
       return 1;
     }
@@ -214,13 +214,13 @@ int main(int argc, char** argv) {
   // MC budget entirely.  Three hard gates ride on this section:
   //   1. byte-determinism across thread counts, as for every profile;
   //   2. non-MC exactness — a triaged die's policy / wns / power /
-  //      silicon bits must match the triage-off Batched run EXACTLY (the
-  //      screen may only ever replace MC population statistics);
+  //      silicon bits must match the triage-off BatchedSimd run EXACTLY
+  //      (the screen may only ever replace MC population statistics);
   //   3. statistical agreement — among analytically-decided dies, the
   //      analytic severity verdict may disagree with the full-MC verdict
   //      on at most ceil(3 * (1 - confidence) * decided) dies, the
   //      band's stated error rate with 3x headroom.
-  YieldConfig tc = with_profile(DrawProfile::Batched);
+  YieldConfig tc = with_profile(DrawProfile::BatchedSimd);
   tc.triage.enabled = true;
   auto [triage_serial, triage_s] = run(tc, nullptr);
   const std::string triage_reference = fingerprint(triage_serial);
@@ -254,7 +254,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", tt.render().c_str());
 
   // Gate 2: every output the screen is NOT allowed to touch, compared
-  // bit-for-bit (hexfloat) against the triage-off Batched run.
+  // bit-for-bit (hexfloat) against the triage-off BatchedSimd run.
   const auto non_mc_fingerprint = [](const std::vector<YieldReport>& rs) {
     std::ostringstream os;
     os << std::hexfloat;
@@ -319,9 +319,9 @@ int main(int argc, char** argv) {
   // macromodel EVALUATION (3-scalar basis fit + interpolation) instead
   // of a full canonical gate-graph pass.  The triage section's hard
   // gates all apply — byte-determinism across thread counts, non-MC
-  // exactness vs the macro-off Batched run, statistical severity
+  // exactness vs the macro-off BatchedSimd run, statistical severity
   // agreement within the band's stated error rate.
-  YieldConfig mcc = with_profile(DrawProfile::Batched);
+  YieldConfig mcc = with_profile(DrawProfile::BatchedSimd);
   mcc.tier = EvalTier::Macro;
   double characterize_s;
   {

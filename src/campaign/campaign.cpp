@@ -120,6 +120,7 @@ std::vector<CampaignCell> CampaignRunner::expand(
       throw std::invalid_argument("campaign: mc_samples must be positive");
     }
   }
+  spec.base.validate();
 
   // Resolve the variant axis: explicit names, or every registered
   // variant in registration order.

@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <numbers>
 #include <span>
 
 namespace vipvt {
@@ -117,32 +116,20 @@ class Rng {
   /// Bernoulli trial with probability p of returning true.
   bool chance(double p) noexcept { return uniform() < p; }
 
-  /// Fill `out` with i.i.d. standard-normal deviates.  This is the bulk
-  /// generator of the batched draw profile: counter-driven Box-Muller
-  /// instead of the polar method — no rejection loop, no cached-deviate
-  /// state, one fixed-work iteration per output pair.  Exactly TWO parent
-  /// next() calls are consumed regardless of out.size(): they key two
+  /// Fill `out` with i.i.d. standard-normal deviates: the bulk generator
+  /// of the BatchedSimd draw profile.  Counter-driven Box-Muller instead
+  /// of the polar method — no rejection loop, no cached-deviate state, one
+  /// fixed-work iteration per output pair.  Exactly TWO parent next()
+  /// calls are consumed regardless of out.size(): they key two
   /// splitmix64-finalized counter streams that supply the uniforms.
   /// Consequences relied on by callers (and pinned in test_util_rng):
   ///   * out[i] depends only on (parent state at entry, i) — prefixes are
-  ///     stable, so normals(m) is a prefix of normals(n) for m <= n;
+  ///     stable, so a fill of m is a prefix of a fill of n for m <= n;
   ///   * an odd-length fill drops the second deviate of the last pair.
-  /// Defined in rng.cpp: the fill evaluates fixed-size blocks in
-  /// struct-of-arrays form and that file is compiled with vector-math
-  /// flags, so log/sin/cos run 2-4 lanes wide through libmvec.  Every
-  /// counter position is always evaluated at the same block/lane slot,
-  /// which is what keeps prefixes bit-stable under vectorization.
-  void normals(std::span<double> out) noexcept;
-
-  /// Like normals(), but the Box-Muller log/sin/cos run through the SIMD
-  /// kernel layer's own vector math (DESIGN.md §17) instead of libm /
-  /// libmvec.  Same contract — exactly two parent next() calls, counter-
-  /// driven prefix-stable output, odd tails drop the second deviate — but
-  /// a DIFFERENT stream than normals(): normals() bits depend on the host
-  /// libm build, while this stream is bit-identical across ISAs, compilers
-  /// and build flags, because every dispatch target instantiates the same
-  /// kernel body with contraction disabled.  Reachable through
-  /// DrawProfile::BatchedSimd; never substituted silently.  Defined in
+  /// The log/sin/cos run through the SIMD kernel layer's own vector math
+  /// (DESIGN.md §17), never libm, so the stream is bit-identical across
+  /// ISAs, compilers and build flags: every dispatch target instantiates
+  /// the same kernel body with contraction disabled.  Defined in
   /// simd/dispatch.cpp.
   void normals_simd(std::span<double> out) noexcept;
 

@@ -1,10 +1,10 @@
 // Bulk Marsaglia polar normals (Rng::normals_polar, DESIGN.md §20): the
 // exact arithmetic of Rng::normal(), reorganized into phases so the
 // rejection branch, the sqrt and the division stop serializing one
-// deviate pair at a time.  Compiled with -ffp-contract=off and without
-// the -ffast-math of rng.cpp: every value must be the bits normal()
-// computes, so log stays libm's scalar std::log and the vector phases use
-// only correctly-rounded operations (util/simd/vec.hpp).
+// deviate pair at a time.  Compiled with -ffp-contract=off: every value
+// must be the bits normal() computes, so log stays libm's scalar std::log
+// and the vector phases use only correctly-rounded operations
+// (util/simd/vec.hpp).
 
 #include <algorithm>
 #include <cmath>

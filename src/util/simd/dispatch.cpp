@@ -165,16 +165,16 @@ std::string cpu_features() {
 
 namespace vipvt {
 
-// Defined here (not rng.cpp) so the Rng TU keeps its -ffast-math compile
-// options away from anything feeding the dispatch-stable kernels.
+// The bulk Box-Muller fills are defined beside the dispatcher whose
+// kernels compute them.
 void Rng::normals_simd(std::span<double> out) noexcept {
   normals_simd_lanes({this, 1}, out.data(), out.size(), 1);
 }
 
 void Rng::normals_simd_lanes(std::span<Rng> lanes, double* out, std::size_t n,
                              std::size_t stride) noexcept {
-  // Like normals(), the two parent draws happen regardless of the request
-  // size, keeping downstream streams length-independent.  Keys go to the
+  // The two parent draws happen regardless of the request size, keeping
+  // downstream streams length-independent.  Keys go to the
   // kernel in groups that fit a fixed buffer; grouping never moves bits.
   constexpr std::size_t kGroup = 16;
   std::uint64_t keys[2 * kGroup];

@@ -60,10 +60,10 @@ using DrawTransformFn = void (*)(const double* coef, std::int32_t row_stride,
                                  double clamp, double* out, std::size_t n,
                                  std::size_t width);
 
-/// Counter-driven bulk Box–Muller fill for Rng::normals_simd: same block
-/// structure as Rng::normals (128-pair blocks, prefix-stable), but the
-/// log/sin/cos run through the layer's own vector math so the output bits
-/// are identical across ISAs, compilers and build flags.  Fills `lanes`
+/// Counter-driven bulk Box–Muller fill for Rng::normals_simd in fixed
+/// 128-pair blocks (prefix-stable); the log/sin/cos run through the
+/// layer's own vector math so the output bits are identical across ISAs,
+/// compilers and build flags.  Fills `lanes`
 /// independent streams, lane l keyed by (keys[2l], keys[2l+1]), with
 /// deviate k of lane l at out[k * stride + l] (stride >= lanes): one lane
 /// at stride 1 is the contiguous fill; all lanes of a batch at stride =

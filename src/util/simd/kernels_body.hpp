@@ -11,8 +11,8 @@
 // The relax/transform kernels mirror pre-existing scalar code exactly
 // (StaEngine::relax_edges, DelayFactorTables::eval_row) and are therefore
 // transparently dispatchable: swapping ISA never changes result bits.
-// normals_fill_body is a NEW numeric path (own vector log/sincos instead of
-// libm/libmvec) and is only reachable through DrawProfile::BatchedSimd.
+// normals_fill_body has no libm counterpart (own vector log/sincos) and is
+// only reachable through DrawProfile::BatchedSimd.
 //
 // The vector log/sincos are double-precision Cephes evaluations
 // (Moshier, netlib cephes/cmath: log.c, sin.c).  Their domains here are
@@ -251,10 +251,10 @@ inline void draw_transform_body(const double* coef, std::int32_t row_stride,
   }
 }
 
-/// Counter-driven bulk Box–Muller fill (Rng::normals_simd engine).  Mirrors
-/// the block structure of Rng::normals (rng.cpp): fixed 128-pair blocks,
-/// full-block padding for prefix stability, interleaved (cos, sin) output,
-/// odd tail keeps only the cosine branch.  Counter generation stays scalar
+/// Counter-driven bulk Box–Muller fill (Rng::normals_simd engine): fixed
+/// 128-pair blocks, full-block padding for prefix stability, interleaved
+/// (cos, sin) output, odd tail keeps only the cosine branch.  Counter
+/// generation stays scalar
 /// (splitmix64 is cheap); the log/sqrt/sincos run through the policy, and
 /// 128 % W == 0 for every policy so blocks never need a remainder lane.
 /// Lane l's deviate k is stored at out[k * stride + l]; lanes run block

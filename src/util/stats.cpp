@@ -540,6 +540,8 @@ NormalFit fit_normal(std::span<const double> samples, double confidence) {
 
 double percentile(std::vector<double> samples, double p) {
   if (samples.empty()) throw std::invalid_argument("percentile: empty data");
+  // std::clamp passes NaN through, and NaN reaches the index cast below.
+  if (std::isnan(p)) throw std::invalid_argument("percentile: p is NaN");
   p = std::clamp(p, 0.0, 1.0);
   std::sort(samples.begin(), samples.end());
   const double pos = p * static_cast<double>(samples.size() - 1);

@@ -230,6 +230,8 @@ struct NormalFit {
 NormalFit fit_normal(std::span<const double> samples, double confidence = 0.95);
 
 /// p-th percentile (p in [0,1]) by linear interpolation of the sorted data.
+/// A p outside [0, 1] clamps; empty data or a NaN p throws
+/// std::invalid_argument.
 double percentile(std::vector<double> samples, double p);
 
 }  // namespace vipvt

@@ -5,6 +5,8 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "util/parallel.hpp"
 
@@ -60,7 +62,7 @@ struct McWorker {
 
   StaEngine engine;
   std::vector<std::vector<double>> factors;  ///< Scalar profile lanes
-  AlignedVec<double> factor_soa;  ///< Batched/BatchedSimd lanes (SoA, 64B)
+  AlignedVec<double> factor_soa;  ///< BatchedSimd lanes (SoA, 64B)
   VariationModel::DrawScratch scratch;
   std::vector<StaResult> results;
   std::vector<std::uint32_t> crit;        ///< samples with slack < 0
@@ -87,6 +89,14 @@ McResult MonteCarloSsta::run_with_systematic(
     throw std::invalid_argument(
         "MonteCarloSsta: degenerate AdaptivePolicy (need 1 <= min_samples "
         "<= max_samples, check_every_batches >= 1, confidence in (0,1))");
+  }
+  if (cfg.profile != DrawProfile::Scalar &&
+      cfg.profile != DrawProfile::BatchedSimd) {
+    throw std::invalid_argument(
+        "MonteCarloSsta: unknown draw profile id " +
+        std::to_string(static_cast<int>(cfg.profile)) +
+        " (id 1, the Batched profile, is retired; use Scalar = 0 or "
+        "BatchedSimd = 2)");
   }
   // Fixed mode runs the whole budget; adaptive mode treats it as a cap
   // and may stop at any earlier round boundary.
@@ -162,12 +172,9 @@ McResult MonteCarloSsta::run_with_systematic(
         std::min<std::size_t>(static_cast<std::size_t>(width), cap - first);
     if (cfg.profile != DrawProfile::Scalar) {
       // Draw all lanes in one pass directly into the SoA layout the
-      // propagation kernel consumes; no per-batch transpose.  BatchedSimd
-      // only swaps the bulk normal stream (Rng::normals_simd); the rest
-      // of the engine is shared with Batched.
+      // propagation kernel consumes; no per-batch transpose.
       model_->draw_eps_batch(stencils, num_inst, cfg.seed, first, lanes,
-                             w.scratch,
-                             cfg.profile == DrawProfile::BatchedSimd);
+                             w.scratch);
       model_->transform_batch(rows, systematic, lanes, w.scratch,
                               std::span(w.factor_soa).first(num_inst * lanes));
       w.engine.analyze_batch_soa(

@@ -22,31 +22,27 @@ class ThreadPool;
 
 /// Versioned draw profiles.  A profile fixes the exact bit-stream of the
 /// per-sample factor draw; results are comparable across machines and
-/// releases only within a profile.
+/// releases only within a profile.  Ids are stable: id 1 (the libm
+/// "Batched" profile) is retired, and MonteCarloSsta::run rejects it, like
+/// any id it does not know, with std::invalid_argument rather than run
+/// another stream in its place (DESIGN.md §17).
 enum class DrawProfile : int {
   /// The seed path: per-gate polar normals + exact alpha-power quotient
   /// per gate per sample.  Stays bit-identical to the original
   /// implementation forever — the reproducibility anchor.
   Scalar = 0,
-  /// The vectorized engine: counter-driven Box-Muller bulk normals
-  /// (Rng::normals) + delay-factor interpolation tables
-  /// (VariationModel::draw_factors_batch), writing the propagation
+  /// The vectorized engine: counter-driven Box-Muller bulk normals whose
+  /// log/sin/cos run through the SIMD kernel layer's own vector math
+  /// (Rng::normals_simd, DESIGN.md §17) + delay-factor interpolation
+  /// tables (VariationModel::draw_factors_batch), writing the propagation
   /// kernel's SoA layout directly.  Its own determinism contract:
   /// bit-identical for any thread count and any batch width, but a
-  /// DIFFERENT (statistically equivalent) stream than Scalar.
-  Batched = 1,
-  /// The Batched engine with the Box-Muller log/sin/cos routed through
-  /// the SIMD kernel layer's own vector math (Rng::normals_simd,
-  /// DESIGN.md §17) instead of libm/libmvec.  Its NORMAL STREAM is
-  /// identical across ISAs, compilers and build flags, because every
-  /// dispatch target instantiates the same kernel body with FMA
+  /// DIFFERENT (statistically equivalent) stream than Scalar.  Its NORMAL
+  /// STREAM is identical across ISAs, compilers and build flags, because
+  /// every dispatch target instantiates the same kernel body with FMA
   /// contraction disabled.  Its McResult is not: the factor-table knots
   /// (pow) still come from the host libm, whose FMA and non-FMA builds
-  /// differ in the last bit on some inputs.  Same determinism contract
-  /// as Batched (thread- and width-invariant); yet another DIFFERENT,
-  /// statistically equivalent stream.  This versioned profile exists
-  /// precisely so the SIMD math is never silently substituted into an
-  /// existing stream.
+  /// differ in the last bit on some inputs.
   BatchedSimd = 2,
 };
 
@@ -177,7 +173,8 @@ class MonteCarloSsta {
   /// (DESIGN.md §14), and the result is bit-identical to a fixed run
   /// with samples = the stopping N.  Throws std::invalid_argument for a
   /// degenerate policy (min/max/cadence < 1, max < min, confidence
-  /// outside (0,1)).
+  /// outside (0,1)) and for a draw profile other than Scalar or
+  /// BatchedSimd.
   McResult run(const DieLocation& loc, const McConfig& cfg,
                ThreadPool* pool = nullptr) const;
 

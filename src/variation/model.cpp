@@ -16,17 +16,12 @@ CorrelatedField::CorrelatedField(double pitch_um, int grid, double sigma_nm,
 }
 
 CorrelatedField CorrelatedField::bulk(double pitch_um, int grid,
-                                      double sigma_nm, Rng& rng,
-                                      bool simd_normals) {
+                                      double sigma_nm, Rng& rng) {
   CorrelatedField f;
   f.pitch_um_ = pitch_um;
   f.grid_ = grid;
   f.values_.resize(static_cast<std::size_t>(grid + 1) * (grid + 1));
-  if (simd_normals) {
-    rng.normals_simd(f.values_);
-  } else {
-    rng.normals(f.values_);
-  }
+  rng.normals_simd(f.values_);
   for (auto& v : f.values_) v *= sigma_nm;
   return f;
 }
@@ -250,9 +245,14 @@ void VariationModel::draw_factors_batch(
     std::uint64_t first_sample, std::size_t width,
     std::span<double> factor_soa, DrawScratch& scratch,
     bool simd_normals) const {
+  if (!simd_normals) {
+    throw std::invalid_argument(
+        "draw_factors_batch: simd_normals = false selected the retired "
+        "Batched draw profile (id 1); only the BatchedSimd stream remains");
+  }
   scratch.rows = table_rows(design, sta);
   draw_eps_batch(stencils, design.num_instances(), seed, first_sample, width,
-                 scratch, simd_normals);
+                 scratch);
   transform_batch(scratch.rows, systematic_lgate_nm, width, scratch,
                   factor_soa);
 }
@@ -270,7 +270,7 @@ std::vector<std::int32_t> VariationModel::table_rows(
 void VariationModel::draw_eps_batch(
     std::span<const CorrelatedField::Stencil> stencils, std::size_t n,
     std::uint64_t seed, std::uint64_t first_sample, std::size_t width,
-    DrawScratch& scratch, bool simd_normals) const {
+    DrawScratch& scratch) const {
   const bool correlated = cfg_.correlated_fraction > 0.0;
   if (correlated && stencils.size() < n) {
     throw std::invalid_argument("draw_factors_batch: short stencil span");
@@ -291,7 +291,7 @@ void VariationModel::draw_eps_batch(
   for (std::size_t lane = 0; lane < width; ++lane) {
     scratch.rngs[lane] = Rng(substream_seed(seed, first_sample + lane));
   }
-  if (!correlated && simd_normals) {
+  if (!correlated) {
     Rng::normals_simd_lanes(scratch.rngs, scratch.eps.data(), n, width);
     return;
   }
@@ -299,24 +299,13 @@ void VariationModel::draw_eps_batch(
   for (std::size_t lane = 0; lane < width; ++lane) {
     Rng& rng = scratch.rngs[lane];
     double* col = scratch.eps.data() + lane;  // instance i at i * width
-    CorrelatedField field;
-    if (correlated) {
-      field = CorrelatedField::bulk(cfg_.correlation_length_um, kCorrGrid,
-                                    sigma_correlated_nm(), rng, simd_normals);
-    }
+    const CorrelatedField field = CorrelatedField::bulk(
+        cfg_.correlation_length_um, kCorrGrid, sigma_correlated_nm(), rng);
     double* z = scratch.lane.data();
-    if (simd_normals) {
-      rng.normals_simd({z, n});
-    } else {
-      rng.normals({z, n});
-    }
-    if (correlated) {
-      for (std::size_t i = 0; i < n; ++i) {
-        col[i * width] =
-            std::clamp(field.at(stencils[i]) + sigma * z[i], -clamp, clamp);
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) col[i * width] = z[i];
+    rng.normals_simd({z, n});
+    for (std::size_t i = 0; i < n; ++i) {
+      col[i * width] =
+          std::clamp(field.at(stencils[i]) + sigma * z[i], -clamp, clamp);
     }
   }
 }

@@ -50,13 +50,10 @@ class CorrelatedField {
   CorrelatedField() = default;  ///< inactive (i.i.d. model)
   CorrelatedField(double pitch_um, int grid, double sigma_nm, Rng& rng);
 
-  /// Counter-driven bulk draw of the node grid (Rng::normals instead of
-  /// per-node polar normals) — the batched draw profile's field source.
-  /// With simd_normals the grid is filled by Rng::normals_simd instead:
-  /// the BatchedSimd profile's arch-invariant stream (a different stream
-  /// than normals(); see DrawProfile in mc_ssta.hpp).
+  /// Counter-driven bulk draw of the node grid (Rng::normals_simd instead
+  /// of per-node polar normals) — the BatchedSimd profile's field source.
   static CorrelatedField bulk(double pitch_um, int grid, double sigma_nm,
-                              Rng& rng, bool simd_normals = false);
+                              Rng& rng);
 
   bool active() const { return !values_.empty(); }
 
@@ -233,33 +230,29 @@ class VariationModel {
     double clamp = std::numeric_limits<double>::infinity();
   };
 
-  /// Batched draw profile: fill `factor_soa` — instance-major,
+  /// BatchedSimd draw profile: fill `factor_soa` — instance-major,
   /// factor_soa[i * width + lane] — with `width` independent whole-design
   /// draws in one pass.  Lane `l` owns the RNG substream of global sample
   /// first_sample + l (substream_seed, same keying as the scalar path),
-  /// draws its normals in bulk (Rng::normals) and maps Lgate to delay
-  /// factor through the interpolation tables.  Every lane's bits are a
-  /// function of (seed, global sample index) alone — never of width,
-  /// batch boundaries or the thread schedule — which is the profile's
-  /// determinism contract.  NOTE: this is a different (statistically
-  /// equivalent) stream than the scalar path's polar normals; the two
-  /// profiles do not produce bit-identical samples by design.
-  ///
-  /// simd_normals selects Rng::normals_simd for the bulk normal fills —
-  /// the BatchedSimd profile's arch-invariant stream (again different,
-  /// again statistically equivalent; DESIGN.md §17).  The Lgate-to-factor
-  /// transform always runs through the dispatched table kernel, which is
-  /// bit-identical to eval_row at every dispatch width, so the flag only
-  /// ever changes WHICH normal stream feeds the draw — never how any
-  /// stream is transformed.  Equivalent to table_rows() into
+  /// draws its normals in bulk (Rng::normals_simd, the arch-invariant
+  /// stream of DESIGN.md §17) and maps Lgate to delay factor through the
+  /// interpolation tables.  Every lane's bits are a function of (seed,
+  /// global sample index) alone — never of width, batch boundaries or the
+  /// thread schedule — which is the profile's determinism contract.
+  /// NOTE: this is a different (statistically equivalent) stream than the
+  /// scalar path's polar normals; the two profiles do not produce
+  /// bit-identical samples by design.  Equivalent to table_rows() into
   /// scratch.rows, then draw_eps_batch() and transform_batch().
+  ///
+  /// `simd_normals` must be true: false selected the retired libm
+  /// Batched stream and now throws std::invalid_argument.
   void draw_factors_batch(const Design& design, const StaEngine& sta,
                           std::span<const double> systematic_lgate_nm,
                           std::span<const CorrelatedField::Stencil> stencils,
                           std::uint64_t seed, std::uint64_t first_sample,
                           std::size_t width, std::span<double> factor_soa,
                           DrawScratch& scratch,
-                          bool simd_normals = false) const;
+                          bool simd_normals = true) const;
 
   /// The table row (DelayFactorTables::row) of every instance under the
   /// engine's current corners: sample-invariant, so a Monte-Carlo run
@@ -269,14 +262,13 @@ class VariationModel {
 
   /// Normals phase of draw_factors_batch: every lane's random Lgate
   /// deviations for `n` instances into scratch.eps, instance-major.
-  /// Uncorrelated lanes store raw normals (BatchedSimd writes all lanes
-  /// straight into the arena with Rng::normals_simd_lanes) and leave the
-  /// scale and clamp to the transform; correlated lanes store finished
-  /// deviations.
+  /// Uncorrelated lanes store raw normals (all lanes written straight into
+  /// the arena with Rng::normals_simd_lanes) and leave the scale and clamp
+  /// to the transform; correlated lanes store finished deviations.
   void draw_eps_batch(std::span<const CorrelatedField::Stencil> stencils,
                       std::size_t n, std::uint64_t seed,
                       std::uint64_t first_sample, std::size_t width,
-                      DrawScratch& scratch, bool simd_normals) const;
+                      DrawScratch& scratch) const;
 
   /// Transform phase: one fused dispatched kernel applies scratch.sigma,
   /// the clamp and the table interpolation at systematic + deviation for

@@ -7,6 +7,11 @@
 namespace vipvt {
 
 WaferModel::WaferModel(const WaferConfig& cfg) : cfg_(cfg) {
+  if (!std::isfinite(cfg_.wafer_diameter_mm) ||
+      !std::isfinite(cfg_.edge_exclusion_mm) ||
+      !std::isfinite(cfg_.field_mm) || !std::isfinite(cfg_.die_mm)) {
+    throw std::invalid_argument("WaferModel: geometry must be finite");
+  }
   if (cfg_.die_mm <= 0.0 || cfg_.field_mm < cfg_.die_mm) {
     throw std::invalid_argument("WaferModel: need 0 < die_mm <= field_mm");
   }

@@ -54,6 +54,9 @@ struct WaferDie {
 
 class WaferModel {
  public:
+  /// Throws std::invalid_argument unless every WaferConfig field is
+  /// finite, 0 < die_mm <= field_mm and the edge exclusion leaves a
+  /// usable radius.
   explicit WaferModel(const WaferConfig& cfg);
 
   const WaferConfig& config() const { return cfg_; }

@@ -62,6 +62,15 @@ std::string YieldReport::policy_glyphs() const {
   return glyphs;
 }
 
+void YieldConfig::validate() const {
+  // The screens' normal quantile is undefined at 0 and 1, and a NaN would
+  // reach percentile()'s index arithmetic on the flat tier.
+  if (!(speed_percentile > 0.0 && speed_percentile < 1.0)) {
+    throw std::invalid_argument(
+        "YieldConfig: speed_percentile must lie in (0, 1)");
+  }
+}
+
 int per_die_mc_budget(const McConfig& mc) {
   return std::max(mc.adaptive.enabled ? mc.adaptive.max_samples : mc.samples,
                   0);
@@ -158,6 +167,7 @@ CompensationController YieldAnalyzer::controller(StaEngine& engine) const {
 
 DieOutcome YieldAnalyzer::analyze_die(StaEngine& engine, const WaferDie& die,
                                       const YieldConfig& cfg) const {
+  cfg.validate();
   CompensationController ctrl(*design_, engine, *model_, *plan_, *sensors_);
   const std::vector<double> systematic =
       model_->systematic_lgates(*design_, die.location);
@@ -255,6 +265,7 @@ SlotTriage YieldAnalyzer::slot_verdict(const CanonicalResult& r,
 std::vector<SlotTriage> YieldAnalyzer::triage_screen(
     const WaferModel& wafer, const YieldConfig& cfg,
     std::span<const std::vector<double>> slot_maps) const {
+  cfg.validate();
   std::vector<std::vector<double>> local_maps;
   if (slot_maps.empty()) {
     local_maps = reticle_slot_maps(wafer);
@@ -294,6 +305,7 @@ const StageMacroLibrary& YieldAnalyzer::macro_library(
 std::vector<SlotTriage> YieldAnalyzer::macro_screen(
     const WaferModel& wafer, const YieldConfig& cfg,
     std::span<const std::vector<double>> slot_maps) const {
+  cfg.validate();
   std::vector<std::vector<double>> local_maps;
   if (slot_maps.empty()) {
     local_maps = reticle_slot_maps(wafer);
@@ -312,6 +324,7 @@ std::vector<SlotTriage> YieldAnalyzer::macro_screen(
 std::vector<SlotTriage> YieldAnalyzer::tier_screen(
     const WaferModel& wafer, const YieldConfig& cfg,
     std::span<const std::vector<double>> slot_maps) const {
+  cfg.validate();
   switch (cfg.effective_tier()) {
     case EvalTier::Triage: return triage_screen(wafer, cfg, slot_maps);
     case EvalTier::Macro: return macro_screen(wafer, cfg, slot_maps);
@@ -324,6 +337,7 @@ DieOutcome YieldAnalyzer::analyze_die_with(
     StaEngine& engine, CompensationController& ctrl, const WaferDie& die,
     const YieldConfig& cfg, std::span<const double> systematic,
     const SlotTriage* triage) const {
+  cfg.validate();
   return analyze_die_impl(engine, ctrl, die, cfg, systematic, triage, true);
 }
 
@@ -497,6 +511,7 @@ YieldAggregate YieldAnalyzer::analyze_shard(
     const YieldConfig& cfg, std::size_t die_begin, std::size_t die_end,
     std::span<const std::vector<double>> slot_maps,
     std::span<const SlotTriage> screen) const {
+  cfg.validate();
   if (die_begin > die_end || die_end > wafer.num_dies()) {
     throw std::invalid_argument("analyze_shard: die range out of bounds");
   }
@@ -596,6 +611,7 @@ void YieldAnalyzer::aggregate(YieldReport& report) const {
 YieldReport YieldAnalyzer::analyze(const WaferModel& wafer,
                                    const YieldConfig& cfg,
                                    ThreadPool* pool) const {
+  cfg.validate();
   YieldReport report;
   report.wafer = wafer.config();
   report.config = cfg;

@@ -127,7 +127,8 @@ struct YieldConfig {
   McConfig mc{.samples = 48, .seed = 0, .confidence = 0.95};
   std::uint64_t seed = 0x5afe57a7eULL;
   /// Speed bin metric: the die's achievable clock is this percentile of
-  /// its MC min-period distribution (conservative binning).
+  /// its MC min-period distribution (conservative binning).  Must lie in
+  /// (0, 1); validate() rejects anything else.
   double speed_percentile = 0.95;
   std::size_t speed_bins = 8;
   bool allow_escalation = true;
@@ -154,6 +155,12 @@ struct YieldConfig {
     if (tier == EvalTier::Flat && triage.enabled) return EvalTier::Triage;
     return tier;
   }
+
+  /// Throws std::invalid_argument naming the field when speed_percentile
+  /// is NaN or outside (0, 1).  Every YieldAnalyzer entry point that takes
+  /// a YieldConfig, and CampaignRunner::expand, calls it before any die or
+  /// screen runs.
+  void validate() const;
 };
 
 struct DieOutcome {

@@ -138,6 +138,13 @@ TEST_F(CampaignFixture, ExpandValidatesSpec) {
   spec = tiny_spec();
   spec.sigma_scales = {1.0, std::numeric_limits<double>::infinity()};
   EXPECT_THROW(runner_->expand(spec), std::invalid_argument);
+
+  for (const double p :
+       {0.0, 1.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    spec = tiny_spec();
+    spec.base.speed_percentile = p;
+    EXPECT_THROW(runner_->expand(spec), std::invalid_argument) << p;
+  }
 }
 
 TEST_F(CampaignFixture, NumJobsCountsWaferShards) {

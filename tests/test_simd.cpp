@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -462,6 +463,34 @@ TEST(SimdKernels, NormalsSimdArchInvariant) {
   }
 }
 
+// The BatchedSimd normal stream's absolute bits, pinned: an FNV-1a hash
+// over the bit patterns of three seeds' odd-length fills must match the
+// recorded constant on every dispatch target.  NormalsSimdArchInvariant
+// alone would pass a change that moved every target alike; this pin
+// also holds under either glibc libm build, since no libm call feeds it.
+TEST(SimdKernels, NormalsSimdStreamPinned) {
+  constexpr std::uint64_t kPinned = 0x64f15b7ec9915575ULL;
+  ArchGuard guard;
+  for (const simd::Arch a : simd::available_archs()) {
+    ASSERT_TRUE(simd::set_arch(a));
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::uint64_t seed : {0x5eedULL, 0xc0ffeeULL, 0x9e3779b9ULL}) {
+      Rng rng(seed);
+      std::vector<double> v(1001);
+      rng.normals_simd(v);
+      for (const double z : v) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &z, sizeof bits);
+        for (int i = 0; i < 8; ++i) {
+          h = (h ^ ((bits >> (8 * i)) & 0xffu)) * 0x100000001b3ULL;
+        }
+      }
+    }
+    EXPECT_EQ(h, kPinned) << simd::arch_name(a) << std::hex << " hash 0x"
+                          << h;
+  }
+}
+
 TEST(SimdKernels, NormalsSimdPrefixStableAndEmptyConsumes) {
   Rng a(0x11ULL), b(0x11ULL);
   std::vector<double> big(1001), small(257);
@@ -471,7 +500,7 @@ TEST(SimdKernels, NormalsSimdPrefixStableAndEmptyConsumes) {
     EXPECT_EQ(small[i], big[i]) << i;
   }
   // An empty span still advances the two parent draws (so surrounding
-  // draws stay aligned with Rng::normals' contract).
+  // draws stay aligned whatever the fill length).
   Rng c(0x22ULL), d(0x22ULL);
   std::vector<double> none;
   c.normals_simd(none);
@@ -517,8 +546,7 @@ TEST(SimdKernels, NormalsSimdMatchesLibmReferenceAndMoments) {
 }
 
 // End-to-end: the BatchedSimd profile is invariant across dispatch
-// targets, batch widths and thread counts, and pinning a target never
-// perturbs the Batched profile (the relax/table kernels are transparent).
+// targets, batch widths and thread counts.
 TEST(SimdMc, BatchedSimdProfileInvariance) {
   Library lib = make_st65lp_like();
   Design design = make_vex_design(lib, VexConfig::tiny());
@@ -554,19 +582,10 @@ TEST(SimdMc, BatchedSimdProfileInvariance) {
   ThreadPool pool(2);
   same(mc.run(loc, cfg, &pool));
 
-  McConfig batched = cfg;
-  batched.profile = DrawProfile::Batched;
-  const McResult batched_ref = mc.run(loc, batched);
-  // BatchedSimd is a DIFFERENT stream than Batched by design.
-  EXPECT_NE(ref.min_period_samples, batched_ref.min_period_samples);
-
   ArchGuard guard;
   for (const simd::Arch a : simd::available_archs()) {
     ASSERT_TRUE(simd::set_arch(a));
     same(mc.run(loc, cfg));
-    const McResult b = mc.run(loc, batched);
-    ASSERT_EQ(b.min_period_samples, batched_ref.min_period_samples)
-        << "Batched profile not transparent on " << simd::arch_name(a);
   }
 }
 

@@ -160,12 +160,12 @@ TEST(Rng, SubstreamSeedsDecorrelate) {
   EXPECT_LT(std::abs(correlation(a, b)), bound);
 }
 
-// ---- bulk normal generation (the batched draw profile's engine) ----------
+// ---- bulk normal generation (the BatchedSimd draw profile's engine) ------
 
 TEST(RngNormals, Moments) {
   Rng rng(0xb0b);
   std::vector<double> z(100000);
-  rng.normals(z);
+  rng.normals_simd(z);
   RunningStats rs;
   for (double x : z) rs.add(x);
   EXPECT_NEAR(rs.mean(), 0.0, 0.02);
@@ -178,7 +178,7 @@ TEST(RngNormals, KolmogorovSmirnovAgainstStdNormal) {
   constexpr std::size_t n = 4096;
   Rng rng(0xd15ea5e);
   std::vector<double> z(n);
-  rng.normals(z);
+  rng.normals_simd(z);
   std::sort(z.begin(), z.end());
   double d = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -194,12 +194,12 @@ TEST(RngNormals, DeterministicAndPrefixStable) {
   const auto fill = [](std::size_t n) {
     Rng rng(0xabcdef);
     std::vector<double> z(n);
-    rng.normals(z);
+    rng.normals_simd(z);
     return z;
   };
   const std::vector<double> ref = fill(1000);
   EXPECT_EQ(ref, fill(1000));  // bit-identical rerun
-  // normals(m) is a prefix of normals(n) for m <= n — including odd
+  // A fill of m is a prefix of a fill of n for m <= n — including odd
   // lengths (which drop the second deviate of their last pair) and
   // lengths that straddle the vector-fill block boundary.
   for (std::size_t m : {1u, 2u, 7u, 127u, 255u, 256u, 257u, 999u}) {
@@ -216,7 +216,7 @@ TEST(RngNormals, ConsumesExactlyTwoParentDraws) {
   for (std::size_t n : {3u, 4096u}) {
     Rng a(7), b(7);
     std::vector<double> z(n);
-    a.normals(z);
+    a.normals_simd(z);
     b.next();
     b.next();
     for (int i = 0; i < 16; ++i) {
@@ -233,8 +233,8 @@ TEST(RngNormals, SubstreamsDecorrelate) {
   Rng s0(substream_seed(0x5eed, 0));
   Rng s1(substream_seed(0x5eed, 1));
   std::vector<double> a(n), b(n);
-  s0.normals(a);
-  s1.normals(b);
+  s0.normals_simd(a);
+  s1.normals_simd(b);
   EXPECT_LT(std::abs(correlation(a, b)), bound);
   // And the two counter streams WITHIN one fill must not correlate the
   // even/odd halves of a pair.

@@ -430,6 +430,14 @@ TEST(Percentile, InterpolatesSorted) {
   EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 4.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 0.5), 2.5);
   EXPECT_THROW(percentile({}, 0.5), std::invalid_argument);
+  // A finite p outside [0, 1] clamps to the extremes; a NaN p has no
+  // position in the data and throws instead of reaching the index cast.
+  EXPECT_DOUBLE_EQ(percentile(xs, -0.5), 1.0);
+  EXPECT_DOUBLE_EQ(percentile(xs, 1.5), 4.0);
+  EXPECT_DOUBLE_EQ(percentile(xs, std::numeric_limits<double>::infinity()),
+                   4.0);
+  EXPECT_THROW(percentile(xs, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 // Property: chi-squared SF is monotonically decreasing in x.

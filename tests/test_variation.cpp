@@ -7,7 +7,9 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "netlist/vex.hpp"
 #include "placement/placer.hpp"
@@ -350,16 +352,16 @@ TEST_F(McFixture, BitIdenticalAcrossBatchWidths) {
   }
 }
 
-// ---- the Batched draw profile ---------------------------------------------
+// ---- the BatchedSimd draw profile -----------------------------------------
 
-/// Within the Batched profile, thread count and batch width are pure
+/// Within the BatchedSimd profile, thread count and batch width are pure
 /// execution-layout choices, exactly as they are for Scalar: every lane's
 /// bits derive from (seed, global sample index) alone.
-TEST_F(McFixture, BatchedProfileBitIdenticalAcrossThreadsAndWidths) {
+TEST_F(McFixture, BatchedSimdProfileBitIdenticalAcrossThreadsAndWidths) {
   MonteCarloSsta mc(design_, *sta_, *model_);
   McConfig cfg;
   cfg.samples = 60;  // not a multiple of the batch width: ragged tail
-  cfg.profile = DrawProfile::Batched;
+  cfg.profile = DrawProfile::BatchedSimd;
   const McResult ref = mc.run(DieLocation::point('A'), cfg);  // batch 8
   ThreadPool one(1), three(3), eight(8);
   expect_identical(ref, mc.run(DieLocation::point('A'), cfg, &one));
@@ -376,12 +378,12 @@ TEST_F(McFixture, BatchedProfileBitIdenticalAcrossThreadsAndWidths) {
 /// design) but estimate the same population: their stage-slack fits must
 /// agree to sampling error.  8 standard errors = far beyond noise, still
 /// tight enough to catch a biased table or a broken bulk generator.
-TEST_F(McFixture, BatchedProfileAgreesWithScalarStatistically) {
+TEST_F(McFixture, BatchedSimdProfileAgreesWithScalarStatistically) {
   MonteCarloSsta mc(design_, *sta_, *model_);
   McConfig cfg;
   cfg.samples = 400;
   const McResult scalar = mc.run(DieLocation::point('A'), cfg);
-  cfg.profile = DrawProfile::Batched;
+  cfg.profile = DrawProfile::BatchedSimd;
   const McResult batched = mc.run(DieLocation::point('A'), cfg);
   const int n = cfg.samples;
   for (int s = 0; s < kNumPipeStages; ++s) {
@@ -407,6 +409,52 @@ TEST_F(McFixture, BatchedProfileAgreesWithScalarStatistically) {
   bool any_diff = false;
   for (std::size_t i = 0; i < ex_a.size(); ++i) any_diff |= ex_a[i] != ex_b[i];
   EXPECT_TRUE(any_diff);
+}
+
+/// Profile id 1 (the retired libm Batched stream) and ids no engine knows
+/// are refused before any sample is drawn, never served by another
+/// stream; the error names the retired profile.
+TEST_F(McFixture, RetiredAndUnknownDrawProfilesRejected) {
+  MonteCarloSsta mc(design_, *sta_, *model_);
+  for (const int id : {1, 3}) {
+    for (const int samples : {0, 8}) {
+      McConfig cfg;
+      cfg.samples = samples;
+      cfg.profile = static_cast<DrawProfile>(id);
+      try {
+        (void)mc.run(DieLocation::point('A'), cfg);
+        ADD_FAILURE() << "profile id " << id << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("Batched"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+/// draw_factors_batch's flag once picked the libm stream; false now
+/// throws, and the default draws the BatchedSimd stream the engine runs.
+TEST_F(McFixture, DrawFactorsBatchRejectsRetiredLibmStream) {
+  const auto systematic =
+      model_->systematic_lgates(design_, DieLocation::point('A'));
+  const auto stencils = model_->field_stencils(design_);
+  constexpr std::size_t kWidth = 4;
+  VariationModel::DrawScratch scratch;
+  std::vector<double> soa(design_.num_instances() * kWidth);
+  try {
+    model_->draw_factors_batch(design_, *sta_, systematic, stencils, 7, 0,
+                               kWidth, soa, scratch, false);
+    ADD_FAILURE() << "simd_normals = false accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("Batched"), std::string::npos)
+        << e.what();
+  }
+  std::vector<double> explicit_soa(soa.size());
+  model_->draw_factors_batch(design_, *sta_, systematic, stencils, 7, 0,
+                             kWidth, soa, scratch);
+  model_->draw_factors_batch(design_, *sta_, systematic, stencils, 7, 0,
+                             kWidth, explicit_soa, scratch, true);
+  EXPECT_EQ(soa, explicit_soa);
 }
 
 // ---- delay-factor interpolation tables ------------------------------------
@@ -567,7 +615,7 @@ TEST_F(McFixture, StencilDrawBitIdenticalToPointDraw) {
   EXPECT_EQ(r1.next(), r2.next());
 }
 
-TEST_F(McFixture, BatchedProfileDeterministicWithCorrelatedField) {
+TEST_F(McFixture, BatchedSimdProfileDeterministicWithCorrelatedField) {
   // The correlated bulk field draw is part of the lane's substream: the
   // profile's thread/width invariance must survive it.
   VariationConfig vc;
@@ -576,7 +624,7 @@ TEST_F(McFixture, BatchedProfileDeterministicWithCorrelatedField) {
   MonteCarloSsta mc(design_, *sta_, model);
   McConfig cfg;
   cfg.samples = 36;
-  cfg.profile = DrawProfile::Batched;
+  cfg.profile = DrawProfile::BatchedSimd;
   const McResult ref = mc.run(DieLocation::point('A'), cfg);
   ThreadPool pool(5);
   for (int batch : {3, 16}) {
@@ -644,7 +692,7 @@ TEST_F(McFixture, AdaptiveStopBitIdenticalToFixedAtNFuzz) {
     McConfig cfg;
     cfg.seed = fuzz.next();
     cfg.batch = 1 + static_cast<int>(fuzz.below(9));
-    cfg.profile = iter % 2 ? DrawProfile::Batched : DrawProfile::Scalar;
+    cfg.profile = iter % 2 ? DrawProfile::BatchedSimd : DrawProfile::Scalar;
     cfg.adaptive.enabled = true;
     cfg.adaptive.min_samples = 8 + static_cast<int>(fuzz.below(25));
     cfg.adaptive.max_samples = 120 + static_cast<int>(fuzz.below(81));
@@ -793,7 +841,7 @@ TEST_F(McFixture, RunWithSystematicMatchesRun) {
   const DieLocation loc = DieLocation::point('C');
   const auto systematic = model_->systematic_lgates(design_, loc);
   expect_identical(mc.run(loc, cfg), mc.run_with_systematic(systematic, cfg));
-  cfg.profile = DrawProfile::Batched;
+  cfg.profile = DrawProfile::BatchedSimd;
   expect_identical(mc.run(loc, cfg), mc.run_with_systematic(systematic, cfg));
 }
 

@@ -105,6 +105,19 @@ TEST(WaferModel, RejectsDegenerateConfigs) {
   wc = WaferConfig{};
   wc.die_mm = 30.0;  // die larger than the exposure field
   EXPECT_THROW(WaferModel{wc}, std::invalid_argument);
+  // Non-finite geometry passes every ordered comparison or overflows the
+  // die grid's int arithmetic: each field must be finite.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double WaferConfig::*field :
+       {&WaferConfig::wafer_diameter_mm, &WaferConfig::edge_exclusion_mm,
+        &WaferConfig::field_mm, &WaferConfig::die_mm}) {
+    for (const double bad : {nan, inf, -inf}) {
+      wc = WaferConfig{};
+      wc.*field = bad;
+      EXPECT_THROW(WaferModel{wc}, std::invalid_argument) << bad;
+    }
+  }
 }
 
 // ---- yield analysis over the tiny-core flow -------------------------------
@@ -725,13 +738,55 @@ TEST_F(YieldFixture, ScreensRejectNegativeOrNonFiniteBandKnobs) {
   }
 }
 
-// The Batched draw profile carries the same determinism-under-
+// A speed percentile outside (0, 1) names no speed bin: the screened
+// tiers' normal quantile is undefined at 0 and 1, and a NaN reached
+// percentile()'s index cast on the flat tier.  Every entry point that
+// takes a YieldConfig refuses one before any die or screen runs.
+TEST_F(YieldFixture, SpeedPercentileOutsideOpenUnitIntervalRejected) {
+  const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
+  WaferConfig wc;
+  wc.wafer_diameter_mm = 46.0;
+  const WaferModel wafer(wc);
+  ASSERT_EQ(wafer.num_dies(), 4u);
+  const auto maps = analyzer.reticle_slot_maps(wafer);
+  const WaferDie& die = wafer.dies()[0];
+  const std::vector<double>& map =
+      maps[YieldAnalyzer::reticle_slot(wafer, die)];
+  StaEngine engine(flow_->sta());
+  CompensationController ctrl = analyzer.controller(engine);
+  for (const EvalTier tier :
+       {EvalTier::Flat, EvalTier::Triage, EvalTier::Macro}) {
+    for (const double p :
+         {0.0, 1.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+      SCOPED_TRACE(std::string(eval_tier_name(tier)) + " speed_percentile " +
+                   std::to_string(p));
+      YieldConfig cfg = test_yield_config();
+      cfg.tier = tier;
+      cfg.speed_percentile = p;
+      EXPECT_THROW(analyzer.analyze(wafer, cfg), std::invalid_argument);
+      EXPECT_THROW(analyzer.analyze_die(engine, die, cfg),
+                   std::invalid_argument);
+      EXPECT_THROW(analyzer.analyze_die_with(engine, ctrl, die, cfg, map),
+                   std::invalid_argument);
+      EXPECT_THROW(analyzer.analyze_shard(engine, ctrl, wafer, cfg, 0, 4, maps),
+                   std::invalid_argument);
+      EXPECT_THROW(analyzer.tier_screen(wafer, cfg, maps),
+                   std::invalid_argument);
+      EXPECT_THROW(analyzer.triage_screen(wafer, cfg, maps),
+                   std::invalid_argument);
+      EXPECT_THROW(analyzer.macro_screen(wafer, cfg, maps),
+                   std::invalid_argument);
+    }
+  }
+}
+
+// The BatchedSimd draw profile carries the same determinism-under-
 // parallelism contract as Scalar: identical wafer reports for serial,
 // 1-thread and N-thread runs (within the profile).
-TEST_F(YieldFixture, BatchedProfileReportBitIdenticalAcrossThreadCounts) {
+TEST_F(YieldFixture, BatchedSimdProfileReportBitIdenticalAcrossThreadCounts) {
   const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
   YieldConfig cfg = test_yield_config();
-  cfg.mc.profile = DrawProfile::Batched;
+  cfg.mc.profile = DrawProfile::BatchedSimd;
   const YieldReport serial = analyzer.analyze(*wafer_, cfg, nullptr);
   ThreadPool one(1);
   ThreadPool four(4);
