@@ -22,11 +22,11 @@
 //   8. the BatchedSimd profile end-to-end and across dispatch targets:
 //      the arch-invariant draw byte-compared per target, pinned full runs
 //      fingerprint-compared, plus the profile's width/thread invariance;
-//      then (8b) the fused draw transform and the first-writer
-//      relaxation per target against their scalar references;
+//      then (8b) the fused draw and the first-writer relaxation per
+//      target against their scalar references;
 //   9. end-to-end time attribution of one BatchedSimd sample into
-//      normals / transform / propagation / tally phases, gated to sum to
-//      the wall clock within 5 % — the measurement that explains why
+//      draw / propagation / tally phases, gated to sum to the wall clock
+//      within 5 % — the measurement that explains why
 //      batchN_speedup_e2e sits near 1.0 while the isolated kernel wins;
 //  10. the statistical cross-profile gate: Scalar and BatchedSimd use
 //      different (equally valid) random streams, so their stage-slack
@@ -526,8 +526,9 @@ int main(int argc, char** argv) {
 
   // 8b. Fused-kernel gates per dispatch target (DESIGN.md §11, §17), both
   // hard, each against a scalar reference computed here:
-  //   a) the fused draw transform over a real BatchedSimd deviation arena
-  //      must equal std::clamp + DelayFactorTables::eval_row per element;
+  //   a) the fused draw (draw_batch) must equal, per lane, the two-phase
+  //      computation: its substream's normals_simd(), then std::clamp and
+  //      DelayFactorTables::eval_row per element;
   //   b) the first-writer relaxation over this design's timing graph, with
   //      only launch and never-written rows pre-filled (the rest hold NaN
   //      garbage), must leave the arena bit-identical to a full -inf fill
@@ -538,14 +539,19 @@ int main(int argc, char** argv) {
     constexpr std::size_t kW = 8;
     const DelayFactorTables& tbl = model.delay_factor_tables();
     const std::vector<std::int32_t> rows = model.table_rows(design, sta);
-    VariationModel::DrawScratch scratch;
-    model.draw_eps_batch(stencils, n_inst, base.seed, 0, kW, scratch);
+    const double sigma = model.sigma_random_nm();
+    const double clamp = model.config().clamp_sigma * sigma;
     AlignedVec<double> want(n_inst * kW);
-    for (std::size_t k = 0; k < want.size(); ++k) {
-      const double d = std::clamp(scratch.sigma * scratch.eps[k],
-                                  -scratch.clamp, scratch.clamp);
-      want[k] = tbl.eval_row(tbl.row_data(rows[k / kW]),
-                             systematic[k / kW] + d);
+    std::vector<double> z(n_inst);
+    for (std::size_t l = 0; l < kW; ++l) {
+      Rng rng(substream_seed(base.seed, l));
+      rng.normals_simd(z);
+      for (std::size_t i = 0; i < n_inst; ++i) {
+        want[i * kW + l] =
+            tbl.eval_row(tbl.row_data(rows[i]),
+                         systematic[i] + std::clamp(sigma * z[i], -clamp,
+                                                    clamp));
+      }
     }
     // The graph as StaEngine relaxes it, and its first-writer marks.
     std::vector<simd::RelaxEdge> edges;
@@ -577,13 +583,13 @@ int main(int argc, char** argv) {
     simd::kernels_for(simd::Arch::Scalar)
         ->relax_edges(edges.data(), none.data(), edges.size(), want.data(),
                       ref.data(), kW);
-    Table ft({"dispatch", "fused transform", "first-writer relax"});
+    Table ft({"dispatch", "fused draw", "first-writer relax"});
+    VariationModel::DrawScratch scratch;
     for (const simd::Arch a : archs) {
       if (!simd::set_arch(a)) continue;
       AlignedVec<double> got(n_inst * kW);
-      tbl.eval_rows_batch(rows.data(), systematic.data(), scratch.eps.data(),
-                          scratch.sigma, scratch.clamp, n_inst, kW,
-                          got.data());
+      model.draw_batch(rows, systematic, stencils, base.seed, 0, kW,
+                       std::span(got), scratch);
       const bool tr_same =
           std::memcmp(got.data(), want.data(), want.size() * 8) == 0;
       AlignedVec<double> arr(sta.num_nodes() * kW, std::nan(""));
@@ -601,26 +607,26 @@ int main(int argc, char** argv) {
                   rx_same ? "identical" : "MISMATCH"});
     }
     simd::reset_arch();
-    std::printf("fused kernels per dispatch target (batch %zu, vs scalar "
-                "std::clamp + eval_row and a -inf-filled sweep, %s):\n%s\n",
+    std::printf("fused kernels per dispatch target (batch %zu, vs per-lane "
+                "normals_simd + std::clamp + eval_row and a -inf-filled "
+                "sweep, %s):\n%s\n",
                 kW, fused_identical ? "all bit-identical" : "MISMATCH (BUG)",
                 ft.render().c_str());
   }
 
   // 9. End-to-end time attribution of one batched sample.  Replicate the
-  // engine's BatchedSimd per-batch loop phase-by-phase — the factor draw
-  // split into its normals (draw_eps_batch) and fused transform
-  // (transform_batch) halves, with the table rows built once per run as
-  // the engine does, SoA propagation (analyze_batch_soa), tally reduce
-  // (the per-lane endpoint/stage bookkeeping) — with its own timers, and
-  // gate the four phases against the loop's wall clock:
-  // within 5 % or the attribution (and any conclusion drawn from it) is
-  // fiction.  This is the measurement that explains section 2: the
-  // isolated batch-8 kernel beats scalar propagation ~2x, yet
-  // batchN_speedup_e2e sits near 1.0 because under the SCALAR profile
-  // the per-gate draw (polar normals + pow) dominates wall time and is
-  // identical in both paths.  The BatchedSimd profile shrinks exactly
-  // that phase, which is where section 8's end-to-end speedup comes from.
+  // engine's BatchedSimd per-batch loop phase-by-phase — the fused factor
+  // draw (draw_batch, with the table rows built once per run as the
+  // engine does), SoA propagation (analyze_batch_soa), tally reduce (the
+  // per-lane endpoint/stage bookkeeping) — with its own timers, and gate
+  // the three phases against the loop's wall clock: within 5 % or the
+  // attribution (and any conclusion drawn from it) is fiction.  This is
+  // the measurement that explains section 2: the isolated batch-8 kernel
+  // beats scalar propagation ~2x, yet batchN_speedup_e2e sits near 1.0
+  // because under the SCALAR profile the per-gate draw (polar normals +
+  // pow) dominates wall time and is identical in both paths.  The
+  // BatchedSimd profile shrinks exactly that phase, which is where
+  // section 8's end-to-end speedup comes from.
   bool attribution_ok = true;
   double attribution_frac = 0.0;
   {
@@ -636,16 +642,14 @@ int main(int argc, char** argv) {
     std::vector<std::array<double, kNumPipeStages>> stage_wns(
         static_cast<std::size_t>(att_samples));
     std::vector<double> min_period(static_cast<std::size_t>(att_samples));
-    double t_normals = 0.0, t_transform = 0.0, t_prop = 0.0, t_tally = 0.0;
+    double t_draw = 0.0, t_prop = 0.0, t_tally = 0.0;
     const auto wall0 = clock::now();
     const std::vector<std::int32_t> rows = model.table_rows(design, eng);
     for (int k = 0; k < att_samples; k += 8) {
       const auto tp = clock::now();
-      model.draw_eps_batch(stencils, n_inst, base.seed,
-                           static_cast<std::uint64_t>(k), 8, scratch);
-      const auto tn = clock::now();
-      model.transform_batch(rows, systematic, 8, scratch,
-                            std::span(factor_soa));
+      model.draw_batch(rows, systematic, stencils, base.seed,
+                       static_cast<std::uint64_t>(k), 8,
+                       std::span(factor_soa), scratch);
       const auto tq = clock::now();
       eng.analyze_batch_soa(std::span<const double>(factor_soa), 8,
                             std::span(results));
@@ -664,27 +668,23 @@ int main(int argc, char** argv) {
         }
       }
       const auto ts = clock::now();
-      t_normals += std::chrono::duration<double>(tn - tp).count();
-      t_transform += std::chrono::duration<double>(tq - tn).count();
+      t_draw += std::chrono::duration<double>(tq - tp).count();
       t_prop += std::chrono::duration<double>(tr - tq).count();
       t_tally += std::chrono::duration<double>(ts - tr).count();
     }
     const double wall =
         std::chrono::duration<double>(clock::now() - wall0).count();
-    const double t_draw = t_normals + t_transform;
     const double phase_sum = t_draw + t_prop + t_tally;
     attribution_frac = phase_sum / wall;
     attribution_ok = std::abs(phase_sum - wall) <= 0.05 * wall;
     const double us = 1e6 / att_samples;
     std::printf(
         "BatchedSimd time attribution (%d samples, batch 8, serial):\n"
-        "  normals    %8.2f us/sample  (%4.1f%% of wall)\n"
-        "  transform  %8.2f us/sample  (%4.1f%% of wall)\n"
+        "  draw       %8.2f us/sample  (%4.1f%% of wall)\n"
         "  prop       %8.2f us/sample  (%4.1f%% of wall)\n"
         "  tally      %8.2f us/sample  (%4.1f%% of wall)\n"
         "  phases sum to %.1f%% of wall — %s (gate: within 5%%)\n",
-        att_samples, t_normals * us, 100.0 * t_normals / wall,
-        t_transform * us, 100.0 * t_transform / wall, t_prop * us,
+        att_samples, t_draw * us, 100.0 * t_draw / wall, t_prop * us,
         100.0 * t_prop / wall, t_tally * us, 100.0 * t_tally / wall,
         100.0 * attribution_frac,
         attribution_ok ? "accounted" : "UNACCOUNTED TIME (BUG)");
@@ -697,8 +697,6 @@ int main(int argc, char** argv) {
         draw_scalar_us, kern_scalar_s.count() / kernel_lanes * 1e6,
         prop_us_per_lane, draw_batch_us);
     out.set("e2e_draw_us_per_sample", t_draw * us);
-    out.set("e2e_normals_us_per_sample", t_normals * us);
-    out.set("e2e_transform_us_per_sample", t_transform * us);
     out.set("e2e_prop_us_per_sample", t_prop * us);
     out.set("e2e_tally_us_per_sample", t_tally * us);
     out.set("e2e_phase_sum_over_wall", attribution_frac);
@@ -817,8 +815,8 @@ int main(int argc, char** argv) {
   }
   if (!fused_identical) {
     std::printf("BIT-IDENTITY VIOLATION: a dispatch target's fused draw "
-                "transform or first-writer relaxation diverged from its "
-                "scalar reference (DESIGN.md §11, §17)\n");
+                "or first-writer relaxation diverged from its scalar "
+                "reference (DESIGN.md §11, §17)\n");
     return 1;
   }
   if (!simd_identical) {
@@ -827,8 +825,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!attribution_ok) {
-    std::printf("ATTRIBUTION FAILURE: normals+transform+prop+tally account "
-                "for %.1f%% of "
+    std::printf("ATTRIBUTION FAILURE: draw+prop+tally account for %.1f%% "
+                "of "
                 "the replicated batched loop's wall clock (gate: 100%% +/- "
                 "5%%) — a phase is being measured outside the split\n",
                 100.0 * attribution_frac);

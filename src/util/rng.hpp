@@ -133,15 +133,6 @@ class Rng {
   /// simd/dispatch.cpp.
   void normals_simd(std::span<double> out) noexcept;
 
-  /// normals_simd() for several generators at once: lanes[l] produces
-  /// exactly what lanes[l].normals_simd() of n deviates would (and takes
-  /// the same two parent draws), stored at out[k * stride + l] for
-  /// deviate k (stride >= lanes.size()).  The lanes run block by block,
-  /// so a batched draw writes its instance-major arena directly while
-  /// each block's rows stay in cache (DESIGN.md §11).
-  static void normals_simd_lanes(std::span<Rng> lanes, double* out,
-                                 std::size_t n, std::size_t stride) noexcept;
-
   /// Bulk polar normals: out[k] is bit-identical to the k-th of
   /// out.size() successive normal() calls, and the generator — cached
   /// second deviate included — ends in exactly the state those calls
@@ -177,8 +168,8 @@ class Rng {
   /// the splitmix64 finalizer over key + i*golden — the same spacing
   /// splitmix64 itself uses, evaluated at a random offset instead of
   /// sequentially, which is what makes the generator counter-driven.
-  /// Public because the SIMD normal-fill kernels (util/simd) and their
-  /// tests consume the same counter streams.
+  /// Public because the SIMD normal-fill and fused draw kernels
+  /// (util/simd) and their tests consume the same counter streams.
   static constexpr std::uint64_t counter_bits(std::uint64_t key,
                                               std::uint64_t i) noexcept {
     std::uint64_t s = key + i * 0x9e3779b97f4a7c15ULL;

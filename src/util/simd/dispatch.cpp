@@ -4,7 +4,6 @@
 
 #include "util/simd/dispatch.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -165,26 +164,14 @@ std::string cpu_features() {
 
 namespace vipvt {
 
-// The bulk Box-Muller fills are defined beside the dispatcher whose
-// kernels compute them.
+// The bulk Box-Muller fill is defined beside the dispatcher whose kernels
+// compute it.  The two parent draws happen regardless of the request
+// size, keeping downstream streams length-independent.
 void Rng::normals_simd(std::span<double> out) noexcept {
-  normals_simd_lanes({this, 1}, out.data(), out.size(), 1);
-}
-
-void Rng::normals_simd_lanes(std::span<Rng> lanes, double* out, std::size_t n,
-                             std::size_t stride) noexcept {
-  // The two parent draws happen regardless of the request size, keeping
-  // downstream streams length-independent.  Keys go to the
-  // kernel in groups that fit a fixed buffer; grouping never moves bits.
-  constexpr std::size_t kGroup = 16;
-  std::uint64_t keys[2 * kGroup];
-  for (std::size_t g = 0; g < lanes.size(); g += kGroup) {
-    const std::size_t m = std::min(kGroup, lanes.size() - g);
-    for (std::size_t l = 0; l < m; ++l) {
-      keys[2 * l] = lanes[g + l].next();
-      keys[2 * l + 1] = lanes[g + l].next();
-    }
-    if (n > 0) simd::active_kernels().normals_fill(keys, m, out + g, n, stride);
+  const std::uint64_t key_r = next();
+  const std::uint64_t key_t = next();
+  if (!out.empty()) {
+    simd::active_kernels().normals_fill(key_r, key_t, out.data(), out.size());
   }
 }
 

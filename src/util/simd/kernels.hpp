@@ -45,37 +45,48 @@ using RelaxEdgesFn = void (*)(const RelaxEdge* edges,
                               std::size_t num_edges, const double* factor_soa,
                               double* arrival_soa, std::size_t width);
 
-/// Fused draw transform (DelayFactorTables::eval_rows_batch): for
-/// instance i, lane l, with eps and out both instance-major [n x width]:
-///   d  = std::clamp(sigma * eps[i * width + l], -clamp, clamp)
-///   out[i * width + l] = eval_row(coef + rows[i] * row_stride, sys[i] + d)
-/// reproducing the scalar draw's scale, clamp and DelayFactorTables::
-/// eval_row bit-for-bit (tables.hpp).  sigma = 1, clamp = +inf is an
-/// exact identity for callers whose eps is already scaled and clamped.
-using DrawTransformFn = void (*)(const double* coef, std::int32_t row_stride,
-                                 double lo, double step, double inv_step,
-                                 std::int32_t intervals,
-                                 const std::int32_t* rows, const double* sys,
-                                 const double* eps, double sigma,
-                                 double clamp, double* out, std::size_t n,
-                                 std::size_t width);
+/// One DelayFactorTables view (tables.hpp) for the fused draw: row r's
+/// interleaved (value, slope) pairs start at coef + r * row_stride, and
+/// segment j of every row covers [lo + j * step, lo + (j + 1) * step).
+struct FactorTable {
+  const double* coef = nullptr;
+  std::int32_t row_stride = 0;  // doubles per row: 2 * intervals
+  std::int32_t intervals = 0;
+  double lo = 0.0;
+  double step = 0.0;
+  double inv_step = 0.0;
+};
 
-/// Counter-driven bulk Box–Muller fill for Rng::normals_simd in fixed
-/// 128-pair blocks (prefix-stable); the log/sin/cos run through the
-/// layer's own vector math so the output bits are identical across ISAs,
-/// compilers and build flags.  Fills `lanes`
-/// independent streams, lane l keyed by (keys[2l], keys[2l+1]), with
-/// deviate k of lane l at out[k * stride + l] (stride >= lanes): one lane
-/// at stride 1 is the contiguous fill; all lanes of a batch at stride =
-/// batch width write an instance-major draw arena directly, block by
-/// block, so each block's rows stay in cache across the lanes.
-using NormalsFillFn = void (*)(const std::uint64_t* keys, std::size_t lanes,
-                               double* out, std::size_t n,
-                               std::size_t stride);
+/// Fused BatchedSimd factor draw, from counter keys to delay factors.
+/// Lane l is keyed by (keys[2l], keys[2l+1]), the two parent draws
+/// Rng::normals_simd takes; z(i, l) is element i of that lane's
+/// normals_simd stream.  For instance i < n and lane l < width, with
+/// offset and out both instance-major [n x width]:
+///   v  = sigma * z(i, l), plus offset[i * width + l] when offset != null
+///   d  = std::clamp(v, -clamp, clamp)
+///   out[i * width + l] = eval_row(coef + rows[i] * row_stride, sys[i] + d)
+/// reproducing the two-phase computation (normals_simd, scale, std::clamp,
+/// DelayFactorTables::eval_row) bit-for-bit.  The kernel vectorizes
+/// across lanes; a lane count that is not a multiple of the register
+/// width runs its remainder at the next narrower policy.
+using DrawFactorsFn = void (*)(const FactorTable& table,
+                               const std::int32_t* rows, const double* sys,
+                               const std::uint64_t* keys,
+                               const double* offset, double sigma,
+                               double clamp, double* out, std::size_t n,
+                               std::size_t width);
+
+/// Counter-driven bulk Box–Muller fill for Rng::normals_simd: the stream
+/// keyed by (key_r, key_t), n deviates into out.  The log/sin/cos run
+/// through the layer's own vector math, so the output bits are identical
+/// across ISAs, compilers and build flags, and deviate k depends on the
+/// keys and k alone (prefix-stable).
+using NormalsFillFn = void (*)(std::uint64_t key_r, std::uint64_t key_t,
+                               double* out, std::size_t n);
 
 struct Kernels {
   RelaxEdgesFn relax_edges = nullptr;
-  DrawTransformFn draw_transform = nullptr;
+  DrawFactorsFn draw_factors = nullptr;
   NormalsFillFn normals_fill = nullptr;
 };
 

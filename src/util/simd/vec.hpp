@@ -8,6 +8,9 @@
 //   Avx2Policy    W=4  __m256d             (gated TU, -mavx2)
 //   Avx512Policy  W=8  __m512d             (gated TU, -mavx512f -mavx512dq)
 //
+// Each wide policy names the next narrower one as Half (8 -> 4 -> 2 -> 1),
+// so a kernel can run a lane remainder at the widest width that fits.
+//
 // Bit-identity contract: every op here is either an IEEE-754
 // correctly-rounded operation (add/sub/mul/div/sqrt), an exact conversion /
 // bit manipulation, or has explicitly pinned tie semantics:
@@ -46,6 +49,17 @@ inline double double_of(std::uint64_t u) {
 }
 }  // namespace detail
 
+/// Makes the compiler store `v` and reload it, instead of forwarding the
+/// stored value in registers.  The wide gather_pair policies use it on
+/// their lane indices: scalar reloads run on the load ports, where the
+/// element extracts the compiler would emit compete with the arithmetic
+/// for the vector ports (measured ~5 % on the fused draw, AVX2 and
+/// AVX-512).  Emits no instruction; the stored bits are unchanged.
+template <class T>
+inline void keep_in_memory(T& v) {
+  asm("" : "+m"(v));
+}
+
 // Shared bit-manipulation constants (see exp_bits / mant_half below).
 inline constexpr std::uint64_t kMantMask = 0x000FFFFFFFFFFFFFull;
 inline constexpr std::uint64_t kHalfExp = 0x3FE0000000000000ull;   // 0.5 bits
@@ -54,7 +68,8 @@ inline constexpr std::uint64_t kSignBit = 0x8000000000000000ull;
 
 // ---------------------------------------------------------------------------
 // Scalar reference lane.  The other policies must match this lane bit-for-
-// bit; it is also used for the width % W remainder inside every kernel.
+// bit; it also runs the width % W remainder of the relaxation kernel and
+// the last step of the draw kernel's step-down.
 // ---------------------------------------------------------------------------
 struct ScalarPolicy {
   static constexpr std::size_t W = 1;
@@ -104,6 +119,7 @@ struct ScalarPolicy {
 #if defined(__SSE2__)
 struct Sse2Policy {
   static constexpr std::size_t W = 2;
+  using Half = ScalarPolicy;
   using D = __m128d;
   using M = __m128d;  // all-ones / all-zeros per lane
 
@@ -160,6 +176,7 @@ struct Sse2Policy {
 #if defined(__AVX2__)
 struct Avx2Policy {
   static constexpr std::size_t W = 4;
+  using Half = Sse2Policy;
   using D = __m256d;
   using M = __m256d;
 
@@ -203,6 +220,7 @@ struct Avx2Policy {
   static void gather_pair(const double* rc, D jd, D& c0, D& c1) {
     alignas(16) std::int32_t j[4];
     _mm_store_si128(reinterpret_cast<__m128i*>(j), _mm256_cvttpd_epi32(jd));
+    keep_in_memory(j);
     // a = (c0, c1) of lanes 0 | 2, b = of lanes 1 | 3; unpack transposes.
     const __m256d a = _mm256_insertf128_pd(
         _mm256_castpd128_pd256(_mm_loadu_pd(rc + 2 * j[0])),
@@ -219,6 +237,7 @@ struct Avx2Policy {
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 struct Avx512Policy {
   static constexpr std::size_t W = 8;
+  using Half = Avx2Policy;  // -mavx512f implies AVX2
   using D = __m512d;
   using M = __mmask8;
 
@@ -263,6 +282,7 @@ struct Avx512Policy {
   static void gather_pair(const double* rc, D jd, D& c0, D& c1) {
     alignas(32) std::int32_t j[8];
     _mm256_store_si256(reinterpret_cast<__m256i*>(j), _mm512_cvttpd_epi32(jd));
+    keep_in_memory(j);
     // a = (c0, c1) of lanes 0|2|4|6, b = of lanes 1|3|5|7; unpack
     // transposes within each 128-bit block.
     __m512d a = _mm512_zextpd128_pd512(_mm_loadu_pd(rc + 2 * j[0]));

@@ -115,7 +115,9 @@ McResult MonteCarloSsta::run_with_systematic(
   result.endpoint_stage_crit.assign(num_eps, 0);
   if (budget <= 0) return result;
   const auto cap = static_cast<std::size_t>(budget);
-  const int width = std::max(cfg.batch, 1);
+  // No batch holds more than the budget, so the workers' lane buffers
+  // never need more; the width-invariance contract keeps every bit.
+  const int width = std::min(std::max(cfg.batch, 1), budget);
   const std::size_t num_inst = design_->num_instances();
   result.min_period_samples.reserve(cap);
 
@@ -173,10 +175,9 @@ McResult MonteCarloSsta::run_with_systematic(
     if (cfg.profile != DrawProfile::Scalar) {
       // Draw all lanes in one pass directly into the SoA layout the
       // propagation kernel consumes; no per-batch transpose.
-      model_->draw_eps_batch(stencils, num_inst, cfg.seed, first, lanes,
-                             w.scratch);
-      model_->transform_batch(rows, systematic, lanes, w.scratch,
-                              std::span(w.factor_soa).first(num_inst * lanes));
+      model_->draw_batch(rows, systematic, stencils, cfg.seed, first, lanes,
+                         std::span(w.factor_soa).first(num_inst * lanes),
+                         w.scratch);
       w.engine.analyze_batch_soa(
           std::span<const double>(w.factor_soa).first(num_inst * lanes),
           lanes, std::span(w.results).first(lanes));

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
+
+#include "util/simd/dispatch.hpp"
 
 namespace vipvt {
 
@@ -251,10 +252,8 @@ void VariationModel::draw_factors_batch(
         "Batched draw profile (id 1); only the BatchedSimd stream remains");
   }
   scratch.rows = table_rows(design, sta);
-  draw_eps_batch(stencils, design.num_instances(), seed, first_sample, width,
-                 scratch);
-  transform_batch(scratch.rows, systematic_lgate_nm, width, scratch,
-                  factor_soa);
+  draw_batch(scratch.rows, systematic_lgate_nm, stencils, seed, first_sample,
+             width, factor_soa, scratch);
 }
 
 std::vector<std::int32_t> VariationModel::table_rows(
@@ -267,66 +266,48 @@ std::vector<std::int32_t> VariationModel::table_rows(
   return rows;
 }
 
-void VariationModel::draw_eps_batch(
-    std::span<const CorrelatedField::Stencil> stencils, std::size_t n,
-    std::uint64_t seed, std::uint64_t first_sample, std::size_t width,
-    DrawScratch& scratch) const {
-  const bool correlated = cfg_.correlated_fraction > 0.0;
-  if (correlated && stencils.size() < n) {
-    throw std::invalid_argument("draw_factors_batch: short stencil span");
-  }
-  scratch.eps.resize(n * width);
-  const double clamp = cfg_.clamp_sigma * sigma_rnd_;
-  const double sigma = correlated ? sigma_independent_nm() : sigma_rnd_;
-  // Raw normals leave sigma and the clamp to the fused transform; finished
-  // (correlated) deviations pass through it under the exact identity
-  // sigma = 1, clamp = +inf (DESIGN.md §11).
-  scratch.sigma = correlated ? 1.0 : sigma;
-  scratch.clamp =
-      correlated ? std::numeric_limits<double>::infinity() : clamp;
-  // Lane l owns the substream of global sample first_sample + l, so its
-  // bits are a function of the sample index alone — never of width,
-  // batch boundaries or the thread schedule.
-  scratch.rngs.resize(width);
-  for (std::size_t lane = 0; lane < width; ++lane) {
-    scratch.rngs[lane] = Rng(substream_seed(seed, first_sample + lane));
-  }
-  if (!correlated) {
-    Rng::normals_simd_lanes(scratch.rngs, scratch.eps.data(), n, width);
-    return;
-  }
-  scratch.lane.resize(n);
-  for (std::size_t lane = 0; lane < width; ++lane) {
-    Rng& rng = scratch.rngs[lane];
-    double* col = scratch.eps.data() + lane;  // instance i at i * width
-    const CorrelatedField field = CorrelatedField::bulk(
-        cfg_.correlation_length_um, kCorrGrid, sigma_correlated_nm(), rng);
-    double* z = scratch.lane.data();
-    rng.normals_simd({z, n});
-    for (std::size_t i = 0; i < n; ++i) {
-      col[i * width] =
-          std::clamp(field.at(stencils[i]) + sigma * z[i], -clamp, clamp);
-    }
-  }
-}
-
-void VariationModel::transform_batch(
+void VariationModel::draw_batch(
     std::span<const std::int32_t> rows,
-    std::span<const double> systematic_lgate_nm, std::size_t width,
-    const DrawScratch& scratch, std::span<double> factor_soa) const {
+    std::span<const double> systematic_lgate_nm,
+    std::span<const CorrelatedField::Stencil> stencils, std::uint64_t seed,
+    std::uint64_t first_sample, std::size_t width,
+    std::span<double> factor_soa, DrawScratch& scratch) const {
   const std::size_t n = rows.size();
+  const bool correlated = cfg_.correlated_fraction > 0.0;
   if (systematic_lgate_nm.size() < n) {
     throw std::invalid_argument("draw_factors_batch: short systematic map");
   }
-  if (factor_soa.size() < n * width || scratch.eps.size() < n * width) {
+  if (correlated && stencils.size() < n) {
+    throw std::invalid_argument("draw_factors_batch: short stencil span");
+  }
+  if (factor_soa.size() < n * width) {
     throw std::invalid_argument("draw_factors_batch: short factor buffer");
   }
-  // Instance-major like the SoA the batched propagation kernel consumes;
-  // bit-identical to a per-lane clamp + eval_row loop at every dispatch
-  // width (DESIGN.md §17).
-  tables_.eval_rows_batch(rows.data(), systematic_lgate_nm.data(),
-                          scratch.eps.data(), scratch.sigma, scratch.clamp, n,
-                          width, factor_soa.data());
+  // Lane l owns the substream of global sample first_sample + l, so its
+  // bits are a function of the sample index alone — never of width,
+  // batch boundaries or the thread schedule.  A correlated lane draws its
+  // field first and passes the field values as the kernel's offset; its
+  // keys are the two draws normals_simd() would take after the field.
+  scratch.keys.resize(2 * width);
+  if (correlated) scratch.offset.resize(n * width);
+  for (std::size_t lane = 0; lane < width; ++lane) {
+    Rng rng(substream_seed(seed, first_sample + lane));
+    if (correlated) {
+      const CorrelatedField field = CorrelatedField::bulk(
+          cfg_.correlation_length_um, kCorrGrid, sigma_correlated_nm(), rng);
+      double* col = scratch.offset.data() + lane;  // instance i at i * width
+      for (std::size_t i = 0; i < n; ++i) {
+        col[i * width] = field.at(stencils[i]);
+      }
+    }
+    scratch.keys[2 * lane] = rng.next();
+    scratch.keys[2 * lane + 1] = rng.next();
+  }
+  simd::active_kernels().draw_factors(
+      tables_.kernel_table(), rows.data(), systematic_lgate_nm.data(),
+      scratch.keys.data(), correlated ? scratch.offset.data() : nullptr,
+      correlated ? sigma_independent_nm() : sigma_rnd_,
+      cfg_.clamp_sigma * sigma_rnd_, factor_soa.data(), n, width);
 }
 
 }  // namespace vipvt

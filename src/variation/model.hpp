@@ -11,7 +11,7 @@
 // at the supply voltage of the gate's island.
 
 #include <array>
-#include <limits>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -212,37 +212,32 @@ class VariationModel {
       std::span<const CorrelatedField::Stencil> stencils, Rng& rng,
       std::vector<double>& factors) const;
 
-  /// Reusable buffers of draw_factors_batch, kept across batches by the
-  /// caller (one per MC worker) to avoid per-batch allocation.  eps is
-  /// the instance-major [instances x width] arena the fused transform
-  /// reads with contiguous loads, 64-byte aligned (util/aligned.hpp);
-  /// sigma and clamp are what the transform still applies to it (the raw
-  /// normals' scale and clamp, or 1 and +inf for finished deviations);
-  /// lane holds one lane's contiguous normals where a lane cannot write
-  /// the arena directly; rngs holds the lanes' generators; rows caches
-  /// the per-instance table-row index.
+  /// Reusable buffers of the batched draw, kept across batches by the
+  /// caller (one per MC worker) to avoid per-batch allocation: keys holds
+  /// each lane's two counter keys; offset holds the correlated lanes'
+  /// field values, instance-major [instances x width] like the factors,
+  /// 64-byte aligned (util/aligned.hpp); rows caches the per-instance
+  /// table row of draw_factors_batch.
   struct DrawScratch {
-    AlignedVec<double> eps;
-    AlignedVec<double> lane;
-    std::vector<Rng> rngs;
+    std::vector<std::uint64_t> keys;
+    AlignedVec<double> offset;
     std::vector<std::int32_t> rows;
-    double sigma = 1.0;
-    double clamp = std::numeric_limits<double>::infinity();
   };
 
   /// BatchedSimd draw profile: fill `factor_soa` — instance-major,
   /// factor_soa[i * width + lane] — with `width` independent whole-design
   /// draws in one pass.  Lane `l` owns the RNG substream of global sample
   /// first_sample + l (substream_seed, same keying as the scalar path),
-  /// draws its normals in bulk (Rng::normals_simd, the arch-invariant
-  /// stream of DESIGN.md §17) and maps Lgate to delay factor through the
-  /// interpolation tables.  Every lane's bits are a function of (seed,
-  /// global sample index) alone — never of width, batch boundaries or the
-  /// thread schedule — which is the profile's determinism contract.
+  /// draws its normals through the counter-keyed Box–Muller stream of
+  /// Rng::normals_simd (the arch-invariant stream of DESIGN.md §17) and
+  /// maps Lgate to delay factor through the interpolation tables.  Every
+  /// lane's bits are a function of (seed, global sample index) alone —
+  /// never of width, batch boundaries or the thread schedule — which is
+  /// the profile's determinism contract.
   /// NOTE: this is a different (statistically equivalent) stream than the
   /// scalar path's polar normals; the two profiles do not produce
   /// bit-identical samples by design.  Equivalent to table_rows() into
-  /// scratch.rows, then draw_eps_batch() and transform_batch().
+  /// scratch.rows, then draw_batch().
   ///
   /// `simd_normals` must be true: false selected the retired libm
   /// Batched stream and now throws std::invalid_argument.
@@ -260,23 +255,20 @@ class VariationModel {
   std::vector<std::int32_t> table_rows(const Design& design,
                                        const StaEngine& sta) const;
 
-  /// Normals phase of draw_factors_batch: every lane's random Lgate
-  /// deviations for `n` instances into scratch.eps, instance-major.
-  /// Uncorrelated lanes store raw normals (all lanes written straight into
-  /// the arena with Rng::normals_simd_lanes) and leave the scale and clamp
-  /// to the transform; correlated lanes store finished deviations.
-  void draw_eps_batch(std::span<const CorrelatedField::Stencil> stencils,
-                      std::size_t n, std::uint64_t seed,
-                      std::uint64_t first_sample, std::size_t width,
-                      DrawScratch& scratch) const;
-
-  /// Transform phase: one fused dispatched kernel applies scratch.sigma,
-  /// the clamp and the table interpolation at systematic + deviation for
-  /// rows.size() instances, writing factor_soa instance-major.
-  void transform_batch(std::span<const std::int32_t> rows,
-                       std::span<const double> systematic_lgate_nm,
-                       std::size_t width, const DrawScratch& scratch,
-                       std::span<double> factor_soa) const;
+  /// The batched draw for rows.size() instances against precomputed
+  /// table rows: one fused dispatched kernel (DESIGN.md §11, §17) takes
+  /// each lane's counter keys to delay factors.  Lane l's instance i is
+  /// bit-identical to the two-phase computation: z = element i of the
+  /// lane generator's normals_simd() — after CorrelatedField::bulk() when
+  /// correlated_fraction > 0 — then d = std::clamp(sigma_rnd * z) (or
+  /// std::clamp(field.at(stencils[i]) + sigma_independent * z)), then
+  /// DelayFactorTables::eval_row(rows[i], systematic[i] + d).
+  void draw_batch(std::span<const std::int32_t> rows,
+                  std::span<const double> systematic_lgate_nm,
+                  std::span<const CorrelatedField::Stencil> stencils,
+                  std::uint64_t seed, std::uint64_t first_sample,
+                  std::size_t width, std::span<double> factor_soa,
+                  DrawScratch& scratch) const;
 
  private:
   CharParams cp_;

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/simd/dispatch.hpp"
-
 namespace vipvt {
 
 DelayFactorTables::DelayFactorTables(const CharParams& cp, double lo_nm,
@@ -59,16 +57,6 @@ DelayFactorTables::DelayFactorTables(const CharParams& cp, double lo_nm,
       }
     }
   }
-}
-
-void DelayFactorTables::eval_rows_batch(const std::int32_t* rows,
-                                        const double* sys, const double* eps,
-                                        double sigma, double clamp,
-                                        std::size_t n, std::size_t width,
-                                        double* out) const {
-  simd::active_kernels().draw_transform(
-      coef_.data(), 2 * intervals_, lo_, step_, inv_step_, intervals_, rows,
-      sys, eps, sigma, clamp, out, n, width);
 }
 
 }  // namespace vipvt

@@ -17,6 +17,7 @@
 
 #include "liberty/cell.hpp"
 #include "liberty/physics.hpp"
+#include "util/simd/kernels.hpp"
 
 namespace vipvt {
 
@@ -65,18 +66,11 @@ class DelayFactorTables {
     return eval_row(row_data(row(corner, vth)), lgate_nm);
   }
 
-  /// Batched, fused eval_row over a whole draw: for instance i and lane
-  /// l, with eps and out both instance-major [n x width],
-  ///   d = std::clamp(sigma * eps[i * width + l], -clamp, clamp)
-  ///   out[i * width + l] = eval_row(row_data(rows[i]), sys[i] + d)
-  /// Runs through the runtime-dispatched SIMD kernel (DESIGN.md §17);
-  /// every dispatch target reproduces the scalar scale, std::clamp and
-  /// eval_row() bit-for-bit, so this is a pure throughput variant, never
-  /// a numeric one.  sigma = 1, clamp = +inf passes eps through exactly.
-  /// Requires clamp >= 0.  Defined in tables.cpp.
-  void eval_rows_batch(const std::int32_t* rows, const double* sys,
-                       const double* eps, double sigma, double clamp,
-                       std::size_t n, std::size_t width, double* out) const;
+  /// The rows as the fused BatchedSimd draw kernel reads them
+  /// (util/simd/kernels.hpp): its table step is eval_row, bit-for-bit.
+  simd::FactorTable kernel_table() const {
+    return {coef_.data(), 2 * intervals_, intervals_, lo_, step_, inv_step_};
+  }
 
   /// Evaluate one row at `lgate_nm` and also report the segment slope
   /// d(factor)/d(Lgate) [1/nm] — the exact derivative of the
@@ -129,7 +123,7 @@ class DelayFactorTables {
   /// BEFORE the int conversion (NaN maps to segment 0), so an input far
   /// outside the table, infinite or NaN never converts an out-of-range
   /// double; inside the range the segment is trunc(x), as the SIMD draw
-  /// transform computes it.
+  /// kernel computes it.
   int segment(double lgate_nm) const {
     double x = (lgate_nm - lo_) * inv_step_;
     if (!(x >= 0.0)) x = 0.0;

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "ssta/canonical.hpp"
 #include "vi/flow.hpp"
@@ -63,11 +64,31 @@ std::string YieldReport::policy_glyphs() const {
 }
 
 void YieldConfig::validate() const {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("YieldConfig: ") + what);
+  };
   // The screens' normal quantile is undefined at 0 and 1, and a NaN would
   // reach percentile()'s index arithmetic on the flat tier.
   if (!(speed_percentile > 0.0 && speed_percentile < 1.0)) {
-    throw std::invalid_argument(
-        "YieldConfig: speed_percentile must lie in (0, 1)");
+    fail("speed_percentile must lie in (0, 1)");
+  }
+  // A fixed budget below one sample runs no MC: every die would report
+  // fmax 0 and the screens would decide nothing.
+  if (!mc.adaptive.enabled && mc.samples < 1) {
+    fail("mc.samples must be >= 1 for a fixed budget");
+  }
+  // The screens' CI quantiles need a confidence strictly inside (0, 1).
+  if (!(triage.confidence > 0.0 && triage.confidence < 1.0)) {
+    fail("triage.confidence must lie in (0, 1)");
+  }
+  // A negative band would decide slots inside the CI band (voiding the
+  // 1 - confidence error rate); a NaN one would silently decide none.
+  if (!(triage.band_scale >= 0.0) || !std::isfinite(triage.band_scale)) {
+    fail("triage.band_scale must be finite and >= 0");
+  }
+  if (!(triage.model_error_ns >= 0.0) ||
+      !std::isfinite(triage.model_error_ns)) {
+    fail("triage.model_error_ns must be finite and >= 0");
   }
 }
 
@@ -220,15 +241,7 @@ const MomentIntervals& screen_intervals(std::size_t n, double confidence) {
 SlotTriage YieldAnalyzer::slot_verdict(const CanonicalResult& r,
                                        const YieldConfig& cfg) const {
   const auto n = static_cast<std::size_t>(per_die_mc_budget(cfg.mc));
-  const TriageConfig& tc = cfg.triage;
-  // A negative band would decide slots inside the CI band (voiding the
-  // 1 - confidence error rate); a NaN one would silently decide none.
-  if (!(tc.band_scale >= 0.0) || !std::isfinite(tc.band_scale) ||
-      !(tc.model_error_ns >= 0.0) || !std::isfinite(tc.model_error_ns)) {
-    throw std::invalid_argument(
-        "YieldAnalyzer: triage band_scale and model_error_ns must be finite "
-        "and >= 0");
-  }
+  const TriageConfig& tc = cfg.triage;  // validate() checked its domain
   const MomentIntervals& ci = screen_intervals(n, tc.confidence);
   SlotTriage out;
   out.decided = true;

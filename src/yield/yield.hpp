@@ -103,11 +103,12 @@ const char* eval_tier_name(EvalTier t);
 struct TriageConfig {
   bool enabled = false;
   /// Confidence level of the CI half-widths the band is built from (the
-  /// stated error rate of the analytic verdict is 1 - confidence).
+  /// stated error rate of the analytic verdict is 1 - confidence); must
+  /// lie in (0, 1) on every tier.
   double confidence = 0.95;
   /// Multiplier on the CI-derived part of the band (>1 = stricter
   /// triage: fewer dies decided analytically).  Must be finite and >= 0,
-  /// like model_error_ns: a screen throws std::invalid_argument otherwise.
+  /// like model_error_ns; YieldConfig::validate() rejects anything else.
   double band_scale = 1.0;
   /// Absolute allowance [ns] for canonical-model bias (table
   /// linearization, Clark's normal approximation, the dropped sample
@@ -157,9 +158,11 @@ struct YieldConfig {
   }
 
   /// Throws std::invalid_argument naming the field when speed_percentile
-  /// is NaN or outside (0, 1).  Every YieldAnalyzer entry point that takes
-  /// a YieldConfig, and CampaignRunner::expand, calls it before any die or
-  /// screen runs.
+  /// or triage.confidence is NaN or outside (0, 1), when a fixed
+  /// (non-adaptive) mc.samples is below 1, or when triage.band_scale or
+  /// triage.model_error_ns is NaN, infinite or negative — on every tier.
+  /// Every YieldAnalyzer entry point that takes a YieldConfig, and
+  /// CampaignRunner::expand, calls it before any die or screen runs.
   void validate() const;
 };
 

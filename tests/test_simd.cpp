@@ -1,10 +1,10 @@
 // SIMD dispatch layer tests (DESIGN.md §17).  The layer's contract is
 // per-lane bit-identity: every compiled dispatch target (scalar / sse2 /
 // avx2 / avx512) must reproduce the ScalarPolicy reference lane
-// bit-for-bit — for the edge-relaxation kernels, for the
-// DelayFactorTables row transform (including the ±clamp_sigma table
-// edges and exact interval boundaries), and for the arch-invariant
-// normal stream behind DrawProfile::BatchedSimd.  Tests that pin the
+// bit-for-bit — for the edge-relaxation kernels, for the fused
+// BatchedSimd draw against its two-phase reference (including the
+// ±clamp_sigma table edges and exact interval boundaries), and for the
+// arch-invariant normal stream behind DrawProfile::BatchedSimd.  Tests that pin the
 // dispatcher restore it through an RAII guard so a failing assertion
 // cannot leak the pin into later tests.
 
@@ -120,11 +120,141 @@ TEST(SimdKernels, RelaxEdgesBitIdenticalAcrossTargets) {
   }
 }
 
-// The table transform at the hard spots: the ±clamp_sigma table edges
-// (everything a clamped draw can reach), points clamped below/above the
-// range, and exact interval boundaries — bit-equal to eval_row on every
-// compiled dispatch target, for every (corner, Vth) row.
-TEST(SimdKernels, DrawTransformMatchesEvalRowAtEdges) {
+// ---- the fused BatchedSimd draw kernel (DESIGN.md §11, §17) -------------
+
+/// One fused-draw call: lane l's generator seed, instance rows and
+/// systematic Lgates, an optional instance-major offset, sigma and clamp.
+struct DrawInput {
+  std::vector<std::int32_t> rows;
+  std::vector<double> sys;
+  std::vector<std::uint64_t> lane_seeds;
+  AlignedVec<double> offset;  // empty: no offset
+  double sigma = 1.0;
+  double clamp = std::numeric_limits<double>::infinity();
+  std::size_t n() const { return rows.size(); }
+  std::size_t width() const { return lane_seeds.size(); }
+};
+
+/// The two-phase reference: each lane's own normals_simd() stream, then
+/// std::clamp([offset +] sigma * z), then DelayFactorTables::eval_row.
+std::vector<double> two_phase_draw(const DelayFactorTables& tbl,
+                                   const DrawInput& in) {
+  const std::size_t n = in.n(), width = in.width();
+  std::vector<double> out(n * width), z(n);
+  for (std::size_t l = 0; l < width; ++l) {
+    Rng rng(in.lane_seeds[l]);
+    rng.normals_simd(z);
+    for (std::size_t i = 0; i < n; ++i) {
+      double v = in.sigma * z[i];
+      if (!in.offset.empty()) v = in.offset[i * width + l] + v;
+      out[i * width + l] =
+          tbl.eval_row(tbl.row_data(in.rows[i]),
+                       in.sys[i] + std::clamp(v, -in.clamp, in.clamp));
+    }
+  }
+  return out;
+}
+
+/// The kernel of one dispatch target on the same input: keys are the two
+/// draws normals_simd() takes from each lane's generator.  Slots past
+/// the n x width block must stay untouched.
+std::vector<double> fused_draw(const simd::Kernels& k,
+                               const DelayFactorTables& tbl,
+                               const DrawInput& in) {
+  const std::size_t n = in.n(), width = in.width();
+  std::vector<std::uint64_t> keys;
+  for (const std::uint64_t seed : in.lane_seeds) {
+    Rng rng(seed);
+    keys.push_back(rng.next());
+    keys.push_back(rng.next());
+  }
+  std::vector<double> out(n * width + 3, 42.0);
+  k.draw_factors(tbl.kernel_table(), in.rows.data(), in.sys.data(),
+                 keys.data(), in.offset.empty() ? nullptr : in.offset.data(),
+                 in.sigma, in.clamp, out.data(), n, width);
+  for (std::size_t k2 = n * width; k2 < out.size(); ++k2) {
+    EXPECT_EQ(out[k2], 42.0) << "slot " << k2 << " written";
+  }
+  out.resize(n * width);
+  return out;
+}
+
+/// Bitwise equality of two factor vectors (memcmp needs non-null
+/// pointers even for zero bytes, which an empty vector may not give).
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * 8) == 0);
+}
+
+/// Rows cycling through every (corner, Vth) row and systematic Lgates
+/// spread over the table, both edges and beyond them included.
+DrawInput draw_input(const DelayFactorTables& tbl, std::size_t n,
+                     std::size_t width, Rng& rng) {
+  const double lo = tbl.lo_nm(), hi = tbl.hi_nm();
+  const std::vector<double> edges = {lo, hi, lo - 0.5, hi + 0.5};
+  DrawInput in;
+  for (std::size_t i = 0; i < n; ++i) {
+    in.rows.push_back(static_cast<std::int32_t>(i % DelayFactorTables::kRows));
+    in.sys.push_back(i % 5 == 0 ? edges[(i / 5) % edges.size()]
+                                : lo + (hi - lo) * rng.uniform());
+  }
+  for (std::size_t l = 0; l < width; ++l) {
+    in.lane_seeds.push_back(0xd5a0 + 977 * n + l);
+  }
+  return in;
+}
+
+// The fused draw against the two-phase reference, byte for byte on every
+// dispatch target: lane counts on both sides of every register width
+// (remainders step down 8 -> 4 -> 2 -> 1), instance counts around the
+// old 128-pair block and odd ones (the last sine dropped), the model's
+// scale and clamp, a sigma large enough that the clamp binds on about a
+// third of the draws, and an offset (the correlated lanes' field values).
+TEST(SimdKernels, FusedDrawMatchesTwoPhaseReference) {
+  CharParams cp;
+  const ExposureField field = ExposureField::scaled_65nm(cp);
+  const VariationModel model(cp, field);
+  const DelayFactorTables& tbl = model.delay_factor_tables();
+  const double sigma = model.sigma_random_nm();
+  const double clamp = model.config().clamp_sigma * sigma;
+  Rng rng(0xf05edULL);
+  ArchGuard guard;
+  for (const std::size_t width :
+       {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 12u, 16u, 17u}) {
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 255u, 256u, 257u, 2585u}) {
+      DrawInput in = draw_input(tbl, n, width, rng);
+      for (int mode = 0; mode < 3; ++mode) {
+        // Mode 1: sigma = clamp, so every |z| > 1 clamps.  Mode 2: half
+        // the variance in the offset, as a correlated lane splits it.
+        in.clamp = clamp;
+        in.sigma = mode == 1 ? clamp : sigma;
+        in.offset.clear();
+        if (mode == 2) {
+          in.sigma = sigma * std::sqrt(0.5);
+          in.offset.resize(n * width);
+          for (double& o : in.offset) o = in.sigma * rng.normal();
+        }
+        const std::vector<double> want = two_phase_draw(tbl, in);
+        for (const simd::Arch a : simd::available_archs()) {
+          const std::vector<double> got =
+              fused_draw(*simd::kernels_for(a), tbl, in);
+          EXPECT_TRUE(same_bits(got, want))
+              << simd::arch_name(a) << " width " << width << " n " << n
+              << " mode " << mode;
+        }
+      }
+    }
+  }
+}
+
+// The table step and the clamp at the hard spots, through the offset
+// with sigma = 0 (so the deviation is the offset, exactly): the clamp
+// edges, points past the table on both sides, exact interval boundaries,
+// deviations at, inside and beyond ±clamp, ±0 and their neighbours.
+// Each factor must equal eval_row at sys + std::clamp(offset) directly,
+// on every target.  eval_row_slope's value must equal eval_row bitwise,
+// and its slope must hold the clamped segment's.
+TEST(SimdKernels, FusedDrawTableEdgesAndClampExact) {
   CharParams cp;
   const ExposureField field = ExposureField::scaled_65nm(cp);
   const VariationModel model(cp, field);
@@ -134,14 +264,11 @@ TEST(SimdKernels, DrawTransformMatchesEvalRowAtEdges) {
   const double hi = tbl.hi_nm();
   const double range = hi - lo;
   const int intervals = tbl.intervals();
+  const double inf = std::numeric_limits<double>::infinity();
 
   // Clamp edges, out-of-range points, interval boundaries, interior.
-  std::vector<double> points = {lo,
-                                hi,
-                                lo - 3.0,
-                                hi + 3.0,
-                                lo - 1e-9,
-                                hi + 1e-9,
+  std::vector<double> points = {lo,        hi,        lo - 3.0,
+                                hi + 3.0,  lo - 1e-9, hi + 1e-9,
                                 lo + 0.5 * range / intervals};
   for (const int k : {1, 2, intervals / 2, intervals - 1, intervals}) {
     points.push_back(lo + range * k / intervals);
@@ -171,95 +298,46 @@ TEST(SimdKernels, DrawTransformMatchesEvalRowAtEdges) {
     EXPECT_EQ(slope_above, slope_last);
   }
 
-  // Batched, pass-through (sigma = 1, clamp = +inf): instances cycle rows
-  // x points; lane eps spread around zero plus a lane pinned at exactly
-  // zero so the boundary points stay on their boundaries in at least one
-  // lane.  eps and out are instance-major.
-  const std::size_t n = points.size() * DelayFactorTables::kRows;
-  std::vector<std::int32_t> rows(n);
-  std::vector<double> sys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    rows[i] = static_cast<std::int32_t>(i % DelayFactorTables::kRows);
-    sys[i] = points[i / DelayFactorTables::kRows];
-  }
-  const double inf = std::numeric_limits<double>::infinity();
+  const double clamp = model.config().clamp_sigma * model.sigma_random_nm();
+  const std::vector<double> specials = {
+      clamp,        -clamp,        clamp * 1.5,
+      -clamp * 1.5, clamp * 100.0, -clamp * 100.0,
+      0.0,          -0.0,          std::nextafter(clamp, inf),
+      std::nextafter(-clamp, -inf), std::nextafter(clamp, 0.0)};
   ArchGuard guard;
-  for (const std::size_t width : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{8}, std::size_t{9}}) {
-    AlignedVec<double> eps(n * width);
+  for (const std::size_t width : {1u, 3u, 8u, 9u, 17u}) {
+    // Instances cycle rows x points.  Pass-through (clamp = +inf): lane 0
+    // at exactly zero keeps the boundary points on their boundaries, the
+    // others spread around; clamped: the special deviations.
+    const std::size_t n = points.size() * DelayFactorTables::kRows;
+    DrawInput in = draw_input(tbl, n, width, rng);
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t l = 0; l < width; ++l) {
-        eps[i * width + l] = l == 0 ? 0.0 : (rng.uniform() - 0.5) * range;
-      }
+      in.sys[i] = points[i / DelayFactorTables::kRows];
     }
-    std::vector<double> out(n * width);
-    for (const simd::Arch a : simd::available_archs()) {
-      ASSERT_TRUE(simd::set_arch(a));
-      tbl.eval_rows_batch(rows.data(), sys.data(), eps.data(), 1.0, inf, n,
-                          width, out.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* rd = tbl.row_data(rows[i]);
-        for (std::size_t l = 0; l < width; ++l) {
-          EXPECT_EQ(out[i * width + l],
-                    tbl.eval_row(rd, sys[i] + eps[i * width + l]))
-              << simd::arch_name(a) << " width " << width << " inst " << i
-              << " lane " << l;
+    in.sigma = 0.0;
+    in.offset.resize(n * width);
+    for (const bool clamped : {false, true}) {
+      in.clamp = clamped ? clamp : inf;
+      for (std::size_t k = 0; k < in.offset.size(); ++k) {
+        in.offset[k] = clamped ? specials[k % specials.size()]
+                               : (k % width == 0 ? 0.0
+                                                 : (rng.uniform() - 0.5) *
+                                                       range);
+      }
+      for (const simd::Arch a : simd::available_archs()) {
+        const std::vector<double> got =
+            fused_draw(*simd::kernels_for(a), tbl, in);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double* rd = tbl.row_data(in.rows[i]);
+          for (std::size_t l = 0; l < width; ++l) {
+            const double d =
+                std::clamp(in.offset[i * width + l], -in.clamp, in.clamp);
+            EXPECT_EQ(got[i * width + l], tbl.eval_row(rd, in.sys[i] + d))
+                << simd::arch_name(a) << " width " << width << " inst " << i
+                << " lane " << l << (clamped ? " clamped" : " pass-through");
+          }
         }
       }
-    }
-  }
-}
-
-// The fused draw transform (DESIGN.md §11): scale, std::clamp and
-// eval_row in one kernel.  Deviations sit exactly on the clamp edges
-// (eps = ±clamp/σ) and beyond them; every target at every width must
-// equal the scalar std::clamp + eval_row, and the pass-through mode
-// (σ = 1, clamp = +inf) on pre-clamped input must equal it too.
-TEST(SimdKernels, FusedTransformScaleAndClampExact) {
-  CharParams cp;
-  const ExposureField field = ExposureField::scaled_65nm(cp);
-  const VariationModel model(cp, field);
-  const DelayFactorTables& tbl = model.delay_factor_tables();
-  const double sigma = model.sigma_random_nm();
-  const double clamp = model.config().clamp_sigma * sigma;
-  const double edge = clamp / sigma;
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> specials = {edge,         -edge,        edge * 1.5,
-                                  -edge * 1.5,  edge * 100.0, -edge * 100.0,
-                                  0.0,          -0.0,         std::nextafter(edge, inf),
-                                  std::nextafter(-edge, -inf)};
-  Rng rng(0xc1a4ULL);
-  const std::size_t n = 4 * DelayFactorTables::kRows;
-  std::vector<std::int32_t> rows(n);
-  std::vector<double> sys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    rows[i] = static_cast<std::int32_t>(i % DelayFactorTables::kRows);
-    sys[i] = cp.lgate_nom + (rng.uniform() - 0.5) * 4.0;
-  }
-  ArchGuard guard;
-  for (const std::size_t width : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{5}, std::size_t{7},
-                                  std::size_t{8}, std::size_t{17}}) {
-    AlignedVec<double> eps(n * width), pre(n * width);
-    std::vector<double> ref(n * width);
-    for (std::size_t k = 0; k < eps.size(); ++k) {
-      eps[k] = k % 3 == 0 ? specials[(k / 3) % specials.size()]
-                          : 3.0 * rng.normal();
-      pre[k] = std::clamp(sigma * eps[k], -clamp, clamp);
-      ref[k] = tbl.eval_row(tbl.row_data(rows[k / width]),
-                            sys[k / width] + pre[k]);
-    }
-    std::vector<double> out(n * width), pass(n * width);
-    for (const simd::Arch a : simd::available_archs()) {
-      ASSERT_TRUE(simd::set_arch(a));
-      tbl.eval_rows_batch(rows.data(), sys.data(), eps.data(), sigma, clamp,
-                          n, width, out.data());
-      tbl.eval_rows_batch(rows.data(), sys.data(), pre.data(), 1.0, inf, n,
-                          width, pass.data());
-      EXPECT_EQ(std::memcmp(out.data(), ref.data(), ref.size() * 8), 0)
-          << "fused " << simd::arch_name(a) << " width " << width;
-      EXPECT_EQ(std::memcmp(pass.data(), ref.data(), ref.size() * 8), 0)
-          << "pass-through " << simd::arch_name(a) << " width " << width;
     }
   }
 }
@@ -353,49 +431,6 @@ TEST(SimdKernels, FirstWriterRelaxMatchesNegInfFill) {
                        factors.data(), got.data(), width);
         EXPECT_EQ(std::memcmp(ref.data(), got.data(), ref.size() * 8), 0)
             << "relax_edges " << simd::arch_name(a) << " width " << width;
-      }
-    }
-  }
-}
-
-// The lane-interleaved normal fill (DESIGN.md §11): lane l's deviate k
-// at out[k * stride + l] must equal element k of that generator's own
-// contiguous normals_simd() on every target, for lane counts below and
-// above the fill's key group, touch no other slot, and consume the same
-// two parent draws per lane.
-TEST(SimdKernels, NormalsSimdLanesMatchContiguous) {
-  ArchGuard guard;
-  for (const simd::Arch a : simd::available_archs()) {
-    ASSERT_TRUE(simd::set_arch(a));
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                                std::size_t{2}, std::size_t{3},
-                                std::size_t{255}, std::size_t{256},
-                                std::size_t{257}, std::size_t{1001}}) {
-      for (const std::size_t lanes : {std::size_t{1}, std::size_t{3},
-                                      std::size_t{8}, std::size_t{17}}) {
-        const std::size_t stride = lanes + (lanes % 2);  // = lanes or + 1
-        std::vector<Rng> flat_rngs, lane_rngs;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          flat_rngs.emplace_back(0xab0 + 31 * n + l);
-          lane_rngs.emplace_back(0xab0 + 31 * n + l);
-        }
-        std::vector<double> wide(n * stride + 1, 42.0);
-        Rng::normals_simd_lanes(lane_rngs, wide.data(), n, stride);
-        for (std::size_t l = 0; l < lanes; ++l) {
-          std::vector<double> flat(n);
-          flat_rngs[l].normals_simd(flat);
-          for (std::size_t k = 0; k < n; ++k) {
-            ASSERT_EQ(std::memcmp(&wide[k * stride + l], &flat[k], 8), 0)
-                << simd::arch_name(a) << " n " << n << " lanes " << lanes
-                << " lane " << l << " k " << k;
-          }
-          EXPECT_EQ(flat_rngs[l].next(), lane_rngs[l].next())
-              << simd::arch_name(a) << " lane " << l;
-        }
-        for (std::size_t k = 0; k < wide.size(); ++k) {
-          if (k % stride < lanes && k / stride < n) continue;
-          EXPECT_EQ(wide[k], 42.0) << "slot " << k << " written";
-        }
       }
     }
   }

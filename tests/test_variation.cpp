@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -14,6 +16,7 @@
 #include "netlist/vex.hpp"
 #include "placement/placer.hpp"
 #include "util/parallel.hpp"
+#include "util/simd/dispatch.hpp"
 #include "variation/field.hpp"
 #include "variation/mc_ssta.hpp"
 #include "variation/model.hpp"
@@ -343,7 +346,8 @@ TEST_F(McFixture, BitIdenticalAcrossBatchWidths) {
   McConfig cfg;
   cfg.samples = 60;
   const McResult ref = mc.run(DieLocation::point('A'), cfg);  // batch 8
-  for (int batch : {1, 7, 32}) {
+  // 4096 lies far above the budget: the worker is sized by the budget.
+  for (int batch : {1, 7, 32, 4096}) {
     McConfig c = cfg;
     c.batch = batch;
     expect_identical(ref, mc.run(DieLocation::point('A'), c));
@@ -366,7 +370,7 @@ TEST_F(McFixture, BatchedSimdProfileBitIdenticalAcrossThreadsAndWidths) {
   ThreadPool one(1), three(3), eight(8);
   expect_identical(ref, mc.run(DieLocation::point('A'), cfg, &one));
   expect_identical(ref, mc.run(DieLocation::point('A'), cfg, &eight));
-  for (int batch : {1, 7, 32}) {
+  for (int batch : {1, 7, 32, 4096}) {
     McConfig c = cfg;
     c.batch = batch;
     expect_identical(ref, mc.run(DieLocation::point('A'), c));
@@ -455,6 +459,97 @@ TEST_F(McFixture, DrawFactorsBatchRejectsRetiredLibmStream) {
   model_->draw_factors_batch(design_, *sta_, systematic, stencils, 7, 0,
                              kWidth, explicit_soa, scratch, true);
   EXPECT_EQ(soa, explicit_soa);
+}
+
+/// Bitwise equality of two factor vectors (memcmp needs non-null
+/// pointers even for zero bytes, which an empty vector may not give).
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * 8) == 0);
+}
+
+/// The batched draw against its two-phase reference, byte for byte on
+/// every dispatch target: lane l of sample first_sample + l takes its
+/// substream's normals_simd() — after CorrelatedField::bulk() when
+/// correlated — then std::clamp and DelayFactorTables::eval_row.  Widths
+/// on both sides of every register width, instance counts around the old
+/// 128-pair block and odd ones, correlated_fraction 0 and 0.5, the
+/// default clamp and a wide sigma whose clamp binds on half the draws,
+/// and systematic Lgates at both table edges.
+TEST_F(McFixture, BatchedDrawMatchesTwoPhaseReference) {
+  constexpr std::uint64_t kSeed = 0xba7c4ULL;
+  constexpr std::uint64_t kFirst = 1000003;
+  struct ArchGuard {
+    ~ArchGuard() { simd::reset_arch(); }
+  } guard;
+  for (const double corr : {0.0, 0.5}) {
+    for (const bool binding : {false, true}) {
+      VariationConfig vc;
+      vc.correlated_fraction = corr;
+      if (binding) {
+        vc.three_sigma_random_frac = 0.3;
+        vc.clamp_sigma = 0.7;
+      }
+      const VariationModel model(lib_.char_params(), *field_, vc);
+      const DelayFactorTables& tbl = model.delay_factor_tables();
+      const double clamp = vc.clamp_sigma * model.sigma_random_nm();
+      const double sigma_ind = model.sigma_independent_nm();
+      // 2585 instances: the design's rows, systematic map and stencils,
+      // repeated past its end, with every 7th Lgate at a table edge.
+      constexpr std::size_t kN = 2585;
+      const std::vector<std::int32_t> design_rows =
+          model.table_rows(design_, *sta_);
+      const std::vector<double> design_sys =
+          model.systematic_lgates(design_, DieLocation::point('A'));
+      std::vector<CorrelatedField::Stencil> stencils;
+      std::vector<std::int32_t> rows;
+      std::vector<double> sys;
+      for (std::size_t i = 0; i < kN; ++i) {
+        const InstId src = static_cast<InstId>(i % design_.num_instances());
+        rows.push_back(design_rows[src]);
+        sys.push_back(i % 7 == 0 ? (i % 14 == 0 ? tbl.lo_nm() : tbl.hi_nm())
+                                 : design_sys[src]);
+        stencils.push_back(CorrelatedField::stencil_at(
+            design_.instance(src).pos, vc.correlation_length_um,
+            VariationModel::kCorrGrid));
+      }
+      for (const std::size_t width :
+           {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 12u, 16u, 17u}) {
+        for (const std::size_t n :
+             {0u, 1u, 2u, 3u, 255u, 256u, 257u, 2585u}) {
+          std::vector<double> want(n * width), z(n);
+          for (std::size_t l = 0; l < width; ++l) {
+            Rng rng(substream_seed(kSeed, kFirst + l));
+            CorrelatedField fld;
+            if (corr > 0.0) {
+              fld = CorrelatedField::bulk(vc.correlation_length_um,
+                                          VariationModel::kCorrGrid,
+                                          model.sigma_correlated_nm(), rng);
+            }
+            rng.normals_simd(z);
+            for (std::size_t i = 0; i < n; ++i) {
+              const double v = corr > 0.0
+                                   ? fld.at(stencils[i]) + sigma_ind * z[i]
+                                   : model.sigma_random_nm() * z[i];
+              want[i * width + l] =
+                  tbl.eval_row(tbl.row_data(rows[i]),
+                               sys[i] + std::clamp(v, -clamp, clamp));
+            }
+          }
+          for (const simd::Arch a : simd::available_archs()) {
+            ASSERT_TRUE(simd::set_arch(a));
+            VariationModel::DrawScratch scratch;
+            std::vector<double> got(n * width);
+            model.draw_batch(std::span(rows).first(n), sys, stencils, kSeed,
+                             kFirst, width, got, scratch);
+            EXPECT_TRUE(same_bits(got, want))
+                << simd::arch_name(a) << " corr " << corr << " binding "
+                << binding << " width " << width << " n " << n;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- delay-factor interpolation tables ------------------------------------

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <numbers>
@@ -777,6 +778,88 @@ TEST_F(YieldFixture, SpeedPercentileOutsideOpenUnitIntervalRejected) {
       EXPECT_THROW(analyzer.macro_screen(wafer, cfg, maps),
                    std::invalid_argument);
     }
+  }
+}
+
+// YieldConfig::validate() names the offending field with
+// std::invalid_argument on every tier and at every entry point, before
+// any die or screen runs: a fixed MC budget below one sample, a triage
+// confidence outside (0, 1) (the screens' quantiles need it; the flat
+// tier checks it too), and a NaN, infinite or negative band scale or
+// model-error allowance.  An adaptive budget ignores mc.samples.
+TEST_F(YieldFixture, InvalidConfigFieldsRejectedOnEveryTier) {
+  const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
+  WaferConfig wc;
+  wc.wafer_diameter_mm = 46.0;
+  const WaferModel wafer(wc);
+  ASSERT_EQ(wafer.num_dies(), 4u);
+  const auto maps = analyzer.reticle_slot_maps(wafer);
+  const WaferDie& die = wafer.dies()[0];
+  const std::vector<double>& map =
+      maps[YieldAnalyzer::reticle_slot(wafer, die)];
+  StaEngine engine(flow_->sta());
+  CompensationController ctrl = analyzer.controller(engine);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    std::function<void(YieldConfig&)> set;
+  };
+  const std::vector<Case> cases = {
+      {"mc.samples", [](YieldConfig& c) { c.mc.samples = 0; }},
+      {"mc.samples", [](YieldConfig& c) { c.mc.samples = -5; }},
+      {"triage.confidence", [](YieldConfig& c) { c.triage.confidence = 0.0; }},
+      {"triage.confidence", [](YieldConfig& c) { c.triage.confidence = 1.0; }},
+      {"triage.confidence", [](YieldConfig& c) { c.triage.confidence = 7.0; }},
+      {"triage.confidence",
+       [nan](YieldConfig& c) { c.triage.confidence = nan; }},
+      {"triage.band_scale", [](YieldConfig& c) { c.triage.band_scale = -1.0; }},
+      {"triage.band_scale",
+       [nan](YieldConfig& c) { c.triage.band_scale = nan; }},
+      {"triage.band_scale",
+       [inf](YieldConfig& c) { c.triage.band_scale = inf; }},
+      {"triage.model_error_ns",
+       [](YieldConfig& c) { c.triage.model_error_ns = -1e-3; }},
+      {"triage.model_error_ns",
+       [nan](YieldConfig& c) { c.triage.model_error_ns = nan; }},
+      {"triage.model_error_ns",
+       [inf](YieldConfig& c) { c.triage.model_error_ns = inf; }},
+  };
+  for (const EvalTier tier :
+       {EvalTier::Flat, EvalTier::Triage, EvalTier::Macro}) {
+    for (const Case& c : cases) {
+      YieldConfig cfg = test_yield_config();
+      cfg.tier = tier;
+      c.set(cfg);
+      SCOPED_TRACE(std::string(eval_tier_name(tier)) + " " + c.field);
+      const auto rejects = [&](const auto& call) {
+        try {
+          call();
+          ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+              << e.what();
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "wrong exception type: " << e.what();
+        }
+      };
+      rejects([&] { (void)analyzer.analyze(wafer, cfg); });
+      rejects([&] { (void)analyzer.analyze_die(engine, die, cfg); });
+      rejects([&] {
+        (void)analyzer.analyze_die_with(engine, ctrl, die, cfg, map);
+      });
+      rejects([&] {
+        (void)analyzer.analyze_shard(engine, ctrl, wafer, cfg, 0, 4, maps);
+      });
+      rejects([&] { (void)analyzer.tier_screen(wafer, cfg, maps); });
+      rejects([&] { (void)analyzer.triage_screen(wafer, cfg, maps); });
+      rejects([&] { (void)analyzer.macro_screen(wafer, cfg, maps); });
+    }
+    YieldConfig adaptive = test_yield_config();
+    adaptive.tier = tier;
+    adaptive.mc.samples = 0;
+    adaptive.mc.adaptive.enabled = true;
+    EXPECT_NO_THROW(adaptive.validate()) << eval_tier_name(tier);
   }
 }
 
