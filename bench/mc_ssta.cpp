@@ -35,7 +35,14 @@
 //  11. adaptive sequential sampling vs the fixed budget at an equal
 //      a-priori CI target: sample savings (soft), plus the hard
 //      prefix-equivalence gate — the adaptive run stopping at N must be
-//      bit-identical to a fixed run with samples = N, serial and pooled.
+//      bit-identical to a fixed run with samples = N, serial and pooled;
+//  12. the bound-pruned engine (DESIGN.md §22): the live endpoint, edge
+//      and Box–Muller pair fractions of the run's timing cone; the hard
+//      gate that every dispatch target's run, both profiles, fingerprints
+//      identically to an unpruned reference loop (every instance drawn,
+//      the whole graph propagated, every endpoint tallied); the pruned
+//      vs unpruned loop in us/sample; and the pruned loop's draw / prop /
+//      tally attribution under section 9's 5 % sum gate.
 //
 // Scalar-profile configurations must reproduce the scalar-serial
 // reference bit-for-bit; BatchedSimd configurations must reproduce one
@@ -800,6 +807,196 @@ int main(int argc, char** argv) {
     out.set("adaptive_speedup_vs_fixed", fixed_s.count() / adaptive_s.count());
   }
 
+  // 12. The bound-pruned engine (DESIGN.md §22).  The reference loop is
+  // section 9's, unpruned: every instance drawn, the whole graph
+  // propagated, every endpoint tallied; run() must fingerprint the same
+  // on every dispatch target, for both profiles.  Then the pruned loop,
+  // phase by phase, against the unpruned one.
+  bool cone_identical = true;
+  bool cone_attribution_ok = true;
+  double cone_attribution_frac = 0.0;
+  {
+    StaEngine eng(sta);
+    const std::vector<std::int32_t> rows = model.table_rows(design, eng);
+    const TimingCone cone = MonteCarloSsta(design, eng, model).cone(systematic);
+    const auto runs = VariationModel::pair_runs(cone.instances);
+    std::size_t live_pairs = 0;
+    for (const auto& r : runs) live_pairs += r.count;
+    const std::size_t n_inst = design.num_instances();
+    const std::size_t pairs = (n_inst + 1) / 2;
+    const auto& endpoints = eng.endpoints();
+    const std::size_t num_eps = endpoints.size();
+    const double ep_frac =
+        static_cast<double>(cone.endpoints.size()) / static_cast<double>(num_eps);
+    const double edge_frac = static_cast<double>(cone.edges.size()) /
+                             static_cast<double>(eng.num_edges());
+    const double pair_frac =
+        static_cast<double>(live_pairs) / static_cast<double>(pairs);
+
+    // The reference McResult of the unpruned loop, aggregated as run()
+    // aggregates.
+    const auto reference = [&](DrawProfile profile, int n) {
+      McResult r;
+      r.samples = n;
+      r.endpoint_crit_prob.assign(num_eps, 0.0);
+      r.endpoint_stage_crit.assign(num_eps, 0);
+      std::vector<std::uint32_t> crit(num_eps, 0);
+      std::vector<double> f(n_inst);
+      std::vector<StaResult> res(1);
+      VariationModel::DrawScratch scratch;
+      for (int k = 0; k < n; ++k) {
+        if (profile == DrawProfile::Scalar) {
+          Rng rng(substream_seed(base.seed, static_cast<std::uint64_t>(k)));
+          model.draw_factors(design, eng, systematic, stencils, rng, f);
+        } else {
+          model.draw_factors_batch(design, eng, systematic, stencils,
+                                   base.seed, static_cast<std::uint64_t>(k),
+                                   1, f, scratch, true);
+        }
+        eng.analyze_batch_soa(f, 1, std::span(res));
+        const StaResult& sr = res[0];
+        for (int st = 0; st < kNumPipeStages; ++st) {
+          if (std::isfinite(sr.stage_wns[static_cast<std::size_t>(st)])) {
+            r.stages[st].present = true;
+            r.stages[st].samples.push_back(
+                sr.stage_wns[static_cast<std::size_t>(st)]);
+          }
+        }
+        r.min_period_samples.push_back(sr.min_period_ns);
+        for (std::size_t e = 0; e < num_eps; ++e) {
+          const double slack = sr.endpoint_slack[e];
+          if (!std::isfinite(slack)) continue;
+          if (slack < 0.0) ++crit[e];
+          if (slack <= sr.stage_wns[static_cast<std::size_t>(
+                                        endpoints[e].stage)] + 1e-12) {
+            ++r.endpoint_stage_crit[e];
+          }
+        }
+      }
+      const double inv_n = 1.0 / static_cast<double>(n);
+      for (std::size_t e = 0; e < num_eps; ++e) {
+        r.endpoint_crit_prob[e] = static_cast<double>(crit[e]) * inv_n;
+      }
+      for (int st = 0; st < kNumPipeStages; ++st) {
+        auto& sd = r.stages[st];
+        sd.stage = static_cast<PipeStage>(st);
+        if (!sd.present) continue;
+        sd.fit = fit_normal(sd.samples, base.confidence);
+        const auto [lo, hi] =
+            std::minmax_element(sd.samples.begin(), sd.samples.end());
+        sd.min_slack = *lo;
+        sd.max_slack = *hi;
+      }
+      return fingerprint(r);
+    };
+    Table ct({"profile", "samples", "target", "pruned run vs unpruned loop"});
+    for (const DrawProfile profile :
+         {DrawProfile::Scalar, DrawProfile::BatchedSimd}) {
+      const int n = profile == DrawProfile::Scalar ? std::min(samples, 256)
+                                                   : samples;
+      const std::string want = reference(profile, n);
+      for (const simd::Arch a : simd::available_archs()) {
+        simd::set_arch(a);
+        McConfig cfg = base;
+        cfg.samples = n;
+        cfg.profile = profile;
+        const bool same = fingerprint(mc.run(loc, cfg)) == want;
+        cone_identical &= same;
+        ct.add_row({profile == DrawProfile::Scalar ? "scalar" : "batched-simd",
+                    std::to_string(n), simd::arch_name(a),
+                    same ? "identical" : "MISMATCH"});
+      }
+      simd::reset_arch();
+    }
+
+    // Pruned vs unpruned loop, serial, batch 8, and the pruned loop's
+    // draw / prop / tally split.
+    // At least 1024 samples whatever --samples says: the 5 % gate needs a
+    // loop long enough that one preemption cannot break it.
+    const int cone_samples = 1024;
+    AlignedVec<double> factor_soa(n_inst * 8);
+    std::vector<StaResult> results(8);
+    std::vector<std::uint32_t> crit(num_eps, 0), stage_crit(num_eps, 0);
+    VariationModel::DrawScratch scratch;
+    const auto loop = [&](bool pruned, double& t_draw, double& t_prop,
+                          double& t_tally) {
+      const auto wall0 = clock::now();
+      for (int k = 0; k < cone_samples; k += 8) {
+        const auto tp = clock::now();
+        model.draw_batch(rows, systematic, stencils, base.seed,
+                         static_cast<std::uint64_t>(k), 8,
+                         std::span(factor_soa), scratch,
+                         pruned ? std::span(runs)
+                                : std::span<const VariationModel::PairRun>());
+        const auto tq = clock::now();
+        if (pruned) {
+          eng.analyze_batch_soa(std::span<const double>(factor_soa), 8,
+                                std::span(results), cone);
+        } else {
+          eng.analyze_batch_soa(std::span<const double>(factor_soa), 8,
+                                std::span(results));
+        }
+        const auto tr = clock::now();
+        for (const StaResult& sr : results) {
+          const auto tally = [&](std::uint32_t e) {
+            const double slack = sr.endpoint_slack[e];
+            if (!std::isfinite(slack)) return;
+            if (slack < 0.0) ++crit[e];
+            if (slack <= sr.stage_wns[static_cast<std::size_t>(
+                             endpoints[e].stage)] + 1e-12) {
+              ++stage_crit[e];
+            }
+          };
+          if (pruned) {
+            for (const std::uint32_t e : cone.endpoints) tally(e);
+          } else {
+            for (std::uint32_t e = 0; e < num_eps; ++e) tally(e);
+          }
+        }
+        const auto ts = clock::now();
+        t_draw += std::chrono::duration<double>(tq - tp).count();
+        t_prop += std::chrono::duration<double>(tr - tq).count();
+        t_tally += std::chrono::duration<double>(ts - tr).count();
+      }
+      return std::chrono::duration<double>(clock::now() - wall0).count();
+    };
+    double fd = 0, fp = 0, ft = 0, pd = 0, pp = 0, pt = 0;
+    const double full_wall = loop(false, fd, fp, ft);
+    const double pruned_wall = loop(true, pd, pp, pt);
+    const double phase_sum = pd + pp + pt;
+    cone_attribution_frac = phase_sum / pruned_wall;
+    cone_attribution_ok = std::abs(phase_sum - pruned_wall) <= 0.05 * pruned_wall;
+    const double us = 1e6 / cone_samples;
+    std::printf(
+        "bound-pruned MC (DESIGN.md §22): the cone keeps %zu/%zu endpoints "
+        "(%.1f%%), %zu/%zu edges (%.1f%%), %zu/%zu Box-Muller pairs "
+        "(%.1f%%)\n%s",
+        cone.endpoints.size(), num_eps, 100.0 * ep_frac, cone.edges.size(),
+        eng.num_edges(), 100.0 * edge_frac, live_pairs, pairs,
+        100.0 * pair_frac, ct.render().c_str());
+    std::printf(
+        "  %d samples, batch 8, serial:   unpruned   pruned\n"
+        "  draw       us/sample     %8.2f %8.2f\n"
+        "  prop       us/sample     %8.2f %8.2f\n"
+        "  tally      us/sample     %8.2f %8.2f\n"
+        "  loop       us/sample     %8.2f %8.2f  (%.2fx)\n"
+        "  pruned phases sum to %.1f%% of its wall — %s (gate: within 5%%)\n\n",
+        cone_samples, fd * us, pd * us, fp * us, pp * us, ft * us, pt * us,
+        full_wall * us, pruned_wall * us, full_wall / pruned_wall,
+        100.0 * cone_attribution_frac,
+        cone_attribution_ok ? "accounted" : "UNACCOUNTED TIME (BUG)");
+    out.set("cone_live_endpoint_frac", ep_frac);
+    out.set("cone_live_edge_frac", edge_frac);
+    out.set("cone_live_pair_frac", pair_frac);
+    out.set("cone_unpruned_us_per_sample", full_wall * us);
+    out.set("cone_pruned_us_per_sample", pruned_wall * us);
+    out.set("cone_pruned_speedup", full_wall / pruned_wall);
+    out.set("cone_draw_us_per_sample", pd * us);
+    out.set("cone_prop_us_per_sample", pp * us);
+    out.set("cone_tally_us_per_sample", pt * us);
+    out.set("cone_phase_sum_over_wall", cone_attribution_frac);
+  }
+
   out.write(bench::out_path(argc, argv, "BENCH_mc.json"));
 
   if (!all_identical) {
@@ -830,6 +1027,17 @@ int main(int argc, char** argv) {
                 "the replicated batched loop's wall clock (gate: 100%% +/- "
                 "5%%) — a phase is being measured outside the split\n",
                 100.0 * attribution_frac);
+    return 1;
+  }
+  if (!cone_identical) {
+    std::printf("BIT-IDENTITY VIOLATION: a pruned Monte-Carlo run differs "
+                "from the unpruned reference loop (DESIGN.md §22)\n");
+    return 1;
+  }
+  if (!cone_attribution_ok) {
+    std::printf("ATTRIBUTION FAILURE: the pruned loop's draw+prop+tally "
+                "account for %.1f%% of its wall clock (gate: 100%% +/- 5%%)\n",
+                100.0 * cone_attribution_frac);
     return 1;
   }
   if (!stats_ok) {

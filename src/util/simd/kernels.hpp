@@ -60,21 +60,27 @@ struct FactorTable {
 /// Fused BatchedSimd factor draw, from counter keys to delay factors.
 /// Lane l is keyed by (keys[2l], keys[2l+1]), the two parent draws
 /// Rng::normals_simd takes; z(i, l) is element i of that lane's
-/// normals_simd stream.  For instance i < n and lane l < width, with
-/// offset and out both instance-major [n x width]:
-///   v  = sigma * z(i, l), plus offset[i * width + l] when offset != null
+/// normals_simd stream.  The call covers the n instances that start at
+/// stream element 2 * first_pair (Box–Muller pair first_pair); rows,
+/// sys, offset and out already point at that first instance.  For i < n
+/// and lane l < width, with offset and out both instance-major
+/// [n x width]:
+///   v  = sigma * z(2 * first_pair + i, l), plus offset[i * width + l]
+///        when offset != null
 ///   d  = std::clamp(v, -clamp, clamp)
 ///   out[i * width + l] = eval_row(coef + rows[i] * row_stride, sys[i] + d)
 /// reproducing the two-phase computation (normals_simd, scale, std::clamp,
-/// DelayFactorTables::eval_row) bit-for-bit.  The kernel vectorizes
-/// across lanes; a lane count that is not a multiple of the register
-/// width runs its remainder at the next narrower policy.
+/// DelayFactorTables::eval_row) bit-for-bit.  Pair k reads counter k of
+/// each key's stream alone, so a call from first_pair writes the same
+/// bits as the matching rows of a call from pair 0 (DESIGN.md §22).  The
+/// kernel vectorizes across lanes; a lane count that is not a multiple of
+/// the register width runs its remainder at the next narrower policy.
 using DrawFactorsFn = void (*)(const FactorTable& table,
                                const std::int32_t* rows, const double* sys,
                                const std::uint64_t* keys,
                                const double* offset, double sigma,
                                double clamp, double* out, std::size_t n,
-                               std::size_t width);
+                               std::size_t width, std::uint64_t first_pair);
 
 /// Counter-driven bulk Box–Muller fill for Rng::normals_simd: the stream
 /// keyed by (key_r, key_t), n deviates into out.  The log/sin/cos run

@@ -254,7 +254,8 @@ void normals_fill_body(std::uint64_t key_r, std::uint64_t key_t,
 
 /// The fused draw (DrawFactorsFn) for lanes [l0, l0 + P::W): pairs of
 /// instances share one Box–Muller pair per lane, hashed in blocks of
-/// kPairs counters per lane; every later step runs on a register of lanes:
+/// kPairs counters per lane from counter first_pair on; every later step
+/// runs on a register of lanes:
 ///   d = std::clamp([offset +] sigma * z, -clamp, clamp)
 /// (libstdc++'s clamp is min(max(v, lo), hi), exactly the policy's
 /// min(hi, max(lo, v)) — same tie and NaN behaviour), then
@@ -267,7 +268,7 @@ void draw_lane_group(const FactorTable& tb, const std::int32_t* rows,
                      const double* sys, const std::uint64_t* keys,
                      const double* offset, double sigma, double clamp,
                      double* out, std::size_t n, std::size_t width,
-                     std::size_t l0) {
+                     std::uint64_t first_pair, std::size_t l0) {
   using D = typename P::D;
   constexpr std::size_t W = P::W;
   constexpr std::size_t kPairs = 16;
@@ -302,7 +303,8 @@ void draw_lane_group(const FactorTable& tb, const std::int32_t* rows,
       const std::uint64_t key_r = keys[2 * (l0 + w)];
       const std::uint64_t key_t = keys[2 * (l0 + w) + 1];
       for (std::size_t j = 0; j < m; ++j) {
-        pair_uniforms(key_r, key_t, base + j, u1[j * W + w], ang[j * W + w]);
+        pair_uniforms(key_r, key_t, first_pair + base + j, u1[j * W + w],
+                      ang[j * W + w]);
       }
     }
     // The block's normals first, then its factors: two short independent
@@ -330,15 +332,16 @@ template <class P>
 void draw_lanes(const FactorTable& tb, const std::int32_t* rows,
                 const double* sys, const std::uint64_t* keys,
                 const double* offset, double sigma, double clamp, double* out,
-                std::size_t n, std::size_t width, std::size_t l0) {
+                std::size_t n, std::size_t width, std::uint64_t first_pair,
+                std::size_t l0) {
   for (; l0 + P::W <= width; l0 += P::W) {
     draw_lane_group<P>(tb, rows, sys, keys, offset, sigma, clamp, out, n,
-                       width, l0);
+                       width, first_pair, l0);
   }
   if constexpr (P::W > 1) {
     if (l0 < width) {
       draw_lanes<typename P::Half>(tb, rows, sys, keys, offset, sigma, clamp,
-                                   out, n, width, l0);
+                                   out, n, width, first_pair, l0);
     }
   }
 }
@@ -347,8 +350,10 @@ template <class P>
 void draw_factors_body(const FactorTable& tb, const std::int32_t* rows,
                        const double* sys, const std::uint64_t* keys,
                        const double* offset, double sigma, double clamp,
-                       double* out, std::size_t n, std::size_t width) {
-  draw_lanes<P>(tb, rows, sys, keys, offset, sigma, clamp, out, n, width, 0);
+                       double* out, std::size_t n, std::size_t width,
+                       std::uint64_t first_pair) {
+  draw_lanes<P>(tb, rows, sys, keys, offset, sigma, clamp, out, n, width,
+                first_pair, 0);
 }
 
 /// The kernel table of policy P: each per-ISA TU defines its table as

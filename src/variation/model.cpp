@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -208,9 +209,12 @@ std::vector<double>& VariationModel::draw_factors(
     const Design& design, const StaEngine& sta,
     std::span<const double> systematic_lgate_nm,
     std::span<const CorrelatedField::Stencil> stencils, Rng& rng,
-    std::vector<double>& factors) const {
+    std::vector<double>& factors, std::span<const std::uint8_t> live) const {
   if (systematic_lgate_nm.size() < design.num_instances()) {
     throw std::invalid_argument("draw_factors: short systematic map");
+  }
+  if (!live.empty() && live.size() < design.num_instances()) {
+    throw std::invalid_argument("draw_factors: short live mask");
   }
   factors.resize(design.num_instances());
   const CorrelatedField field = draw_field(rng);
@@ -232,11 +236,53 @@ std::vector<double>& VariationModel::draw_factors(
     } else {
       eps = rng.normal(0.0, sigma_rnd_);
     }
+    if (!live.empty() && live[i] == 0) continue;  // drawn, never read
     eps = std::clamp(eps, -clamp, clamp);
     factors[i] = delay_factor(systematic_lgate_nm[i] + eps,
                               sta.inst_corner(i), design.cell_of(i).vth);
   }
   return factors;
+}
+
+void VariationModel::factor_bounds(std::span<const std::int32_t> rows,
+                                   std::span<const double> systematic_lgate_nm,
+                                   std::vector<double>& bounds) const {
+  const std::size_t n = rows.size();
+  if (systematic_lgate_nm.size() < n) {
+    throw std::invalid_argument("factor_bounds: short systematic map");
+  }
+  // The draws' own clamp expression and Lgate sums: fl(sys + d) is
+  // monotone in d, so every drawn Lgate lies in [fl(sys - c), fl(sys + c)]
+  // and its factor between the two ends' brackets (DESIGN.md §21, §22).
+  const double clamp = cfg_.clamp_sigma * sigma_rnd_;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  bounds.resize(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const int jl = tables_.bracket_knot(systematic_lgate_nm[i] + -clamp);
+    const int jh = tables_.bracket_knot(systematic_lgate_nm[i] + clamp);
+    if (jl < 0 || jh < 0) {
+      bounds[2 * i] = -kInf;
+      bounds[2 * i + 1] = kInf;
+      continue;
+    }
+    bounds[2 * i] = tables_.bracket(rows[i], jl).lo;
+    bounds[2 * i + 1] = tables_.bracket(rows[i], jh).hi;
+  }
+}
+
+std::vector<VariationModel::PairRun> VariationModel::pair_runs(
+    std::span<const std::uint32_t> instances) {
+  std::vector<PairRun> runs;
+  for (const std::uint32_t i : instances) {
+    const std::uint32_t p = i / 2;
+    if (!runs.empty() && runs.back().first + runs.back().count > p) continue;
+    if (!runs.empty() && runs.back().first + runs.back().count == p) {
+      ++runs.back().count;
+    } else {
+      runs.push_back({p, 1});
+    }
+  }
+  return runs;
 }
 
 void VariationModel::draw_factors_batch(
@@ -271,7 +317,8 @@ void VariationModel::draw_batch(
     std::span<const double> systematic_lgate_nm,
     std::span<const CorrelatedField::Stencil> stencils, std::uint64_t seed,
     std::uint64_t first_sample, std::size_t width,
-    std::span<double> factor_soa, DrawScratch& scratch) const {
+    std::span<double> factor_soa, DrawScratch& scratch,
+    std::span<const PairRun> runs) const {
   const std::size_t n = rows.size();
   const bool correlated = cfg_.correlated_fraction > 0.0;
   if (systematic_lgate_nm.size() < n) {
@@ -283,31 +330,49 @@ void VariationModel::draw_batch(
   if (factor_soa.size() < n * width) {
     throw std::invalid_argument("draw_factors_batch: short factor buffer");
   }
+  if (!runs.empty() && 2 * (std::size_t{runs.back().first} +
+                            runs.back().count) > n + 1) {
+    throw std::invalid_argument("draw_batch: pair run past the instances");
+  }
+  const PairRun all{0, static_cast<std::uint32_t>((n + 1) / 2)};
+  if (runs.empty()) runs = std::span<const PairRun>(&all, 1);
   // Lane l owns the substream of global sample first_sample + l, so its
   // bits are a function of the sample index alone — never of width,
   // batch boundaries or the thread schedule.  A correlated lane draws its
   // field first and passes the field values as the kernel's offset; its
   // keys are the two draws normals_simd() would take after the field.
   scratch.keys.resize(2 * width);
-  if (correlated) scratch.offset.resize(n * width);
+  if (correlated && scratch.offset.size() < n * width) {
+    scratch.offset.resize(n * width);
+  }
   for (std::size_t lane = 0; lane < width; ++lane) {
     Rng rng(substream_seed(seed, first_sample + lane));
     if (correlated) {
       const CorrelatedField field = CorrelatedField::bulk(
           cfg_.correlation_length_um, kCorrGrid, sigma_correlated_nm(), rng);
       double* col = scratch.offset.data() + lane;  // instance i at i * width
-      for (std::size_t i = 0; i < n; ++i) {
-        col[i * width] = field.at(stencils[i]);
+      for (const PairRun& r : runs) {
+        const std::size_t end = std::min(n, 2 * std::size_t{r.first + r.count});
+        for (std::size_t i = 2 * std::size_t{r.first}; i < end; ++i) {
+          col[i * width] = field.at(stencils[i]);
+        }
       }
     }
     scratch.keys[2 * lane] = rng.next();
     scratch.keys[2 * lane + 1] = rng.next();
   }
-  simd::active_kernels().draw_factors(
-      tables_.kernel_table(), rows.data(), systematic_lgate_nm.data(),
-      scratch.keys.data(), correlated ? scratch.offset.data() : nullptr,
-      correlated ? sigma_independent_nm() : sigma_rnd_,
-      cfg_.clamp_sigma * sigma_rnd_, factor_soa.data(), n, width);
+  const simd::Kernels& k = simd::active_kernels();
+  const double sigma = correlated ? sigma_independent_nm() : sigma_rnd_;
+  const double clamp = cfg_.clamp_sigma * sigma_rnd_;
+  for (const PairRun& r : runs) {
+    const std::size_t i0 = 2 * std::size_t{r.first};
+    const std::size_t count = std::min(n, 2 * std::size_t{r.first + r.count}) - i0;
+    k.draw_factors(tables_.kernel_table(), rows.data() + i0,
+                   systematic_lgate_nm.data() + i0, scratch.keys.data(),
+                   correlated ? scratch.offset.data() + i0 * width : nullptr,
+                   sigma, clamp, factor_soa.data() + i0 * width, count, width,
+                   r.first);
+  }
 }
 
 }  // namespace vipvt

@@ -205,12 +205,38 @@ class VariationModel {
 
   /// Scalar draw with precomputed stencils: bit-identical to the span
   /// overload above (which delegates here with an empty stencil span and
-  /// falls back to direct at(Point) evaluation).
+  /// falls back to direct at(Point) evaluation).  A non-empty `live` (one
+  /// flag per instance) skips the delay_factor of every instance whose
+  /// flag is 0 and leaves its factors[i] as it was; the RNG draws stay
+  /// the same, so the live factors keep their bits (DESIGN.md §22).
   std::vector<double>& draw_factors(
       const Design& design, const StaEngine& sta,
       std::span<const double> systematic_lgate_nm,
       std::span<const CorrelatedField::Stencil> stencils, Rng& rng,
-      std::vector<double>& factors) const;
+      std::vector<double>& factors,
+      std::span<const std::uint8_t> live = {}) const;
+
+  /// Bounds on every delay factor a clamped draw can produce against
+  /// `systematic_lgate_nm` under the table rows `rows` (DESIGN.md §22):
+  /// bounds[2i] = bracket(rows[i], knot(sys - clamp)).lo and bounds[2i + 1]
+  /// = bracket(rows[i], knot(sys + clamp)).hi.  Both profiles clamp every
+  /// random deviation to +/- clamp_sigma * sigma_rnd and the factor is
+  /// increasing in Lgate, so the exact (Scalar) factor and the table
+  /// (BatchedSimd) factor both lie inside.  An instance with an
+  /// unbracketable end gets [-inf, +inf].
+  void factor_bounds(std::span<const std::int32_t> rows,
+                     std::span<const double> systematic_lgate_nm,
+                     std::vector<double>& bounds) const;
+
+  /// A run of consecutive Box–Muller pairs (pair p draws instances 2p and
+  /// 2p + 1) for a pruned batched draw.
+  struct PairRun {
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+  };
+  /// The pair runs that cover `instances` (ascending instance ids).
+  static std::vector<PairRun> pair_runs(
+      std::span<const std::uint32_t> instances);
 
   /// Reusable buffers of the batched draw, kept across batches by the
   /// caller (one per MC worker) to avoid per-batch allocation: keys holds
@@ -263,12 +289,16 @@ class VariationModel {
   /// correlated_fraction > 0 — then d = std::clamp(sigma_rnd * z) (or
   /// std::clamp(field.at(stencils[i]) + sigma_independent * z)), then
   /// DelayFactorTables::eval_row(rows[i], systematic[i] + d).
+  /// A non-empty `runs` draws only those pairs' instances (DESIGN.md
+  /// §22): counter keying makes each the same bits as in a full draw, and
+  /// the other factor_soa rows are left as they were.
   void draw_batch(std::span<const std::int32_t> rows,
                   std::span<const double> systematic_lgate_nm,
                   std::span<const CorrelatedField::Stencil> stencils,
                   std::uint64_t seed, std::uint64_t first_sample,
                   std::size_t width, std::span<double> factor_soa,
-                  DrawScratch& scratch) const;
+                  DrawScratch& scratch,
+                  std::span<const PairRun> runs = {}) const;
 
  private:
   CharParams cp_;

@@ -68,6 +68,14 @@ const StaEngine::BaseSnapshot& LevelBases::get(int k, StaEngine& engine) {
   return *slot;
 }
 
+const StaEngine::BaseSnapshot* LevelBases::find(int k) {
+  if (k < 0 || k > plan_->num_islands() + 1) {
+    throw std::invalid_argument("LevelBases: supply state out of range");
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  return snaps_[static_cast<std::size_t>(k)].get();
+}
+
 CompensationController::CompensationController(const Design& design,
                                                StaEngine& sta,
                                                const VariationModel& model,

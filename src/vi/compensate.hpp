@@ -87,6 +87,9 @@ class LevelBases {
   /// (StaEngine::BaseSnapshot).  Throws std::invalid_argument for k
   /// outside [0, num_islands + 1].
   const StaEngine::BaseSnapshot& get(int k, StaEngine& engine);
+  /// Snapshot of supply state k if a get() already built it, else
+  /// nullptr; never computes.
+  const StaEngine::BaseSnapshot* find(int k);
 
  private:
   const IslandPlan* plan_;

@@ -12,6 +12,7 @@
 #include "netlist/vex.hpp"
 #include "placement/placer.hpp"
 #include "timing/recovery.hpp"
+#include "variation/mc_ssta.hpp"
 #include "vi/compensate.hpp"
 #include "vi/islands.hpp"
 #include "vi/razor.hpp"
@@ -537,6 +538,82 @@ LazyState lazy_state(const StaEngine& eng, const StaEngine::BaseSnapshot& snap,
       },
       out.violating);
   return out;
+}
+
+// The bound-pruned Monte-Carlo's soundness (DESIGN.md §22), on the final
+// netlist at every supply state: the level-0 cone the wafer path builds,
+// and the cone of every other state, may drop only endpoints whose slack
+// is >= 0 and above their stage's worst slack + 1e-12 in a full analyze()
+// of any die the model can draw — nominal dies, 1.5x-sigma dies at 0.85x
+// clock, correlated dies; exact (Scalar) and table (BatchedSimd) factors.
+TEST_F(CompensateFixture, ConeDropsOnlyEndpointsThatCannotCount) {
+  VariationConfig stress_cfg = model_->config();
+  stress_cfg.three_sigma_random_frac *= 1.5;
+  const VariationModel stress(lib_->char_params(), *field_, stress_cfg);
+  VariationConfig corr_cfg = model_->config();
+  corr_cfg.correlated_fraction = 0.5;
+  const VariationModel corr(lib_->char_params(), *field_, corr_cfg);
+  struct Case {
+    const VariationModel* model;
+    double clock_scale;
+    DieLocation loc;
+  };
+  const std::vector<Case> cases = {{model_, 1.0, DieLocation::point('D')},
+                                   {model_, 1.0, worst_loc_},
+                                   {&stress, 0.85, worst_loc_},
+                                   {&corr, 1.0, worst_loc_}};
+  const int states = plan_->num_islands() + 2;
+  std::size_t dead = 0, checked = 0, crit = 0;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const VariationModel& model = *cases[c].model;
+    StaEngine eng(*sta_);
+    eng.set_clock_period(sta_->options().clock_period_ns * cases[c].clock_scale);
+    LevelBases bases(*plan_);
+    const std::vector<double> sys =
+        model.systematic_lgates(*design_, cases[c].loc);
+    const auto stencils = model.field_stencils(*design_);
+    for (int k = 0; k < states; ++k) {
+      SCOPED_TRACE("case " + std::to_string(c) + " state " + std::to_string(k));
+      StaEngine st(eng);
+      st.restore_bases(bases.get(k, eng));
+      const TimingCone cone = MonteCarloSsta(*design_, st, model).cone(sys);
+      std::vector<std::uint8_t> live(st.endpoints().size(), 0);
+      for (const std::uint32_t e : cone.endpoints) live[e] = 1;
+      const auto check = [&](const StaResult& r) {
+        for (std::size_t e = 0; e < live.size(); ++e) {
+          const double slack = r.endpoint_slack[e];
+          const double swns =
+              r.stage_wns[static_cast<std::size_t>(st.endpoints()[e].stage)];
+          crit += slack < 0.0;
+          if (live[e] != 0) continue;
+          ++dead;
+          EXPECT_GE(slack, 0.0) << "dropped endpoint " << e;
+          EXPECT_GT(slack, swns + 1e-12) << "dropped endpoint " << e;
+        }
+        ++checked;
+      };
+      std::vector<double> f;
+      for (std::uint64_t s = 0; s < 24; ++s) {  // exact factors
+        Rng rng(substream_seed(0xc0e5ULL + c, s));
+        model.draw_factors(*design_, st, sys, stencils, rng, f);
+        check(st.analyze(f));
+      }
+      constexpr std::size_t kW = 16;  // table factors
+      VariationModel::DrawScratch scratch;
+      std::vector<double> soa(design_->num_instances() * kW);
+      std::vector<StaResult> res(kW);
+      for (std::uint64_t first = 0; first < 64; first += kW) {
+        model.draw_factors_batch(*design_, st, sys, stencils, 0xc0e5ULL + c,
+                                 first, kW, soa, scratch, true);
+        st.analyze_batch_soa(soa, kW, std::span(res));
+        for (const StaResult& r : res) check(r);
+      }
+    }
+  }
+  // The cones prune, and the dies reach negative slack: otherwise the
+  // property above would hold trivially.
+  EXPECT_GT(dead, checked);
+  EXPECT_GT(crit, 0u);
 }
 
 TEST_F(CompensateFixture, LazyStatesMatchFullAnalysisAtEverySupplyState) {

@@ -171,7 +171,7 @@ std::vector<double> fused_draw(const simd::Kernels& k,
   std::vector<double> out(n * width + 3, 42.0);
   k.draw_factors(tbl.kernel_table(), in.rows.data(), in.sys.data(),
                  keys.data(), in.offset.empty() ? nullptr : in.offset.data(),
-                 in.sigma, in.clamp, out.data(), n, width);
+                 in.sigma, in.clamp, out.data(), n, width, 0);
   for (std::size_t k2 = n * width; k2 < out.size(); ++k2) {
     EXPECT_EQ(out[k2], 42.0) << "slot " << k2 << " written";
   }
@@ -241,6 +241,62 @@ TEST(SimdKernels, FusedDrawMatchesTwoPhaseReference) {
           EXPECT_TRUE(same_bits(got, want))
               << simd::arch_name(a) << " width " << width << " n " << n
               << " mode " << mode;
+        }
+      }
+    }
+  }
+}
+
+// A draw that starts at Box–Muller pair p0 (the pruned draw of DESIGN.md
+// §22) writes exactly the rows 2 * p0 on of a draw from pair 0, on every
+// target: counter keying makes pair k's normals a function of k alone.
+// Odd and even starts and lengths, with and without the offset.
+TEST(SimdKernels, FusedDrawFromPairOffsetMatchesFullDraw) {
+  CharParams cp;
+  const ExposureField field = ExposureField::scaled_65nm(cp);
+  const VariationModel model(cp, field);
+  const DelayFactorTables& tbl = model.delay_factor_tables();
+  Rng rng(0x0ff5e7ULL);
+  ArchGuard guard;
+  for (const std::size_t width : {1u, 3u, 8u, 9u}) {
+    DrawInput in = draw_input(tbl, 301, width, rng);
+    in.sigma = model.sigma_random_nm();
+    in.clamp = model.config().clamp_sigma * in.sigma;
+    for (const bool offset : {false, true}) {
+      in.offset.clear();
+      if (offset) {
+        in.offset.resize(in.n() * width);
+        for (double& o : in.offset) o = in.sigma * rng.normal();
+      }
+      for (const simd::Arch a : simd::available_archs()) {
+        const simd::Kernels& k = *simd::kernels_for(a);
+        const std::vector<double> full = fused_draw(k, tbl, in);
+        std::vector<std::uint64_t> keys;
+        for (const std::uint64_t seed : in.lane_seeds) {
+          Rng lane(seed);
+          keys.push_back(lane.next());
+          keys.push_back(lane.next());
+        }
+        for (const std::size_t p0 : {0u, 1u, 16u, 17u, 150u}) {
+          for (const std::size_t count : {1u, 2u, 33u}) {
+            const std::size_t i0 = 2 * p0;
+            const std::size_t m = std::min(2 * count, in.n() - i0);
+            std::vector<double> out(m * width + 3, 42.0);
+            k.draw_factors(tbl.kernel_table(), in.rows.data() + i0,
+                           in.sys.data() + i0, keys.data(),
+                           offset ? in.offset.data() + i0 * width : nullptr,
+                           in.sigma, in.clamp, out.data(), m, width, p0);
+            for (std::size_t j = m * width; j < out.size(); ++j) {
+              EXPECT_EQ(out[j], 42.0) << "slot " << j << " written";
+            }
+            out.resize(m * width);
+            const std::vector<double> want(
+                full.begin() + static_cast<std::ptrdiff_t>(i0 * width),
+                full.begin() + static_cast<std::ptrdiff_t>((i0 + m) * width));
+            EXPECT_TRUE(same_bits(out, want))
+                << simd::arch_name(a) << " width " << width << " pair "
+                << p0 << " count " << count << " offset " << offset;
+          }
         }
       }
     }

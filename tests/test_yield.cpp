@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -624,6 +625,111 @@ TEST_F(YieldFixture, SharedAnalyzerStateIsolatedAcrossGeometries) {
   EXPECT_GT(escalated, 0u);
   EXPECT_GT(chip_wide, 0u);
   EXPECT_GT(discarded, 0u);
+}
+
+// The analyzer memoizes slot maps, tier screens and slot cones by wafer
+// geometry, level-0 engine state and every config field a screen reads
+// (DESIGN.md §22).  One shared analyzer, walked twice over interleaved
+// geometries and configs — flat, triage and macro tiers, two budgets, two
+// confidences, two band scales, two speed percentiles, two draw profiles
+// — must report byte for byte what a fresh analyzer reports, and hand
+// out the same maps and screens.
+TEST_F(YieldFixture, MemoizedSlotStateMatchesFreshAnalyzers) {
+  const auto fresh = [&] {
+    return std::make_unique<YieldAnalyzer>(
+        flow_->design(), flow_->sta(), flow_->variation(),
+        flow_->island_plan(), flow_->razor_plan(), flow_->activity(),
+        1.0 / flow_->post_shifter_clock_ns());
+  };
+  WaferConfig coarse_cfg;
+  coarse_cfg.wafer_diameter_mm = 100.0;
+  WaferConfig fine_cfg = coarse_cfg;
+  fine_cfg.die_mm = 7.0;
+  const WaferModel coarse(coarse_cfg), fine(fine_cfg);
+  std::vector<YieldConfig> cfgs;
+  for (const EvalTier tier : {EvalTier::Flat, EvalTier::Triage,
+                              EvalTier::Macro}) {
+    YieldConfig c = test_yield_config();
+    c.tier = tier;
+    cfgs.push_back(c);
+    c.mc.samples = 16;
+    c.triage.confidence = 0.9;
+    cfgs.push_back(c);
+    c.triage.band_scale = 2.0;
+    c.speed_percentile = 0.9;
+    c.mc.profile = DrawProfile::BatchedSimd;
+    cfgs.push_back(c);
+  }
+  const auto shared = fresh();
+  ThreadPool pool(4);
+  std::size_t mc_dies = 0, screened = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
+      for (const WaferModel* wafer : {&coarse, &fine, &coarse}) {
+        const YieldConfig& cfg = cfgs[ci];
+        SCOPED_TRACE("pass " + std::to_string(pass) + " cfg " +
+                     std::to_string(ci) + " die_mm " +
+                     std::to_string(wafer->config().die_mm));
+        const auto ref = fresh();
+        const YieldReport want = ref->analyze(*wafer, cfg, &pool);
+        const YieldReport got =
+            shared->analyze(*wafer, cfg, pass == 0 ? &pool : nullptr);
+        EXPECT_EQ(serialize(*wafer, got), serialize(*wafer, want));
+        const auto maps = shared->reticle_slot_maps(*wafer);
+        EXPECT_EQ(maps, ref->reticle_slot_maps(*wafer));
+        const auto screen = shared->tier_screen(*wafer, cfg, maps);
+        const auto want_screen = ref->tier_screen(*wafer, cfg);
+        ASSERT_EQ(screen.size(), want_screen.size());
+        for (std::size_t sl = 0; sl < screen.size(); ++sl) {
+          EXPECT_EQ(screen[sl].decided, want_screen[sl].decided);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(screen[sl].margin_ns),
+                    std::bit_cast<std::uint64_t>(want_screen[sl].margin_ns));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(screen[sl].band_ns),
+                    std::bit_cast<std::uint64_t>(want_screen[sl].band_ns));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(screen[sl].fmax_ghz),
+                    std::bit_cast<std::uint64_t>(want_screen[sl].fmax_ghz));
+        }
+        for (const DieOutcome& d : got.dies) {
+          mc_dies += d.mc_samples > 0;
+          screened += d.mc_samples == 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(mc_dies, 0u);
+  EXPECT_GT(screened, 0u);
+}
+
+// A memoized cone or screen belongs to the engine state it was proven
+// on.  Retiming the analyzer's engine (a new clock) must never reuse one:
+// the next report equals a fresh analyzer's at the new clock, on the flat
+// tier (slot cones) and the triage tier (screens).
+TEST_F(YieldFixture, ConeMemoNeverSharedAcrossClocks) {
+  WaferConfig wc;
+  wc.wafer_diameter_mm = 100.0;
+  const WaferModel wafer(wc);
+  StaEngine sta(flow_->sta());
+  const double period = flow_->post_shifter_clock_ns();
+  const auto make = [&] {
+    return std::make_unique<YieldAnalyzer>(
+        flow_->design(), sta, flow_->variation(), flow_->island_plan(),
+        flow_->razor_plan(), flow_->activity(), 1.0 / period);
+  };
+  for (const EvalTier tier : {EvalTier::Flat, EvalTier::Triage}) {
+    YieldConfig cfg = test_yield_config();
+    cfg.tier = tier;
+    sta.set_clock_period(period);
+    const auto shared = make();
+    const std::string before = serialize(wafer, shared->analyze(wafer, cfg));
+    for (const double scale : {0.9, 1.0, 0.9}) {
+      SCOPED_TRACE("tier " + std::to_string(static_cast<int>(tier)) +
+                   " clock x" + std::to_string(scale));
+      sta.set_clock_period(period * scale);
+      const std::string got = serialize(wafer, shared->analyze(wafer, cfg));
+      EXPECT_EQ(got, serialize(wafer, make()->analyze(wafer, cfg)));
+      EXPECT_EQ(got == before, scale == 1.0);
+    }
+  }
 }
 
 // The screen reads its CI quantiles from a process-wide memo keyed by
