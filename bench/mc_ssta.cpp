@@ -3,8 +3,8 @@
 // yield subsystem, so its samples/sec is the throughput ceiling of the
 // whole repo.  Measures:
 //
-//   1. scalar-serial baseline — batch width 1 (the pre-batching
-//      per-sample analyze() kernel), no pool;
+//   1. scalar-serial baseline — batch width 1 (one lane per pass of the
+//      batched kernel over the run's timing cone), no pool;
 //   2. the batched SoA kernel alone — widths 4/8/16/32, still serial;
 //   3. batched + parallel sampling — thread pools up to the machine's
 //      hardware_concurrency(); oversubscribed points (more threads than
@@ -637,7 +637,9 @@ int main(int argc, char** argv) {
   bool attribution_ok = true;
   double attribution_frac = 0.0;
   {
-    const int att_samples = kernel_lanes;
+    // At least 1024 samples whatever --samples says, as in section 12: the
+    // 5 % gate needs a loop long enough that one preemption cannot break it.
+    const int att_samples = 1024;
     const std::size_t n_inst = design.num_instances();
     StaEngine eng(sta);
     VariationModel::DrawScratch scratch;

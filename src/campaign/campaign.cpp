@@ -94,6 +94,28 @@ void CampaignRunner::add_variant(std::string name, const Design& design,
                               &sensors, &activity, clock_freq_ghz});
 }
 
+std::vector<std::uint32_t> CampaignRunner::variant_axis(
+    const CampaignSpec& spec) const {
+  // Explicit names, or every registered variant in registration order.
+  std::vector<std::uint32_t> axis;
+  if (spec.variants.empty()) {
+    for (std::size_t i = 0; i < variants_.size(); ++i) {
+      axis.push_back(static_cast<std::uint32_t>(i));
+    }
+    return axis;
+  }
+  for (const std::string& name : spec.variants) {
+    const auto it =
+        std::find_if(variants_.begin(), variants_.end(),
+                     [&name](const Variant& v) { return v.name == name; });
+    if (it == variants_.end()) {
+      throw std::invalid_argument("campaign: unknown variant '" + name + "'");
+    }
+    axis.push_back(static_cast<std::uint32_t>(it - variants_.begin()));
+  }
+  return axis;
+}
+
 std::vector<CampaignCell> CampaignRunner::expand(
     const CampaignSpec& spec) const {
   if (variants_.empty()) {
@@ -121,25 +143,7 @@ std::vector<CampaignCell> CampaignRunner::expand(
     }
   }
   spec.base.validate();
-
-  // Resolve the variant axis: explicit names, or every registered
-  // variant in registration order.
-  std::vector<std::uint32_t> axis;
-  if (spec.variants.empty()) {
-    for (std::size_t i = 0; i < variants_.size(); ++i) {
-      axis.push_back(static_cast<std::uint32_t>(i));
-    }
-  } else {
-    for (const std::string& name : spec.variants) {
-      const auto it =
-          std::find_if(variants_.begin(), variants_.end(),
-                       [&name](const Variant& v) { return v.name == name; });
-      if (it == variants_.end()) {
-        throw std::invalid_argument("campaign: unknown variant '" + name + "'");
-      }
-      axis.push_back(static_cast<std::uint32_t>(it - variants_.begin()));
-    }
-  }
+  const std::vector<std::uint32_t> axis = variant_axis(spec);
 
   std::vector<CampaignCell> cells;
   cells.reserve(axis.size() * spec.wafer_grids.size() *
@@ -201,21 +205,9 @@ struct CampaignRunner::Plan {
   std::vector<std::unique_ptr<VariationModel>> models;
   /// One analyzer per (variant, policy, sigma) — the netlist a cell's
   /// dies fabricate on depends on its policy now, not just its variant.
+  /// Each analyzer's memo holds the slot maps, screens and slot cones
+  /// every shard of its cells reads (DESIGN.md §22).
   std::vector<std::unique_ptr<YieldAnalyzer>> analyzers;
-  /// maps[v][g] = reticle_slot_maps of (baseline variant v, wafer grid
-  /// g); left empty for a variant when every policy of the sweep
-  /// transforms (nothing reads it then).  Systematic maps are
-  /// sigma-independent, so they key on (netlist, wafer_grid) only.
-  std::vector<std::vector<std::vector<std::vector<double>>>> maps;
-  /// policy_maps[v*npol+p][g]: slot maps of a TRANSFORMED netlist (its
-  /// instance list differs from the baseline's); empty for pure-VI
-  /// mixes, which share maps[v][g].
-  std::vector<std::vector<std::vector<std::vector<double>>>> policy_maps;
-  /// screens[cell] = the cell's analytic triage screen (DESIGN.md §16),
-  /// empty when triage is off.  Computed once in build_plan — a pure
-  /// function of (variant, policy, sigma, geometry, MC budget), never of
-  /// sharding — and shared read-only by every shard of the cell.
-  std::vector<std::vector<SlotTriage>> screens;
   struct Job {
     std::uint32_t cell = 0;
     std::uint32_t wafer = 0;
@@ -232,32 +224,14 @@ struct CampaignRunner::Plan {
   std::size_t analyzer_index(const CampaignCell& c) const {
     return netlist_index(c) * nsig + c.sigma;
   }
-  const std::vector<std::vector<double>>& maps_for(
-      const CampaignCell& c) const {
-    const std::size_t ns = netlist_index(c);
-    return policy_maps[ns].empty() ? maps[c.variant][c.wafer_grid]
-                                   : policy_maps[ns][c.wafer_grid];
-  }
 };
 
 void CampaignRunner::build_plan(const CampaignSpec& spec, ThreadPool* pool,
                                 Plan& plan) const {
   plan.cells = expand(spec);  // validates the spec
-
-  if (spec.variants.empty()) {
-    for (const Variant& v : variants_) plan.variant_names.push_back(v.name);
-    for (std::size_t i = 0; i < variants_.size(); ++i) {
-      plan.variant_axis.push_back(static_cast<std::uint32_t>(i));
-    }
-  } else {
-    plan.variant_names = spec.variants;
-    for (const std::string& name : spec.variants) {
-      const auto it =
-          std::find_if(variants_.begin(), variants_.end(),
-                       [&name](const Variant& v) { return v.name == name; });
-      plan.variant_axis.push_back(
-          static_cast<std::uint32_t>(it - variants_.begin()));
-    }
+  plan.variant_axis = variant_axis(spec);
+  for (const std::uint32_t v : plan.variant_axis) {
+    plan.variant_names.push_back(variants_[v].name);
   }
 
   plan.wafers.reserve(spec.wafer_grids.size());
@@ -322,57 +296,20 @@ void CampaignRunner::build_plan(const CampaignSpec& spec, ThreadPool* pool,
     }
   }
 
-  // Systematic reticle-slot maps: computed once per (netlist, geometry)
-  // and shared read-only by every shard of the sweep — the sigma axis
-  // only touches the random component, never these maps.  Baseline maps
-  // are shared by every pure-VI mix of a variant; each transforming mix
-  // gets its own (its instance list differs).
-  plan.maps.resize(plan.variant_axis.size());
-  plan.policy_maps.resize(plan.netlists.size());
-  for (std::size_t v = 0; v < plan.variant_axis.size(); ++v) {
-    for (std::size_t p = 0; p < npol; ++p) {
-      const std::size_t ns = v * npol + p;
-      YieldAnalyzer& an = *plan.analyzers[ns * nsig];
-      if (!plan.netlists[ns].compiled.transformed()) {
-        if (plan.maps[v].empty()) {
-          plan.maps[v].reserve(plan.wafers.size());
-          for (const WaferModel& wafer : plan.wafers) {
-            plan.maps[v].push_back(an.reticle_slot_maps(wafer));
-          }
-        }
-      } else {
-        plan.policy_maps[ns].reserve(plan.wafers.size());
-        for (const WaferModel& wafer : plan.wafers) {
-          plan.policy_maps[ns].push_back(an.reticle_slot_maps(wafer));
-        }
-      }
-    }
-  }
-
-  // Per-cell analytic screens (empty unless a non-flat tier is on):
-  // cells differing only in MC budget recompute the same screen, which
-  // is side² canonical (or macromodel) passes — negligible next to one
-  // shard's MC work.  Each analyzer slot caches its own macromodel
-  // library, so macro-tier cells sharing a (variant, policy, sigma)
-  // slot characterize once and reuse it across screens and shards.
-  // Planner phase 2 on the pool: one job per cell, so the first cell of
-  // each analyzer characterizes its library in parallel with the others;
-  // each screen is a pure function of its cell, written to its own slot.
-  plan.screens.resize(plan.cells.size());
-  if (spec.base.effective_tier() != EvalTier::Flat) {
-    const auto screen_cell = [&plan](std::size_t c) {
-      const CampaignCell& cell = plan.cells[c];
-      plan.screens[cell.index] =
-          plan.analyzers[plan.analyzer_index(cell)]->tier_screen(
-              plan.wafers[cell.wafer_grid], cell.config, plan.maps_for(cell));
-    };
-    if (pool != nullptr) {
-      parallel_jobs(
-          *pool, plan.cells.size(), [] { return 0; },
-          [&screen_cell](int&, std::size_t c) { screen_cell(c); });
-    } else {
-      for (std::size_t c = 0; c < plan.cells.size(); ++c) screen_cell(c);
-    }
+  // Planner phase 2 on the pool: one job per cell warms its analyzer's
+  // memo with the cell's screen (DESIGN.md §22), so the first cell of
+  // each analyzer characterizes its macromodel library in parallel with
+  // the others' instead of under the first shards.  Cells differing only
+  // in MC budget share the analyzer's maps and library and memoize a
+  // screen each.  A serial run leaves the screens to its first shards.
+  if (pool != nullptr && spec.base.effective_tier() != EvalTier::Flat) {
+    parallel_jobs(
+        *pool, plan.cells.size(), [] { return 0; },
+        [&plan](int&, std::size_t c) {
+          const CampaignCell& cell = plan.cells[c];
+          (void)plan.analyzers[plan.analyzer_index(cell)]->tier_screen(
+              plan.wafers[cell.wafer_grid], cell.config);
+        });
   }
 
   const auto shard = static_cast<std::size_t>(spec.shard_dies);
@@ -632,7 +569,7 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec,
     rec.die_end = job.die_end;
     rec.agg = plan.analyzers[slot]->analyze_shard(
         s.engine, s.ctrl, plan.wafers[cell.wafer_grid], cfg, job.die_begin,
-        job.die_end, plan.maps_for(cell), plan.screens[job.cell]);
+        job.die_end);
 
     std::lock_guard<std::mutex> lock(mu);
     pending.emplace(j, std::move(rec));

@@ -230,9 +230,13 @@ class CampaignRunner {
     const ActivityDb* activity;
     double clock_freq_ghz;
   };
-  struct Plan;  // full expansion (models, wafers, slot maps, jobs)
+  struct Plan;  // full expansion (netlists, models, analyzers, jobs)
+  /// The spec's variant axis as indices into variants_ (throws
+  /// std::invalid_argument on an unknown name).
+  std::vector<std::uint32_t> variant_axis(const CampaignSpec& spec) const;
   /// Expands and prepares `spec`; `pool` (optional) runs the planner's
-  /// two pooled phases — criticality dies, then per-cell screens.
+  /// two pooled phases — criticality dies, then per-cell screens that
+  /// warm each analyzer's memo.
   void build_plan(const CampaignSpec& spec, ThreadPool* pool,
                   Plan& plan) const;
 

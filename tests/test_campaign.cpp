@@ -190,6 +190,9 @@ TEST_F(CampaignFixture, MacroTierCampaignIsShardInvariantAndDigested) {
   spec.wafers_per_cell = 1;
   spec.sigma_scales = {1.0};
   spec.policies = {PolicyMix{"full", true, true}};
+  // Two budgets: both cells share one analyzer and read two screens from
+  // its memo, on the pooled runs below as well.
+  spec.mc_samples = {6, 12};
   spec.base.tier = EvalTier::Macro;
 
   CampaignSpec flat = spec;

@@ -341,8 +341,9 @@ TEST_F(McFixture, BitIdenticalAcrossThreadCounts) {
   expect_identical(serial, mc.run(DieLocation::point('A'), cfg, &eight));
 }
 
-/// The batch width is a pure execution-layout choice: the scalar kernel
-/// (batch 1), the default width, and odd widths all yield the same bits.
+/// The batch width is a pure execution-layout choice: one lane per pass
+/// of the batched kernel (batch 1), the default width, and odd widths all
+/// yield the same bits.
 TEST_F(McFixture, BitIdenticalAcrossBatchWidths) {
   MonteCarloSsta mc(design_, *sta_, *model_);
   McConfig cfg;
