@@ -175,9 +175,10 @@ int main(int argc, char** argv) {
   const VariationModel model(lib.char_params(), field);
   const MonteCarloSsta mc(design, sta, model);
   const DieLocation loc = DieLocation::point('A');
-  std::printf("# design: %zu instances, %zu timing edges, %d samples, "
-              "%u hardware thread(s)\n\n",
-              design.num_instances(), sta.num_edges(), samples, hw);
+  std::printf("# design: %zu instances, %zu timing edges (%zu folded "
+              "arcs), %d samples, %u hardware thread(s)\n\n",
+              design.num_instances(), sta.num_edges(), sta.arcs().size(),
+              samples, hw);
 
   McConfig base;
   base.samples = samples;
@@ -536,10 +537,11 @@ int main(int argc, char** argv) {
   //   a) the fused draw (draw_batch) must equal, per lane, the two-phase
   //      computation: its substream's normals_simd(), then std::clamp and
   //      DelayFactorTables::eval_row per element;
-  //   b) the first-writer relaxation over this design's timing graph, with
-  //      only launch and never-written rows pre-filled (the rest hold NaN
-  //      garbage), must leave the arena bit-identical to a full -inf fill
-  //      followed by the plain sweep.
+  //   b) the first-writer relaxation over this design's folded arcs, with
+  //      only launch rows and read rows nothing writes pre-filled (the rest
+  //      hold NaN garbage), must leave every row it writes or reads
+  //      bit-identical to a full -inf fill followed by the plain sweep of
+  //      the pin-level graph, one unfolded arc per edge.
   bool fused_identical = true;
   {
     const std::size_t n_inst = design.num_instances();
@@ -560,19 +562,29 @@ int main(int argc, char** argv) {
                                                     clamp));
       }
     }
-    // The graph as StaEngine relaxes it, and its first-writer marks.
-    std::vector<simd::RelaxEdge> edges;
+    // The pin-level graph as analyze() relaxes it, one unfolded arc per
+    // edge over its delay; the engine's folded arcs, which index the same
+    // delays, with their first-writer marks and the rows they read.
+    std::vector<simd::RelaxArc> edges;
+    std::vector<float> delays;
     sta.for_each_graph_edge(
         [&](std::uint32_t from, std::uint32_t to, InstId inst, double d) {
-          edges.push_back({from, to, inst, static_cast<float>(d)});
+          edges.push_back({from, to, inst,
+                           static_cast<std::uint32_t>(delays.size()),
+                           simd::kNoRelaxWire});
+          delays.push_back(static_cast<float>(d));
         });
+    const std::span<const simd::RelaxArc> arcs = sta.arcs();
     std::vector<std::uint8_t> written(sta.num_nodes(), 0);
-    std::vector<std::uint8_t> first(edges.size(), 0), none(edges.size(), 0);
+    std::vector<std::uint8_t> read(sta.num_nodes(), 0);
+    std::vector<std::uint8_t> first(arcs.size(), 0), none(edges.size(), 0);
     for (const std::uint32_t v : sta.launch_nodes()) written[v] = 1;
-    for (std::size_t ei = 0; ei < edges.size(); ++ei) {
-      first[ei] = written[edges[ei].to] == 0 ? 1 : 0;
-      written[edges[ei].to] = 1;
+    for (std::size_t ai = 0; ai < arcs.size(); ++ai) {
+      first[ai] = written[arcs[ai].to] == 0 ? 1 : 0;
+      written[arcs[ai].to] = 1;
+      read[arcs[ai].from] = 1;
     }
+    for (const Endpoint& ep : sta.endpoints()) read[ep.node] = 1;
     const double neg_inf = -std::numeric_limits<double>::infinity();
     const auto launch = [&](AlignedVec<double>& arena) {
       for (std::size_t li = 0; li < sta.launch_nodes().size(); ++li) {
@@ -588,9 +600,9 @@ int main(int argc, char** argv) {
     AlignedVec<double> ref(sta.num_nodes() * kW, neg_inf);
     launch(ref);
     simd::kernels_for(simd::Arch::Scalar)
-        ->relax_edges(edges.data(), none.data(), edges.size(), want.data(),
-                      ref.data(), kW);
-    Table ft({"dispatch", "fused draw", "first-writer relax"});
+        ->relax_arcs(edges.data(), none.data(), edges.size(), delays.data(),
+                     want.data(), ref.data(), kW);
+    Table ft({"dispatch", "fused draw", "folded first-writer relax"});
     VariationModel::DrawScratch scratch;
     for (const simd::Arch a : archs) {
       if (!simd::set_arch(a)) continue;
@@ -601,14 +613,19 @@ int main(int argc, char** argv) {
           std::memcmp(got.data(), want.data(), want.size() * 8) == 0;
       AlignedVec<double> arr(sta.num_nodes() * kW, std::nan(""));
       for (std::uint32_t v = 0; v < sta.num_nodes(); ++v) {
-        if (written[v] == 0) std::fill_n(&arr[v * kW], kW, neg_inf);
+        if (read[v] != 0 && written[v] == 0) {
+          std::fill_n(&arr[v * kW], kW, neg_inf);
+        }
       }
       launch(arr);
-      simd::active_kernels().relax_edges(edges.data(), first.data(),
-                                         edges.size(), want.data(),
-                                         arr.data(), kW);
-      const bool rx_same =
-          std::memcmp(arr.data(), ref.data(), ref.size() * 8) == 0;
+      simd::active_kernels().relax_arcs(arcs.data(), first.data(), arcs.size(),
+                                        delays.data(), want.data(), arr.data(),
+                                        kW);
+      bool rx_same = true;
+      for (std::uint32_t v = 0; v < sta.num_nodes(); ++v) {
+        if (written[v] == 0 && read[v] == 0) continue;  // folded away
+        rx_same &= std::memcmp(&arr[v * kW], &ref[v * kW], kW * 8) == 0;
+      }
       fused_identical &= tr_same && rx_same;
       ft.add_row({simd::arch_name(a), tr_same ? "identical" : "MISMATCH",
                   rx_same ? "identical" : "MISMATCH"});
@@ -830,8 +847,8 @@ int main(int argc, char** argv) {
     const std::size_t num_eps = endpoints.size();
     const double ep_frac =
         static_cast<double>(cone.endpoints.size()) / static_cast<double>(num_eps);
-    const double edge_frac = static_cast<double>(cone.edges.size()) /
-                             static_cast<double>(eng.num_edges());
+    const double arc_frac = static_cast<double>(cone.arcs.size()) /
+                            static_cast<double>(eng.arcs().size());
     const double pair_frac =
         static_cast<double>(live_pairs) / static_cast<double>(pairs);
 
@@ -971,10 +988,10 @@ int main(int argc, char** argv) {
     const double us = 1e6 / cone_samples;
     std::printf(
         "bound-pruned MC (DESIGN.md §22): the cone keeps %zu/%zu endpoints "
-        "(%.1f%%), %zu/%zu edges (%.1f%%), %zu/%zu Box-Muller pairs "
+        "(%.1f%%), %zu/%zu arcs (%.1f%%), %zu/%zu Box-Muller pairs "
         "(%.1f%%)\n%s",
-        cone.endpoints.size(), num_eps, 100.0 * ep_frac, cone.edges.size(),
-        eng.num_edges(), 100.0 * edge_frac, live_pairs, pairs,
+        cone.endpoints.size(), num_eps, 100.0 * ep_frac, cone.arcs.size(),
+        eng.arcs().size(), 100.0 * arc_frac, live_pairs, pairs,
         100.0 * pair_frac, ct.render().c_str());
     std::printf(
         "  %d samples, batch 8, serial:   unpruned   pruned\n"
@@ -988,7 +1005,7 @@ int main(int argc, char** argv) {
         100.0 * cone_attribution_frac,
         cone_attribution_ok ? "accounted" : "UNACCOUNTED TIME (BUG)");
     out.set("cone_live_endpoint_frac", ep_frac);
-    out.set("cone_live_edge_frac", edge_frac);
+    out.set("cone_live_arc_frac", arc_frac);
     out.set("cone_live_pair_frac", pair_frac);
     out.set("cone_unpruned_us_per_sample", full_wall * us);
     out.set("cone_pruned_us_per_sample", pruned_wall * us);

@@ -11,8 +11,8 @@
 
 namespace vipvt {
 
-// Edge aliases simd::RelaxEdge; the graph builder relies on the sentinel
-// matching the kernels' fixed-delay sentinel.
+// The folded arcs carry instance ids into the relax kernels, which take
+// the same sentinel for a fixed delay.
 static_assert(kInvalidInst == simd::kInvalidRelaxInst);
 static_assert(std::is_same_v<InstId, std::uint32_t>);
 
@@ -45,51 +45,6 @@ std::pair<double, double> cone_delay_bounds(double base,
   return delay_bounds(base, bounds, i);
 }
 
-/// The two-lane bound sweep of analyze_lazy and build_cone: lo_arr gets
-/// every node's lower arrival bound and hi_arr its upper bound, each delay
-/// bounded by edge_delay(ei) / launch_delay(li).  IEEE add, multiply and
-/// max are monotone, so the lanes bound the arrivals analyze() computes
-/// from any factors inside the bounds.  With kUnbounded (build_cone, whose
-/// delay bounds may be +-inf), a source nothing reaches (-inf, a tie
-/// cell's output) gives -inf whatever the delay bound, as analyze()
-/// computes -inf + d for every finite d: an unbounded delay's +inf must
-/// not make it NaN, which a later max would silently drop.  analyze_lazy's
-/// delay bounds are finite, so -inf + d is already -inf there and its
-/// per-die sweep skips the test.  hi_arr's neg_inf rows must be -inf on
-/// entry (init_arrival_soa); the first-writer rule is the batch kernels'.
-template <bool kUnbounded, class EdgeDelay, class LaunchDelay>
-void sweep_bounds(std::span<const simd::RelaxEdge> edges,
-                  std::span<const std::uint8_t> first_write,
-                  std::span<const std::uint32_t> launch_nodes,
-                  std::span<const std::uint32_t> neg_inf_rows,
-                  EdgeDelay edge_delay, LaunchDelay launch_delay,
-                  double* lo_arr, double* hi_arr) {
-  for (const std::uint32_t v : neg_inf_rows) lo_arr[v] = kNegInf;
-  for (std::size_t li = 0; li < launch_nodes.size(); ++li) {
-    const auto [lo, hi] = launch_delay(li);
-    const std::uint32_t v = launch_nodes[li];
-    lo_arr[v] = std::max(lo_arr[v], lo);
-    hi_arr[v] = std::max(hi_arr[v], hi);
-  }
-  for (std::size_t ei = 0; ei < edges.size(); ++ei) {
-    const simd::RelaxEdge& e = edges[ei];
-    auto [lo, hi] = edge_delay(ei);
-    if constexpr (kUnbounded) {
-      lo = lo_arr[e.from] == kNegInf ? kNegInf : lo_arr[e.from] + lo;
-      hi = hi_arr[e.from] == kNegInf ? kNegInf : hi_arr[e.from] + hi;
-    } else {
-      lo += lo_arr[e.from];
-      hi += hi_arr[e.from];
-    }
-    if (first_write[ei] != 0) {
-      lo_arr[e.to] = lo;
-      hi_arr[e.to] = hi;
-    } else {
-      lo_arr[e.to] = std::max(lo_arr[e.to], lo);
-      hi_arr[e.to] = std::max(hi_arr[e.to], hi);
-    }
-  }
-}
 }  // namespace
 
 StaEngine::StaEngine(const Design& design, const StaOptions& opts)
@@ -145,7 +100,13 @@ void StaEngine::build_graph() {
   }
 
   // ---- edges ---------------------------------------------------------------
-  edges_.clear();
+  // Each edge with its base delay (a net edge's is fixed here), kept
+  // together through the topological sort.
+  struct BuiltEdge {
+    Edge e;
+    float base = 0.0f;
+  };
+  std::vector<BuiltEdge> edges;
   for (InstId i = 0; i < d.num_instances(); ++i) {
     const Cell& cell = d.cell_of(i);
     if (cell.is_sequential()) continue;  // clk->q handled as launch
@@ -154,7 +115,7 @@ void StaEngine::build_graph() {
       e.from = pin_node(i, arc.from_pin);
       e.to = pin_node(i, arc.to_pin);
       e.inst = i;
-      edges_.push_back(e);
+      edges.push_back({e, 0.0f});
     }
   }
   for (NetId n = 0; n < d.num_nets(); ++n) {
@@ -173,31 +134,30 @@ void StaEngine::build_graph() {
       e.from = src;
       e.to = pin_node(sink.inst, sink.pin);
       const double sink_cap = d.cell_of(sink.inst).pins[sink.pin].cap_pf;
-      e.base_delay =
-          static_cast<float>(net_rw[n] * (0.5 * net_cw[n] + sink_cap));
-      edges_.push_back(e);
+      edges.push_back(
+          {e, static_cast<float>(net_rw[n] * (0.5 * net_cw[n] + sink_cap))});
     }
     if (net.is_primary_output && net.has_cell_driver()) {
       Edge e;
       e.from = src;
       e.to = port_node_[n];
-      e.base_delay = static_cast<float>(
-          net_rw[n] * (0.5 * net_cw[n] + opts_.primary_output_load_pf));
-      edges_.push_back(e);
+      edges.push_back({e, static_cast<float>(net_rw[n] *
+                                             (0.5 * net_cw[n] +
+                                              opts_.primary_output_load_pf))});
     }
   }
 
   // ---- topological ordering (Kahn over nodes) -------------------------------
   std::vector<std::uint32_t> indeg(node_count_, 0);
-  for (const auto& e : edges_) ++indeg[e.to];
+  for (const auto& b : edges) ++indeg[b.e.to];
   std::vector<std::uint32_t> head(node_count_ + 1, 0);
-  for (const auto& e : edges_) ++head[e.from + 1];
+  for (const auto& b : edges) ++head[b.e.from + 1];
   for (std::size_t i = 1; i <= node_count_; ++i) head[i] += head[i - 1];
-  std::vector<std::uint32_t> adj(edges_.size());
+  std::vector<std::uint32_t> adj(edges.size());
   {
     std::vector<std::uint32_t> cursor(head.begin(), head.end() - 1);
-    for (std::uint32_t ei = 0; ei < edges_.size(); ++ei) {
-      adj[cursor[edges_[ei].from]++] = ei;
+    for (std::uint32_t ei = 0; ei < edges.size(); ++ei) {
+      adj[cursor[edges[ei].e.from]++] = ei;
     }
   }
   std::vector<std::uint32_t> rank(node_count_, 0);
@@ -211,16 +171,24 @@ void StaEngine::build_graph() {
     const std::uint32_t u = queue[qi];
     rank[u] = processed++;
     for (std::uint32_t ai = head[u]; ai < head[u + 1]; ++ai) {
-      const Edge& e = edges_[adj[ai]];
+      const Edge& e = edges[adj[ai]].e;
       if (--indeg[e.to] == 0) queue.push_back(e.to);
     }
   }
   if (processed != node_count_) {
     throw std::runtime_error("StaEngine: combinational loop detected");
   }
-  std::sort(edges_.begin(), edges_.end(), [&](const Edge& a, const Edge& b) {
-    return rank[a.from] < rank[b.from];
-  });
+  std::sort(edges.begin(), edges.end(),
+            [&](const BuiltEdge& a, const BuiltEdge& b) {
+              return rank[a.e.from] < rank[b.e.from];
+            });
+  auto g = std::make_shared<Graph>();
+  g->edges.reserve(edges.size());
+  edge_base_.resize(edges.size());
+  for (std::size_t ei = 0; ei < edges.size(); ++ei) {
+    g->edges.push_back(edges[ei].e);
+    edge_base_[ei] = edges[ei].base;
+  }
 
   // ---- launch nodes & endpoints ---------------------------------------------
   launch_nodes_.clear();
@@ -258,24 +226,6 @@ void StaEngine::build_graph() {
     endpoint_setup_.push_back(0.0);
   }
   launch_base_.assign(launch_nodes_.size(), 0.0f);
-
-  // First-writer marks (DESIGN.md §17): edges run in topological order of
-  // their source, so every write to a node precedes every read of it, and
-  // the first edge writing a node that no launch initializes can take
-  // max(cand, -inf) instead of reading a -inf pre-fill.  Only launch rows
-  // and rows that nothing writes then need the fill.
-  std::vector<std::uint8_t> written(node_count_, 0);
-  for (const std::uint32_t v : launch_nodes_) written[v] = 1;
-  first_write_.assign(edges_.size(), 0);
-  for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
-    std::uint8_t& w = written[edges_[ei].to];
-    first_write_[ei] = w == 0 ? 1 : 0;
-    w = 1;
-  }
-  neg_inf_rows_ = launch_nodes_;
-  for (std::uint32_t v = 0; v < node_count_; ++v) {
-    if (written[v] == 0) neg_inf_rows_.push_back(v);
-  }
   all_launches_.resize(launch_nodes_.size());
   for (std::uint32_t li = 0; li < all_launches_.size(); ++li) {
     all_launches_[li] = li;
@@ -284,30 +234,146 @@ void StaEngine::build_graph() {
   for (std::uint32_t k = 0; k < all_endpoints_.size(); ++k) {
     all_endpoints_[k] = k;
   }
-
-  // In-edge index for analyze_lazy's backward refinement (DESIGN.md §21):
-  // counting sort of edges and launches by target node.
-  auto in = std::make_shared<InEdges>();
-  const auto num_edges = static_cast<std::uint32_t>(edges_.size());
-  in->head.assign(node_count_ + 1, 0);
-  for (const Edge& e : edges_) ++in->head[e.to + 1];
-  for (const std::uint32_t v : launch_nodes_) ++in->head[v + 1];
-  for (std::size_t v = 1; v <= node_count_; ++v) in->head[v] += in->head[v - 1];
-  in->src.resize(in->head[node_count_]);
-  {
-    std::vector<std::uint32_t> cursor(in->head.begin(), in->head.end() - 1);
-    for (std::uint32_t ei = 0; ei < num_edges; ++ei) {
-      in->src[cursor[edges_[ei].to]++] = ei;
-    }
-    for (std::uint32_t li = 0; li < launch_nodes_.size(); ++li) {
-      in->src[cursor[launch_nodes_[li]]++] = num_edges + li;
-    }
-  }
-  in_edges_ = std::move(in);
+  fold_graph(*g);
+  graph_ = std::move(g);
 
   arrival_.assign(node_count_, kNegInf);
   pred_edge_.assign(node_count_, -1);
   inst_corner_.assign(d.num_instances(), kVddLow);
+}
+
+void StaEngine::fold_graph(Graph& g) const {
+  // A net edge into a pin that nothing else writes only copies its
+  // driver's arrival, plus the wire, into that pin.  Every cell arc
+  // reading the pin reads the driver and adds the wire first:
+  // (a + wire) + base * f, the two roundings analyze() makes through the
+  // pin, in its order.  The net edge itself stays only where an endpoint
+  // reads the pin.  Filtering keeps the pin-level order, so every write to
+  // a node still precedes every read of it.
+  const auto num_edges = static_cast<std::uint32_t>(g.edges.size());
+  std::vector<std::uint32_t> writers(node_count_, 0);
+  std::vector<std::uint32_t> net_into(node_count_, simd::kNoRelaxWire);
+  for (std::uint32_t ei = 0; ei < num_edges; ++ei) {
+    const Edge& e = g.edges[ei];
+    ++writers[e.to];
+    if (e.inst == kInvalidInst) net_into[e.to] = ei;
+  }
+  for (const std::uint32_t v : launch_nodes_) ++writers[v];
+  const auto folds = [&](std::uint32_t v) {
+    return writers[v] == 1 && net_into[v] != simd::kNoRelaxWire;
+  };
+  std::vector<std::uint8_t> read(node_count_, 0);
+  for (const Endpoint& ep : endpoints_) read[ep.node] = 1;
+  for (std::uint32_t ei = 0; ei < num_edges; ++ei) {
+    const Edge& e = g.edges[ei];
+    simd::RelaxArc a{e.from, e.to, e.inst, ei, simd::kNoRelaxWire};
+    if (e.inst == kInvalidInst) {
+      if (folds(e.to) && read[e.to] == 0) continue;
+    } else if (folds(e.from)) {
+      a.wire = net_into[e.from];
+      a.from = g.edges[a.wire].from;
+    }
+    g.arcs.push_back(a);
+  }
+  for (const simd::RelaxArc& a : g.arcs) read[a.from] = 1;
+
+  // First-writer marks (DESIGN.md §17): the first arc writing a node that
+  // no launch initializes can take max(cand, -inf) instead of reading a
+  // -inf pre-fill.  Only launch rows and read rows that nothing writes
+  // then need the fill.
+  std::vector<std::uint8_t> written(node_count_, 0);
+  for (const std::uint32_t v : launch_nodes_) written[v] = 1;
+  g.first_write.assign(g.arcs.size(), 0);
+  for (std::size_t ai = 0; ai < g.arcs.size(); ++ai) {
+    std::uint8_t& w = written[g.arcs[ai].to];
+    g.first_write[ai] = w == 0 ? 1 : 0;
+    w = 1;
+  }
+  g.neg_inf_rows = launch_nodes_;
+  for (std::uint32_t v = 0; v < node_count_; ++v) {
+    if (read[v] != 0 && written[v] == 0) g.neg_inf_rows.push_back(v);
+  }
+
+  // In-arc index for analyze_lazy's backward refinement and build_cone's
+  // reverse closure (DESIGN.md §21, §22): counting sort of arcs and
+  // launches by target node.
+  const auto num_arcs = static_cast<std::uint32_t>(g.arcs.size());
+  g.in_head.assign(node_count_ + 1, 0);
+  for (const simd::RelaxArc& a : g.arcs) ++g.in_head[a.to + 1];
+  for (const std::uint32_t v : launch_nodes_) ++g.in_head[v + 1];
+  for (std::size_t v = 1; v <= node_count_; ++v) {
+    g.in_head[v] += g.in_head[v - 1];
+  }
+  g.in_src.resize(g.in_head[node_count_]);
+  std::vector<std::uint32_t> cursor(g.in_head.begin(), g.in_head.end() - 1);
+  for (std::uint32_t ai = 0; ai < num_arcs; ++ai) {
+    g.in_src[cursor[g.arcs[ai].to]++] = ai;
+  }
+  for (std::uint32_t li = 0; li < launch_nodes_.size(); ++li) {
+    g.in_src[cursor[launch_nodes_[li]]++] = num_arcs + li;
+  }
+}
+
+template <bool kUnbounded>
+void StaEngine::sweep_bounds(const float* edge_base, const float* launch_base,
+                             std::span<const double> bounds) const {
+  // IEEE add, multiply and max are monotone, so the lanes bound the
+  // arrivals analyze() computes from any factors inside the bounds.  With
+  // kUnbounded (build_cone, whose delay bounds may be +-inf), a source
+  // nothing reaches (-inf, a tie cell's output) gives -inf whatever the
+  // delay bound, as analyze() computes -inf + d for every finite d: an
+  // unbounded delay's +inf must not make it NaN, which a later max would
+  // silently drop.  A folded arc tests before its wire and again before
+  // its delay, as analyze() skips a -inf arrival at the driver and at the
+  // net's sink pin.  analyze_lazy's
+  // delay bounds are finite, so -inf + d is already -inf there and its
+  // per-die sweep skips the test.  The first-writer rule is the batch
+  // kernels'.
+  const Graph& g = *graph_;
+  init_arrival_soa(1, g.neg_inf_rows);
+  double* lo_arr = arrival_.data();
+  double* hi_arr = arrival_soa_.v.data();
+  const auto delay = [&](float base, InstId i) {
+    if constexpr (kUnbounded) {
+      return cone_delay_bounds(static_cast<double>(base), bounds, i);
+    } else {
+      return delay_bounds(static_cast<double>(base), bounds, i);
+    }
+  };
+  for (const std::uint32_t v : g.neg_inf_rows) lo_arr[v] = kNegInf;
+  for (std::size_t li = 0; li < launch_nodes_.size(); ++li) {
+    const auto [lo, hi] = delay(launch_base[li], launch_inst_[li]);
+    const std::uint32_t v = launch_nodes_[li];
+    lo_arr[v] = std::max(lo_arr[v], lo);
+    hi_arr[v] = std::max(hi_arr[v], hi);
+  }
+  const auto plus = [](double a, double d) {
+    if constexpr (kUnbounded) {
+      return a == kNegInf ? kNegInf : a + d;
+    } else {
+      return a + d;
+    }
+  };
+  for (std::size_t ai = 0; ai < g.arcs.size(); ++ai) {
+    const simd::RelaxArc& a = g.arcs[ai];
+    double lo = lo_arr[a.from];
+    double hi = hi_arr[a.from];
+    if (a.wire != simd::kNoRelaxWire) {
+      const auto w = static_cast<double>(edge_base[a.wire]);
+      lo = plus(lo, w);
+      hi = plus(hi, w);
+    }
+    const auto [dlo, dhi] = delay(edge_base[a.delay], a.inst);
+    lo = plus(lo, dlo);
+    hi = plus(hi, dhi);
+    if (g.first_write[ai] != 0) {
+      lo_arr[a.to] = lo;
+      hi_arr[a.to] = hi;
+    } else {
+      lo_arr[a.to] = std::max(lo_arr[a.to], lo);
+      hi_arr[a.to] = std::max(hi_arr[a.to], hi);
+    }
+  }
 }
 
 void StaEngine::compute_base(std::span<const int> domain_corner) {
@@ -345,7 +411,9 @@ void StaEngine::compute_base(std::span<const int> domain_corner) {
         static_cast<float>(arc.corner[corner].out_slew.lookup(in_slew, load));
   }
 
-  for (auto& e : edges_) {
+  const std::vector<Edge>& edges = graph_->edges;
+  for (std::size_t ei = 0; ei < edges.size(); ++ei) {
+    const Edge& e = edges[ei];
     if (e.inst != kInvalidInst) {
       const Cell& cell = d.cell_of(e.inst);
       const int corner = inst_corner_[e.inst];
@@ -356,7 +424,7 @@ void StaEngine::compute_base(std::span<const int> domain_corner) {
       const NetId out_net = d.instance(e.inst).conns[arc->to_pin];
       const double in_slew = slew[e.from];
       const double load = net_load_[out_net];
-      e.base_delay =
+      edge_base_[ei] =
           static_cast<float>(arc->corner[corner].delay.lookup(in_slew, load));
       const auto os = static_cast<float>(
           arc->corner[corner].out_slew.lookup(in_slew, load));
@@ -364,7 +432,7 @@ void StaEngine::compute_base(std::span<const int> domain_corner) {
     } else {
       // Net edge: delay fixed at build time; degrade slew downstream.
       slew[e.to] = std::max(
-          slew[e.to], static_cast<float>(slew[e.from] + 2.0 * e.base_delay));
+          slew[e.to], static_cast<float>(slew[e.from] + 2.0 * edge_base_[ei]));
     }
   }
 }
@@ -383,12 +451,13 @@ StaResult StaEngine::analyze(std::span<const double> inst_factor) const {
         arrival_[launch_nodes_[li]], static_cast<double>(launch_base_[li]) * f);
   }
 
-  for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
-    const Edge& e = edges_[ei];
+  const std::vector<Edge>& edges = graph_->edges;
+  for (std::size_t ei = 0; ei < edges.size(); ++ei) {
+    const Edge& e = edges[ei];
     const double a = arrival_[e.from];
     if (a == kNegInf) continue;
     const double f = e.inst == kInvalidInst ? 1.0 : factor(e.inst);
-    const double cand = a + static_cast<double>(e.base_delay) * f;
+    const double cand = a + static_cast<double>(edge_base_[ei]) * f;
     if (cand > arrival_[e.to]) {
       arrival_[e.to] = cand;
       pred_edge_[e.to] = static_cast<std::int32_t>(ei);
@@ -509,12 +578,12 @@ void StaEngine::analyze_batch_soa(std::span<const double> factor_soa,
 }
 
 StaEngine::GraphView StaEngine::cone_view(const TimingCone& cone) const {
-  if (cone.graph.get() != in_edges_.get() ||
+  if (cone.graph.get() != graph_.get() ||
       cone.clock_period_ns != opts_.clock_period_ns) {
     throw std::invalid_argument(
         "StaEngine: timing cone built for another graph or clock");
   }
-  return {cone.edges, cone.first_write, cone.neg_inf_rows, cone.launches,
+  return {cone.arcs, cone.first_write, cone.neg_inf_rows, cone.launches,
           cone.endpoints};
 }
 
@@ -552,10 +621,9 @@ void StaEngine::analyze_batch_core(const double* factor_soa, std::size_t width,
   // dispatched SIMD kernel (DESIGN.md §17); every dispatch target is
   // per-lane bit-identical to the scalar lane, so the arch choice is
   // invisible in the results.
-  simd::active_kernels().relax_edges(view.edges.data(),
-                                     view.first_write.data(),
-                                     view.edges.size(), factor_soa,
-                                     arrival_soa_.v.data(), width);
+  simd::active_kernels().relax_arcs(view.arcs.data(), view.first_write.data(),
+                                    view.arcs.size(), edge_base_.data(),
+                                    factor_soa, arrival_soa_.v.data(), width);
 
   extract_batch_results(width, results, view.endpoints);
 }
@@ -604,24 +672,19 @@ void StaEngine::extract_batch_results(
 
 StaEngine::BaseSnapshot StaEngine::snapshot_bases() const {
   BaseSnapshot snap;
-  snap.edge_base.resize(edges_.size());
-  for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
-    snap.edge_base[ei] = edges_[ei].base_delay;
-  }
+  snap.edge_base = edge_base_;
   snap.launch_base = launch_base_;
   snap.inst_corner = inst_corner_;
   return snap;
 }
 
 void StaEngine::restore_bases(const BaseSnapshot& snap) {
-  if (snap.edge_base.size() != edges_.size() ||
+  if (snap.edge_base.size() != edge_base_.size() ||
       snap.launch_base.size() != launch_base_.size() ||
       snap.inst_corner.size() != inst_corner_.size()) {
     throw std::invalid_argument("restore_bases: snapshot/graph mismatch");
   }
-  for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
-    edges_[ei].base_delay = snap.edge_base[ei];
-  }
+  edge_base_ = snap.edge_base;
   launch_base_ = snap.launch_base;
   inst_corner_ = snap.inst_corner;
 }
@@ -630,7 +693,7 @@ double StaEngine::analyze_lazy(const BaseSnapshot& bases,
                                std::span<const double> bounds,
                                const std::function<double(InstId)>& exact,
                                std::vector<std::uint8_t>& violating) const {
-  if (bases.edge_base.size() != edges_.size() ||
+  if (bases.edge_base.size() != edge_base_.size() ||
       bases.launch_base.size() != launch_base_.size()) {
     throw std::invalid_argument("analyze_lazy: snapshot/graph mismatch");
   }
@@ -639,22 +702,12 @@ double StaEngine::analyze_lazy(const BaseSnapshot& bases,
   }
   // One sweep, two lanes over the engine's scratch: arrival_ carries
   // every arrival's lower bound and arrival_soa_ (width 1) its upper
-  // bound, each delay bounded from this snapshot's base and the factor
-  // bracket.
-  init_arrival_soa(1, neg_inf_rows_);
-  double* lo_arr = arrival_.data();
-  double* hi_arr = arrival_soa_.v.data();
-  sweep_bounds<false>(
-      edges_, first_write_, launch_nodes_, neg_inf_rows_,
-      [&](std::size_t ei) {
-        return delay_bounds(static_cast<double>(bases.edge_base[ei]), bounds,
-                            edges_[ei].inst);
-      },
-      [&](std::size_t li) {
-        return delay_bounds(static_cast<double>(bases.launch_base[li]),
-                            bounds, launch_inst_[li]);
-      },
-      lo_arr, hi_arr);
+  // bound, each delay and wire from this snapshot's bases, each delay
+  // bounded by the factor bracket.
+  sweep_bounds<false>(bases.edge_base.data(), bases.launch_base.data(),
+                      bounds);
+  const double* lo_arr = arrival_.data();
+  const double* hi_arr = arrival_soa_.v.data();
 
   // Slack is decreasing in arrival: the upper lane gives each endpoint's
   // lower slack bound, the lower lane its upper one.  Only endpoints
@@ -694,20 +747,9 @@ TimingCone StaEngine::build_cone(std::span<const double> bounds) const {
   if (bounds.size() < 2 * design_->num_instances()) {
     throw std::invalid_argument("build_cone: short factor bounds");
   }
-  init_arrival_soa(1, neg_inf_rows_);
-  double* lo_arr = arrival_.data();
-  double* hi_arr = arrival_soa_.v.data();
-  sweep_bounds<true>(
-      edges_, first_write_, launch_nodes_, neg_inf_rows_,
-      [&](std::size_t ei) {
-        return cone_delay_bounds(static_cast<double>(edges_[ei].base_delay),
-                                 bounds, edges_[ei].inst);
-      },
-      [&](std::size_t li) {
-        return cone_delay_bounds(static_cast<double>(launch_base_[li]),
-                                 bounds, launch_inst_[li]);
-      },
-      lo_arr, hi_arr);
+  sweep_bounds<true>(edge_base_.data(), launch_base_.data(), bounds);
+  const double* lo_arr = arrival_.data();
+  const double* hi_arr = arrival_soa_.v.data();
 
   // The lower lane bounds every slack from above, the upper lane from
   // below.  U[s] is the least upper bound in stage s, so stage s's worst
@@ -727,8 +769,9 @@ TimingCone StaEngine::build_cone(std::span<const double> bounds) const {
     double& u = upper[static_cast<std::size_t>(endpoints_[k].stage)];
     u = std::min(u, slack_at(k, lo_arr[endpoints_[k].node]));
   }
+  const Graph& g = *graph_;
   TimingCone cone;
-  cone.graph = in_edges_;
+  cone.graph = graph_;
   cone.clock_period_ns = clock;
   std::vector<std::uint8_t> live(node_count_, 0);
   std::vector<std::uint32_t> stack;
@@ -744,16 +787,15 @@ TimingCone StaEngine::build_cone(std::span<const double> bounds) const {
       stack.push_back(v);
     }
   }
-  // Reverse closure over the in-edge index: every source of a live node
+  // Reverse closure over the in-arc index: every source of a live node
   // is live.
-  const InEdges& in = *in_edges_;
-  const auto num_edges = static_cast<std::uint32_t>(edges_.size());
+  const auto num_arcs = static_cast<std::uint32_t>(g.arcs.size());
   while (!stack.empty()) {
     const std::uint32_t v = stack.back();
     stack.pop_back();
-    for (std::uint32_t s = in.head[v]; s < in.head[v + 1]; ++s) {
-      if (in.src[s] >= num_edges) continue;  // a launch: no source node
-      const std::uint32_t u = edges_[in.src[s]].from;
+    for (std::uint32_t s = g.in_head[v]; s < g.in_head[v + 1]; ++s) {
+      if (g.in_src[s] >= num_arcs) continue;  // a launch: no source node
+      const std::uint32_t u = g.arcs[g.in_src[s]].from;
       if (live[u] == 0) {
         live[u] = 1;
         stack.push_back(u);
@@ -763,23 +805,23 @@ TimingCone StaEngine::build_cone(std::span<const double> bounds) const {
   std::vector<std::uint8_t> inst_live(design_->num_instances(), 0);
   // Sized up front: one allocation per list keeps a per-run cone from
   // churning the allocator's heap.
-  std::size_t live_edges = 0;
-  for (const Edge& e : edges_) live_edges += live[e.to];
-  cone.edges.reserve(live_edges);
-  cone.first_write.reserve(live_edges);
-  for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
-    const Edge& e = edges_[ei];
-    if (live[e.to] == 0) continue;
-    cone.edges.push_back(e);
-    cone.first_write.push_back(first_write_[ei]);
-    if (e.inst != kInvalidInst) inst_live[e.inst] = 1;
+  std::size_t live_arcs = 0;
+  for (const simd::RelaxArc& a : g.arcs) live_arcs += live[a.to];
+  cone.arcs.reserve(live_arcs);
+  cone.first_write.reserve(live_arcs);
+  for (std::size_t ai = 0; ai < g.arcs.size(); ++ai) {
+    const simd::RelaxArc& a = g.arcs[ai];
+    if (live[a.to] == 0) continue;
+    cone.arcs.push_back(a);
+    cone.first_write.push_back(g.first_write[ai]);
+    if (a.inst != kInvalidInst) inst_live[a.inst] = 1;
   }
   for (std::uint32_t li = 0; li < launch_nodes_.size(); ++li) {
     if (live[launch_nodes_[li]] == 0) continue;
     cone.launches.push_back(li);
     if (launch_inst_[li] != kInvalidInst) inst_live[launch_inst_[li]] = 1;
   }
-  for (const std::uint32_t v : neg_inf_rows_) {
+  for (const std::uint32_t v : g.neg_inf_rows) {
     if (live[v] != 0) cone.neg_inf_rows.push_back(v);
   }
   for (std::uint32_t i = 0; i < inst_live.size(); ++i) {
@@ -791,14 +833,18 @@ TimingCone StaEngine::build_cone(std::span<const double> bounds) const {
 double StaEngine::lazy_source_hi(std::uint32_t s, const LazyPass& pass) const {
   // The sweep's upper-lane candidate, from the source's current upper
   // bound (exact once refined).
-  if (s < edges_.size()) {
-    const Edge& e = edges_[s];
-    return arrival_soa_.v[e.from] +
-           delay_bounds(static_cast<double>(pass.bases.edge_base[s]),
-                        pass.bounds, e.inst)
-               .second;
+  const std::vector<simd::RelaxArc>& arcs = graph_->arcs;
+  if (s < arcs.size()) {
+    const simd::RelaxArc& a = arcs[s];
+    double hi = arrival_soa_.v[a.from];
+    if (a.wire != simd::kNoRelaxWire) {
+      hi += static_cast<double>(pass.bases.edge_base[a.wire]);
+    }
+    return hi + delay_bounds(static_cast<double>(pass.bases.edge_base[a.delay]),
+                             pass.bounds, a.inst)
+                    .second;
   }
-  const std::size_t li = s - edges_.size();
+  const std::size_t li = s - arcs.size();
   return delay_bounds(static_cast<double>(pass.bases.launch_base[li]),
                       pass.bounds, launch_inst_[li])
       .second;
@@ -806,15 +852,20 @@ double StaEngine::lazy_source_hi(std::uint32_t s, const LazyPass& pass) const {
 
 double StaEngine::lazy_source_exact(std::uint32_t s,
                                     const LazyPass& pass) const {
-  // analyze()'s own expressions: a + base * f for an edge, base * f for
-  // a launch, f = 1 where no instance scales the delay.
-  if (s < edges_.size()) {
-    const Edge& e = edges_[s];
-    const double a = lazy_exact_arrival(e.from, pass);
-    const double f = e.inst == kInvalidInst ? 1.0 : pass.exact(e.inst);
-    return a + static_cast<double>(pass.bases.edge_base[s]) * f;
+  // analyze()'s own expressions: a + base * f for an edge, through a
+  // folded net's sink pin (a + wire) + base * f, base * f for a launch,
+  // f = 1 where no instance scales the delay.
+  const std::vector<simd::RelaxArc>& arcs = graph_->arcs;
+  if (s < arcs.size()) {
+    const simd::RelaxArc& a = arcs[s];
+    double arr = lazy_exact_arrival(a.from, pass);
+    if (a.wire != simd::kNoRelaxWire) {
+      arr += static_cast<double>(pass.bases.edge_base[a.wire]);
+    }
+    const double f = a.inst == kInvalidInst ? 1.0 : pass.exact(a.inst);
+    return arr + static_cast<double>(pass.bases.edge_base[a.delay]) * f;
   }
-  const std::size_t li = s - edges_.size();
+  const std::size_t li = s - arcs.size();
   const InstId i = launch_inst_[li];
   const double f = i == kInvalidInst ? 1.0 : pass.exact(i);
   return static_cast<double>(pass.bases.launch_base[li]) * f;
@@ -828,26 +879,26 @@ double StaEngine::lazy_exact_arrival(std::uint32_t v,
   // A source whose upper bound stays below the node's lower bound, or at
   // or below an exact candidate already in hand, cannot raise the max;
   // the rest are evaluated, the highest upper bound first.
-  const InEdges& in = *in_edges_;
-  const std::uint32_t begin = in.head[v];
-  const std::uint32_t end = in.head[v + 1];
+  const Graph& g = *graph_;
+  const std::uint32_t begin = g.in_head[v];
+  const std::uint32_t end = g.in_head[v + 1];
   const double floor = lo;
   std::uint32_t top = end;
   double top_hi = floor;
   for (std::uint32_t s = begin; s < end; ++s) {
-    const double up = lazy_source_hi(in.src[s], pass);
+    const double up = lazy_source_hi(g.in_src[s], pass);
     if (up >= top_hi) {
       top = s;
       top_hi = up;
     }
   }
   double best = kNegInf;
-  if (top != end) best = lazy_source_exact(in.src[top], pass);
+  if (top != end) best = lazy_source_exact(g.in_src[top], pass);
   for (std::uint32_t s = begin; s < end; ++s) {
     if (s == top) continue;
-    const double up = lazy_source_hi(in.src[s], pass);
+    const double up = lazy_source_hi(g.in_src[s], pass);
     if (up >= floor && up > best) {
-      best = std::max(best, lazy_source_exact(in.src[s], pass));
+      best = std::max(best, lazy_source_exact(g.in_src[s], pass));
     }
   }
   lo = best;
@@ -875,12 +926,13 @@ std::vector<double> StaEngine::instance_slack(
   }
   // Edges are stored in topological order of their source; walking them
   // backward relaxes required times correctly.
-  for (std::size_t ei = edges_.size(); ei-- > 0;) {
-    const Edge& e = edges_[ei];
+  const std::vector<Edge>& edges = graph_->edges;
+  for (std::size_t ei = edges.size(); ei-- > 0;) {
+    const Edge& e = edges[ei];
     if (required[e.to] == kPosInf) continue;
     const double f = e.inst == kInvalidInst ? 1.0 : factor(e.inst);
     required[e.from] = std::min(
-        required[e.from], required[e.to] - static_cast<double>(e.base_delay) * f);
+        required[e.from], required[e.to] - static_cast<double>(edge_base_[ei]) * f);
   }
 
   std::vector<double> slack(design_->num_instances(), kPosInf);
@@ -897,10 +949,11 @@ std::vector<double> StaEngine::instance_slack(
 
 std::vector<double> StaEngine::instance_arc_delay() const {
   std::vector<double> worst(design_->num_instances(), 0.0);
-  for (const auto& e : edges_) {
-    if (e.inst == kInvalidInst) continue;
-    worst[e.inst] =
-        std::max(worst[e.inst], static_cast<double>(e.base_delay));
+  const std::vector<Edge>& edges = graph_->edges;
+  for (std::size_t ei = 0; ei < edges.size(); ++ei) {
+    const InstId i = edges[ei].inst;
+    if (i == kInvalidInst) continue;
+    worst[i] = std::max(worst[i], static_cast<double>(edge_base_[ei]));
   }
   for (std::size_t li = 0; li < launch_nodes_.size(); ++li) {
     const InstId i = launch_inst_[li];
@@ -913,12 +966,14 @@ std::vector<double> StaEngine::instance_arc_delay() const {
 void StaEngine::for_each_cell_arc(
     const std::function<void(InstId, std::uint16_t, std::uint16_t, double)>&
         fn) const {
-  for (const auto& e : edges_) {
+  const std::vector<Edge>& edges = graph_->edges;
+  for (std::size_t ei = 0; ei < edges.size(); ++ei) {
+    const Edge& e = edges[ei];
     if (e.inst == kInvalidInst) continue;
     const auto from_pin =
         static_cast<std::uint16_t>(e.from - pin_offset_[e.inst]);
     const auto to_pin = static_cast<std::uint16_t>(e.to - pin_offset_[e.inst]);
-    fn(e.inst, from_pin, to_pin, static_cast<double>(e.base_delay));
+    fn(e.inst, from_pin, to_pin, static_cast<double>(edge_base_[ei]));
   }
   for (std::size_t li = 0; li < launch_nodes_.size(); ++li) {
     const InstId i = launch_inst_[li];
@@ -957,7 +1012,7 @@ std::vector<PathStep> StaEngine::trace_from_last_analysis(
     if (step.inst == kInvalidInst) step.pin_name = "<port>";
     const std::int32_t pe = pred_edge_[node];
     if (pe >= 0) {
-      const Edge& e = edges_[static_cast<std::size_t>(pe)];
+      const Edge& e = graph_->edges[static_cast<std::size_t>(pe)];
       // Increment from the arrival difference: exact under any factors.
       const double from_arr = arrival_[e.from] == kNegInf ? 0.0 : arrival_[e.from];
       step.incr_ns = step.arrival_ns - from_arr;

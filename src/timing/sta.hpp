@@ -68,24 +68,25 @@ struct StaResult {
 /// dead: under every delay factor inside the bounds it was given, a dead
 /// endpoint's slack is >= 0 and above its stage's worst slack + 1e-12, so
 /// it can set no stage WNS, no min period and no Monte-Carlo criticality
-/// tally.  The cone keeps the live endpoints and their reverse closure:
-/// every node that reaches a live endpoint, every edge into such a node
-/// and every launch at one.  Every in-edge of a live node is live, so the
-/// propagation over the cone reproduces each live node's arrival bit for
-/// bit, and each live edge keeps its full-graph first-writer flag.
+/// tally.  The cone keeps the live endpoints and their reverse closure in
+/// the engine's folded propagation graph: every node that reaches a live
+/// endpoint, every arc into such a node and every launch at one.  Every
+/// in-arc of a live node is live, so the propagation over the cone
+/// reproduces each live node's arrival bit for bit, and each live arc
+/// keeps its full-graph first-writer flag.
 struct TimingCone {
   std::vector<std::uint32_t> endpoints;  ///< live endpoint indices, ascending
-  /// Instances whose factor a live edge or launch reads, ascending: the
+  /// Instances whose factor a live arc or launch reads, ascending: the
   /// only factors a cone analysis uses.
   std::vector<std::uint32_t> instances;
-  /// Live edges in topological order, with the base delays they had when
-  /// the cone was built; first_write is aligned with them.
-  std::vector<simd::RelaxEdge> edges;
+  /// Live arcs in the graph's order (StaEngine::arcs()); they read the
+  /// engine's current base delays.  first_write is aligned with them.
+  std::vector<simd::RelaxArc> arcs;
   std::vector<std::uint8_t> first_write;
   std::vector<std::uint32_t> launches;      ///< live launch indices
-  std::vector<std::uint32_t> neg_inf_rows;  ///< live rows no edge first-writes
-  /// The graph the cone indexes: the in-edge index every copy of the
-  /// building engine shares (held, so its address is never reused).
+  std::vector<std::uint32_t> neg_inf_rows;  ///< live rows no arc first-writes
+  /// The graph the cone indexes: the one every copy of the building engine
+  /// shares (held, so its address is never reused).
   std::shared_ptr<const void> graph;
   /// The clock the dead endpoints were proven at.
   double clock_period_ns = 0.0;
@@ -113,7 +114,7 @@ class StaEngine {
   /// not.  A copy carries the source's base delays,
   /// snapshots-compatible graph order, and options (no recomputation), its
   /// own scratch (the SoA arenas start empty), and shares the source's
-  /// immutable in-edge index.
+  /// immutable graph structure.
   /// The referenced Design must outlive every copy and stay unmodified
   /// while copies are in flight.
   StaEngine(const StaEngine&) = default;
@@ -172,7 +173,7 @@ class StaEngine {
   TimingCone build_cone(std::span<const double> bounds) const;
 
   /// analyze_batch_soa / analyze_batch over a cone of this engine: the
-  /// cone's edges, launches and endpoints only, reading only the factors
+  /// cone's arcs, launches and endpoints only, reading only the factors
   /// of cone.instances.  Every results[b] field but endpoint_slack is
   /// bit-identical to the full analysis; endpoint_slack holds the exact
   /// slack at each live endpoint and NaN at the dead ones.  The cone must
@@ -207,12 +208,12 @@ class StaEngine {
   /// Lazily exact analysis of one supply state (DESIGN.md §21).  bounds
   /// holds, per instance i, an interleaved bracket bounds[2i] <= f_i <=
   /// bounds[2i + 1] of its exact delay factor f_i, and exact(i) returns
-  /// f_i itself.  One two-lane sweep over `bases` propagates the lower
-  /// and upper bounds (IEEE add, multiply and max are monotone, so the
-  /// lanes bound the exact arrivals); a backward refinement then
-  /// recomputes exact arrivals only through in-edges whose upper bound
-  /// reaches the node's best lower bound, calling exact() for just those
-  /// instances.  Returns the worst slack — bit-identical to
+  /// f_i itself.  One two-lane sweep of the folded arcs over `bases`
+  /// propagates the lower and upper bounds (IEEE add, multiply and max are
+  /// monotone, so the lanes bound the exact arrivals); a backward
+  /// refinement then recomputes exact arrivals only through in-arcs whose
+  /// upper bound reaches the node's best lower bound, calling exact() for
+  /// just those instances.  Returns the worst slack — bit-identical to
   /// restore_bases(bases) followed by analyze(f).wns — and sets
   /// violating[k] to whether endpoint k's slack there is negative.
   /// The engine's bases are left alone; the scalar and batch scratch are
@@ -237,10 +238,20 @@ class StaEngine {
   /// restore_bases(), same as analyze().
   template <class F>
   void for_each_graph_edge(F&& fn) const {
-    for (const Edge& e : edges_) {
-      fn(e.from, e.to, e.inst, static_cast<double>(e.base_delay));
+    const std::vector<Edge>& edges = graph_->edges;
+    for (std::size_t ei = 0; ei < edges.size(); ++ei) {
+      fn(edges[ei].from, edges[ei].to, edges[ei].inst,
+         static_cast<double>(edge_base_[ei]));
     }
   }
+
+  /// The folded propagation graph that analyze_lazy, build_cone and the
+  /// batch entry points relax (DESIGN.md §17): the pin-level edges in the
+  /// order for_each_graph_edge visits them, less every net edge into a pin
+  /// that only that net writes and no endpoint reads.  A cell arc reading
+  /// such a pin reads the net's driver instead and folds its wire.  An
+  /// arc's delay and wire index for_each_graph_edge's order.
+  std::span<const simd::RelaxArc> arcs() const { return graph_->arcs; }
 
   /// Launch view, three aligned spans: launch graph node, base launch
   /// delay (flop clk->q, or source delay for a primary input), and the
@@ -284,32 +295,57 @@ class StaEngine {
           fn) const;
 
   std::size_t num_nodes() const { return node_count_; }
-  std::size_t num_edges() const { return edges_.size(); }
+  /// Pin-level edges: cell arcs and net edges, as for_each_graph_edge
+  /// visits them.
+  std::size_t num_edges() const { return graph_->edges.size(); }
 
  private:
-  /// One timing edge in relaxation form.  An alias for the SIMD layer's
-  /// POD (same fields: from/to node ids, owning inst or kInvalidInst,
-  /// float base delay) so edges_ feeds the runtime-dispatched relax
-  /// kernels (DESIGN.md §17) without conversion.  The batched relaxation
-  /// hot loops themselves live in util/simd/kernels_body.hpp; every
-  /// dispatch target is per-lane bit-identical to the scalar lane.
-  using Edge = simd::RelaxEdge;
+  /// One pin-level timing edge: a cell arc of `inst`, or a net edge
+  /// (kInvalidInst).  Its base delay is edge_base_[edge index].
+  struct Edge {
+    std::uint32_t from = 0;
+    std::uint32_t to = 0;
+    InstId inst = kInvalidInst;
+  };
+
+  /// The graph's structure, built once by build_graph and shared
+  /// read-only by every engine copy: the pin-level edges that analyze()
+  /// relaxes and the folded arcs of the bound and batch sweeps (DESIGN.md
+  /// §17, §21, §22).
+  struct Graph {
+    std::vector<Edge> edges;  // sorted topologically
+    std::vector<simd::RelaxArc> arcs;
+    /// Per arc: 1 if it is the first arc writing a node no launch
+    /// initializes (the batch kernels' first-writer flag).
+    std::vector<std::uint8_t> first_write;
+    /// Launch nodes plus nodes an arc or endpoint reads and no arc
+    /// writes: the only rows the bound and batch sweeps pre-fill with -inf.
+    std::vector<std::uint32_t> neg_inf_rows;
+    /// Every write into a node: in_src[in_head[v] .. in_head[v + 1]) are
+    /// arc indices below arcs.size() and launches as arcs.size() + li.
+    std::vector<std::uint32_t> in_head;
+    std::vector<std::uint32_t> in_src;
+  };
 
   void build_graph();
+  /// The folded arcs, their first-writer flags, -inf rows and in-arc
+  /// index of g.edges (build_graph's last step, after the launches and
+  /// endpoints).
+  void fold_graph(Graph& g) const;
   double wire_length(NetId net) const;
 
   /// What one batch analysis propagates and extracts: the whole graph,
   /// or a TimingCone's part of it.
   struct GraphView {
-    std::span<const Edge> edges;
+    std::span<const simd::RelaxArc> arcs;
     std::span<const std::uint8_t> first_write;
     std::span<const std::uint32_t> neg_inf_rows;
     std::span<const std::uint32_t> launches;
     std::span<const std::uint32_t> endpoints;
   };
   GraphView full_view() const {
-    return {edges_, first_write_, neg_inf_rows_, all_launches_,
-            all_endpoints_};
+    return {graph_->arcs, graph_->first_write, graph_->neg_inf_rows,
+            all_launches_, all_endpoints_};
   }
   /// The view of a cone built on this engine; throws on a foreign one.
   GraphView cone_view(const TimingCone& cone) const;
@@ -328,8 +364,8 @@ class StaEngine {
 
   /// Grows arrival_soa_ to `width` lanes (it never shrinks, so a wider
   /// batch after a narrow one re-zeroes nothing) and sets only the given
-  /// rows — those no first-writer edge initializes: launch rows and
-  /// never-written rows — to -inf (the first-writer contract, DESIGN.md
+  /// rows — those no first-writer arc initializes: launch rows and read
+  /// rows nothing writes — to -inf (the first-writer contract, DESIGN.md
   /// §17).
   void init_arrival_soa(std::size_t width,
                         std::span<const std::uint32_t> neg_inf_rows) const;
@@ -343,6 +379,15 @@ class StaEngine {
   /// Endpoint extraction from analyze()'s per-node arrival array.
   StaResult extract_scalar_result(std::span<const double> arrival) const;
 
+  /// The two-lane bound sweep of analyze_lazy and build_cone over the
+  /// folded arcs, with base delays edge_base / launch_base: arrival_ gets
+  /// every read node's lower arrival bound and arrival_soa_ (width 1) its
+  /// upper bound.  kUnbounded (build_cone) takes a non-finite factor bound
+  /// as an unbounded delay.
+  template <bool kUnbounded>
+  void sweep_bounds(const float* edge_base, const float* launch_base,
+                    std::span<const double> bounds) const;
+
   /// One analyze_lazy() call's inputs, for its refinement.
   struct LazyPass {
     const BaseSnapshot& bases;
@@ -353,7 +398,7 @@ class StaEngine {
   /// upper (arrival_soa_) bounds collapse to it once known, so a node
   /// whose bounds agree is already exact and nothing is recomputed.
   double lazy_exact_arrival(std::uint32_t v, const LazyPass& pass) const;
-  /// Upper bound / exact value of in-edge-index source s of a node.
+  /// Upper bound / exact value of in-arc-index source s of a node.
   double lazy_source_hi(std::uint32_t s, const LazyPass& pass) const;
   double lazy_source_exact(std::uint32_t s, const LazyPass& pass) const;
 
@@ -365,21 +410,10 @@ class StaEngine {
   std::vector<std::uint32_t> port_node_;    // per net (only ports valid)
   std::uint32_t node_count_ = 0;
 
-  std::vector<Edge> edges_;                 // sorted topologically
-  /// Per edge: 1 if it is the first edge writing a node no launch
-  /// initializes (the batch kernels' first-writer flag).
-  std::vector<std::uint8_t> first_write_;
-  /// Launch nodes plus nodes no edge writes: the only rows the batch
-  /// paths pre-fill with -inf.
-  std::vector<std::uint32_t> neg_inf_rows_;
-  /// Every write into a node: src[head[v] .. head[v + 1]) are edge
-  /// indices below edges_.size() and launches as edges_.size() + li.
-  /// Built once by build_graph and shared read-only by engine copies.
-  struct InEdges {
-    std::vector<std::uint32_t> head;
-    std::vector<std::uint32_t> src;
-  };
-  std::shared_ptr<const InEdges> in_edges_;
+  std::shared_ptr<const Graph> graph_;
+  /// Per pin-level edge: its base delay, the one copy every sweep reads
+  /// (analyze() by edge, the arcs by index).
+  std::vector<float> edge_base_;
   std::vector<std::uint32_t> launch_nodes_; // flop Q outputs & PIs
   std::vector<float> launch_base_;          // base launch delay (clk->q)
   std::vector<InstId> launch_inst_;         // flop for clk->q scaling

@@ -19,31 +19,41 @@
 
 namespace vipvt::simd {
 
-/// Sentinel instance id for edges with a fixed (variation-free) delay.
+/// Sentinel instance id for arcs with a fixed (variation-free) delay.
 /// Matches vipvt::kInvalidInst; sta.cpp static_asserts the equality.
 inline constexpr std::uint32_t kInvalidRelaxInst = 0xffffffffu;
+/// Sentinel wire index of an arc that folds no net.
+inline constexpr std::uint32_t kNoRelaxWire = 0xffffffffu;
 
-/// One timing edge in SoA relaxation form.  StaEngine aliases its internal
-/// Edge to this type so edge arrays feed the kernels without conversion.
-struct RelaxEdge {
-  std::uint32_t from = 0;              // source node id
-  std::uint32_t to = 0;                // destination node id
-  std::uint32_t inst = kInvalidRelaxInst;  // owning instance, or sentinel
-  float base_delay = 0.0f;             // nominal delay (ns)
+/// One arc of StaEngine's folded propagation graph (DESIGN.md §17).  Its
+/// delays are indices into the delay array the kernel is handed — the
+/// engine's per-edge base delays, or a snapshot of them — so every delay
+/// has one home and an arc reads whichever bases it is run against.
+struct RelaxArc {
+  std::uint32_t from = 0;  // source node: the folded net's driver, if any
+  std::uint32_t to = 0;    // destination node
+  std::uint32_t inst = kInvalidRelaxInst;  // scaling instance, or sentinel
+  std::uint32_t delay = 0;                 // delays[delay]: the base delay
+  std::uint32_t wire = kNoRelaxWire;       // delays[wire]: the folded net's
 };
 
-/// Batched edge relaxation over an arrival SoA arena:
-///   to[b] = max(to[b], from[b] + base * factor[inst][b])   (factored edges)
-///   to[b] = max(to[b], from[b] + base)                     (fixed edges)
-/// arrival_soa rows are node-major [num_nodes x width]; factor_soa rows are
-/// instance-major [num_inst x width].  first_write[e] != 0 marks the edge
-/// that writes its target row first: it takes max(cand, -inf) instead of
-/// reading to[b], so the caller need not pre-fill that row (the first-
-/// writer contract, DESIGN.md §17).  All-zero flags give the plain sweep.
-using RelaxEdgesFn = void (*)(const RelaxEdge* edges,
-                              const std::uint8_t* first_write,
-                              std::size_t num_edges, const double* factor_soa,
-                              double* arrival_soa, std::size_t width);
+/// Batched arc relaxation over an arrival SoA arena, with d = delays[delay]
+/// and w = delays[wire]:
+///   to[b] = max(to[b], from[b] + d)                           (fixed arcs)
+///   to[b] = max(to[b], from[b] + d * factor[inst][b])         (cell arcs)
+///   to[b] = max(to[b], (from[b] + w) + d * factor[inst][b])   (folding a net)
+/// An arc that folds no net adds no wire at all: x + 0.0 is not x for
+/// x = -0.0.  arrival_soa rows are node-major [num_nodes x width];
+/// factor_soa rows are instance-major [num_inst x width].  first_write[a]
+/// != 0 marks the arc that writes its target row first: it takes
+/// max(cand, -inf) instead of reading to[b], so the caller need not
+/// pre-fill that row (the first-writer contract, DESIGN.md §17).  All-zero
+/// flags give the plain sweep.
+using RelaxArcsFn = void (*)(const RelaxArc* arcs,
+                             const std::uint8_t* first_write,
+                             std::size_t num_arcs, const float* delays,
+                             const double* factor_soa, double* arrival_soa,
+                             std::size_t width);
 
 /// One DelayFactorTables view (tables.hpp) for the fused draw: row r's
 /// interleaved (value, slope) pairs start at coef + r * row_stride, and
@@ -91,7 +101,7 @@ using NormalsFillFn = void (*)(std::uint64_t key_r, std::uint64_t key_t,
                                double* out, std::size_t n);
 
 struct Kernels {
-  RelaxEdgesFn relax_edges = nullptr;
+  RelaxArcsFn relax_arcs = nullptr;
   DrawFactorsFn draw_factors = nullptr;
   NormalsFillFn normals_fill = nullptr;
 };

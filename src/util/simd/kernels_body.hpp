@@ -9,7 +9,8 @@
 // also the W=1 reference instantiation; the draw kernel steps its lane
 // remainder down through the narrower policies (Half) instead.
 //
-// The relax kernel mirrors StaEngine::relax_edges exactly and the draw
+// The relax kernel mirrors StaEngine::analyze()'s edge relaxation (over
+// the folded arcs, DESIGN.md §17) and the draw
 // kernel's table step mirrors DelayFactorTables::eval_row, so swapping
 // ISA never changes result bits.  The Box–Muller normals have no libm
 // counterpart (own vector log/sincos) and are only reachable through
@@ -160,39 +161,57 @@ inline void relax_row(double* __restrict to, std::size_t width, bool first,
   }
 }
 
-/// Batched edge relaxation (StaEngine::analyze_batch_core hot loop):
-/// reproduces `to[b] = std::max(to[b], from[b] + base [* f[b]])` — policy
-/// max(cand, to) has exactly std::max(to, cand) semantics, and a first
-/// writer's max(cand, -inf) is exactly what a -inf pre-fill fed it.
+/// Batched arc relaxation (StaEngine::analyze_batch_core hot loop):
+/// reproduces analyze()'s `to[b] = std::max(to[b], from[b] + base [* f[b]])`
+/// over the folded arcs, where an arc that folds a net first adds its wire
+/// — (from[b] + wire) + base * f[b], the two roundings analyze() makes
+/// through the net's sink pin, in its order.  Policy max(cand, to) has
+/// exactly std::max(to, cand) semantics, and a first writer's
+/// max(cand, -inf) is exactly what a -inf pre-fill fed it.
 template <class P>
-inline void relax_edges_body(const RelaxEdge* edges,
-                             const std::uint8_t* first_write,
-                             std::size_t num_edges, const double* factor_soa,
-                             double* arrival_soa, std::size_t width) {
+inline void relax_arcs_body(const RelaxArc* arcs,
+                            const std::uint8_t* first_write,
+                            std::size_t num_arcs, const float* delays,
+                            const double* factor_soa, double* arrival_soa,
+                            std::size_t width) {
   using S = ScalarPolicy;
-  for (std::size_t ei = 0; ei < num_edges; ++ei) {
-    const RelaxEdge& e = edges[ei];
-    const double base = static_cast<double>(e.base_delay);
+  for (std::size_t ai = 0; ai < num_arcs; ++ai) {
+    const RelaxArc& a = arcs[ai];
+    const double base = static_cast<double>(delays[a.delay]);
     const double* __restrict from =
-        arrival_soa + static_cast<std::size_t>(e.from) * width;
-    double* to = arrival_soa + static_cast<std::size_t>(e.to) * width;
-    const bool first = first_write[ei] != 0;
+        arrival_soa + static_cast<std::size_t>(a.from) * width;
+    double* to = arrival_soa + static_cast<std::size_t>(a.to) * width;
+    const bool first = first_write[ai] != 0;
     const typename P::D vb = P::bcast(base);
-    if (e.inst == kInvalidRelaxInst) {
+    if (a.inst == kInvalidRelaxInst) {
       relax_row<P>(
           to, width, first,
           [&](std::size_t b) { return P::add(P::load(from + b), vb); },
           [&](std::size_t b) { return S::add(from[b], base); });
-    } else {
-      const double* __restrict f =
-          factor_soa + static_cast<std::size_t>(e.inst) * width;
+      continue;
+    }
+    const double* __restrict f =
+        factor_soa + static_cast<std::size_t>(a.inst) * width;
+    if (a.wire == kNoRelaxWire) {
       relax_row<P>(
           to, width, first,
           [&](std::size_t b) {
             return P::add(P::load(from + b), P::mul(vb, P::load(f + b)));
           },
           [&](std::size_t b) { return S::add(from[b], S::mul(base, f[b])); });
+      continue;
     }
+    const double wire = static_cast<double>(delays[a.wire]);
+    const typename P::D vw = P::bcast(wire);
+    relax_row<P>(
+        to, width, first,
+        [&](std::size_t b) {
+          return P::add(P::add(P::load(from + b), vw),
+                        P::mul(vb, P::load(f + b)));
+        },
+        [&](std::size_t b) {
+          return S::add(S::add(from[b], wire), S::mul(base, f[b]));
+        });
   }
 }
 
@@ -360,7 +379,7 @@ void draw_factors_body(const FactorTable& tb, const std::int32_t* rows,
 /// kernels_of<ItsPolicy>().
 template <class P>
 constexpr Kernels kernels_of() {
-  return {&relax_edges_body<P>, &draw_factors_body<P>, &normals_fill_body<P>};
+  return {&relax_arcs_body<P>, &draw_factors_body<P>, &normals_fill_body<P>};
 }
 
 }  // namespace

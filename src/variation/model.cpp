@@ -254,19 +254,37 @@ void VariationModel::factor_bounds(std::span<const std::int32_t> rows,
   // The draws' own clamp expression and Lgate sums: fl(sys + d) is
   // monotone in d, so every drawn Lgate lies in [fl(sys - c), fl(sys + c)]
   // and its factor between the two ends' brackets (DESIGN.md §21, §22).
+  // An end the brackets cannot reach, in the table's last or first knot
+  // intervals, bounds by its own factors: both the exact and the table
+  // factor increase with Lgate, each to within a few ulp, so the smaller
+  // (larger) of the two at the end, widened by the brackets' margin,
+  // bounds every factor a draw above (below) it can take.
   const double clamp = cfg_.clamp_sigma * sigma_rnd_;
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMargin = DelayFactorTables::kBracketMargin;
+  const auto end_bound = [&](int r, double lgate, bool upper) {
+    const int j = tables_.bracket_knot(lgate);
+    if (j >= 0) {
+      const DelayFactorTables::Bracket b = tables_.bracket(r, j);
+      return upper ? b.hi : b.lo;
+    }
+    const double table = tables_.eval_row(tables_.row_data(r), lgate);
+    const double exact = delay_factor(lgate, DelayFactorTables::row_corner(r),
+                                      DelayFactorTables::row_vth(r));
+    return upper ? std::max(table, exact) * (1.0 + kMargin)
+                 : std::min(table, exact) * (1.0 - kMargin);
+  };
   bounds.resize(2 * n);
   for (std::size_t i = 0; i < n; ++i) {
-    const int jl = tables_.bracket_knot(systematic_lgate_nm[i] + -clamp);
-    const int jh = tables_.bracket_knot(systematic_lgate_nm[i] + clamp);
-    if (jl < 0 || jh < 0) {
+    const double lo = systematic_lgate_nm[i] + -clamp;
+    const double hi = systematic_lgate_nm[i] + clamp;
+    if (!(tables_.lo_nm() <= lo && hi <= tables_.hi_nm())) {
       bounds[2 * i] = -kInf;
       bounds[2 * i + 1] = kInf;
       continue;
     }
-    bounds[2 * i] = tables_.bracket(rows[i], jl).lo;
-    bounds[2 * i + 1] = tables_.bracket(rows[i], jh).hi;
+    bounds[2 * i] = end_bound(rows[i], lo, false);
+    bounds[2 * i + 1] = end_bound(rows[i], hi, true);
   }
 }
 

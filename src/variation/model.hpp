@@ -222,8 +222,11 @@ class VariationModel {
   /// = bracket(rows[i], knot(sys + clamp)).hi.  Both profiles clamp every
   /// random deviation to +/- clamp_sigma * sigma_rnd and the factor is
   /// increasing in Lgate, so the exact (Scalar) factor and the table
-  /// (BatchedSimd) factor both lie inside.  An instance with an
-  /// unbracketable end gets [-inf, +inf].
+  /// (BatchedSimd) factor both lie inside.  An end inside the table but
+  /// too near its edge to bracket bounds by the smaller (lower end) or
+  /// larger (upper end) of the table and exact factors at that end,
+  /// widened by DelayFactorTables::kBracketMargin.  An instance with an
+  /// end outside the table, or NaN, gets [-inf, +inf].
   void factor_bounds(std::span<const std::int32_t> rows,
                      std::span<const double> systematic_lgate_nm,
                      std::vector<double>& bounds) const;

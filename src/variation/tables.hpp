@@ -46,6 +46,13 @@ class DelayFactorTables {
     return (corner == kVddHigh ? 1 : 0) * kNumVthClasses +
            static_cast<int>(vth);
   }
+  /// The supply corner and Vth class of row r: row()'s inverse.
+  static int row_corner(int r) {
+    return r >= kNumVthClasses ? kVddHigh : kVddLow;
+  }
+  static VthClass row_vth(int r) {
+    return static_cast<VthClass>(r % kNumVthClasses);
+  }
 
   const double* row_data(int r) const {
     return &coef_[static_cast<std::size_t>(r) * 2 *

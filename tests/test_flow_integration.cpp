@@ -47,6 +47,28 @@ TEST_F(FlowFixture, FrontendProducesTimedDesign) {
   EXPECT_GE(flow_->recovery_report().wns_after_ns, 0.0);
 }
 
+// The folded propagation graph of the tiny core (DESIGN.md §17): every
+// cell arc folds the net into its input pin, and the only net edges left
+// are the ones into endpoints, about half the pin-level edges.
+TEST_F(FlowFixture, TinyCoreFoldsHalfTheTimingEdges) {
+  const StaEngine& sta = flow_->sta();
+  std::size_t cell = 0, net = 0;
+  for (const simd::RelaxArc& a : sta.arcs()) {
+    if (a.inst == kInvalidInst) {
+      ++net;
+    } else {
+      ++cell;
+      EXPECT_NE(a.wire, simd::kNoRelaxWire);
+    }
+  }
+  EXPECT_EQ(flow_->design().num_instances(), 2585u);
+  EXPECT_EQ(sta.num_edges(), 10119u);
+  EXPECT_EQ(sta.arcs().size(), 5246u);
+  EXPECT_EQ(cell, 4873u);
+  EXPECT_EQ(net, 373u);
+  EXPECT_EQ(net, sta.endpoints().size());
+}
+
 TEST_F(FlowFixture, ScenariosCoverDiagonal) {
   const ScenarioSet& sc = flow_->scenarios();
   EXPECT_EQ(sc.sweep.size(), 6u);

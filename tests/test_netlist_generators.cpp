@@ -222,7 +222,9 @@ TEST(CarrySaveSum, ManyRows) {
   CombTb tb;
   std::vector<Bus> rows;
   for (int r = 0; r < 5; ++r) {
-    rows.push_back(tb.in("r" + std::to_string(r), 6));
+    std::string name = "r";
+    name += std::to_string(r);
+    rows.push_back(tb.in(name, 6));
   }
   std::vector<Bus> rows_copy = rows;
   Bus out = carry_save_sum(tb.b(), rows_copy, 9);
@@ -255,7 +257,9 @@ TEST(MuxTree, SelectsEachOption) {
   CombTb tb;
   std::vector<Bus> options;
   for (int i = 0; i < 6; ++i) {  // non-power-of-two option count
-    options.push_back(tb.in("o" + std::to_string(i), 4));
+    std::string name = "o";
+    name += std::to_string(i);
+    options.push_back(tb.in(name, 4));
   }
   Bus sel = tb.in("sel", 3);
   Bus out = mux_tree(tb.b(), options, sel);

@@ -1,7 +1,7 @@
 // SIMD dispatch layer tests (DESIGN.md §17).  The layer's contract is
 // per-lane bit-identity: every compiled dispatch target (scalar / sse2 /
 // avx2 / avx512) must reproduce the ScalarPolicy reference lane
-// bit-for-bit — for the edge-relaxation kernels, for the fused
+// bit-for-bit — for the folded arc-relaxation kernel, for the fused
 // BatchedSimd draw against its two-phase reference (including the
 // ±clamp_sigma table edges and exact interval boundaries), and for the
 // arch-invariant normal stream behind DrawProfile::BatchedSimd.  Tests that pin the
@@ -67,29 +67,49 @@ TEST(SimdDispatch, UnavailableArchRejectedWithoutStateChange) {
   }
 }
 
-// Randomized relax kernels: every target must produce the scalar
-// target's exact bytes for widths that exercise full vector chunks,
-// remainder lanes (width % W != 0) and the width-1 degenerate case.
-TEST(SimdKernels, RelaxEdgesBitIdenticalAcrossTargets) {
+// Randomized relax kernels over folded arcs: every target must produce
+// the documented relaxation's exact bytes — fixed arcs from + d, cell
+// arcs from + d * f, folded ones (from + w) + d * f — for widths that
+// exercise full vector chunks, remainder lanes (width % W != 0) and the
+// width-1 degenerate case.  Rows and delays include -0.0, so an arc that
+// folds no net but added a 0.0 wire (-0.0 + 0.0 = +0.0) would show.
+TEST(SimdKernels, RelaxArcsBitIdenticalAcrossTargets) {
   const std::vector<simd::Arch> archs = simd::available_archs();
-  const simd::Kernels* scalar = simd::kernels_for(simd::Arch::Scalar);
-  ASSERT_NE(scalar, nullptr);
 
   constexpr std::size_t kNodes = 48;
   constexpr std::size_t kInsts = 40;
+  constexpr std::size_t kDelays = 64;
   Rng rng(0xfeedULL);
-  std::vector<simd::RelaxEdge> edges;
-  for (std::size_t i = 0; i < 400; ++i) {
-    simd::RelaxEdge e;
-    e.from = static_cast<std::uint32_t>(rng.next() % kNodes);
-    e.to = static_cast<std::uint32_t>(rng.next() % kNodes);
-    // ~1 in 4 edges fixed (net edges carry no instance factor).
-    e.inst = (rng.next() % 4 == 0)
-                 ? simd::kInvalidRelaxInst
-                 : static_cast<std::uint32_t>(rng.next() % kInsts);
-    e.base_delay = static_cast<float>(0.01 + rng.uniform() * 0.2);
-    edges.push_back(e);
+  std::vector<float> delays(kDelays);
+  for (std::size_t k = 0; k < kDelays; ++k) {
+    delays[k] =
+        k % 9 == 0 ? -0.0f : static_cast<float>(0.01 + rng.uniform() * 0.2);
   }
+  std::vector<simd::RelaxArc> arcs;
+  std::size_t folded = 0, plain = 0, fixed = 0;
+  for (std::size_t i = 0; i < 400; ++i) {
+    simd::RelaxArc a;
+    a.from = static_cast<std::uint32_t>(rng.next() % kNodes);
+    a.to = static_cast<std::uint32_t>(rng.next() % kNodes);
+    a.delay = static_cast<std::uint32_t>(rng.next() % kDelays);
+    // ~1 in 4 arcs fixed (net edges carry no instance factor); half the
+    // cell arcs fold a net.
+    if (rng.next() % 4 == 0) {
+      ++fixed;
+    } else {
+      a.inst = static_cast<std::uint32_t>(rng.next() % kInsts);
+      if (rng.next() % 2 == 0) {
+        a.wire = static_cast<std::uint32_t>(rng.next() % kDelays);
+        ++folded;
+      } else {
+        ++plain;
+      }
+    }
+    arcs.push_back(a);
+  }
+  ASSERT_GT(folded, 0u);
+  ASSERT_GT(plain, 0u);
+  ASSERT_GT(fixed, 0u);
 
   for (const std::size_t width : {std::size_t{1}, std::size_t{2},
                                   std::size_t{3}, std::size_t{4},
@@ -99,23 +119,75 @@ TEST(SimdKernels, RelaxEdgesBitIdenticalAcrossTargets) {
     AlignedVec<double> factors(kInsts * width);
     for (auto& f : factors) f = 0.8 + 0.4 * rng.uniform();
     AlignedVec<double> init(kNodes * width);
-    for (auto& a : init) a = rng.uniform();
+    for (std::size_t k = 0; k < init.size(); ++k) {
+      init[k] = k % 5 == 0   ? -0.0
+                : k % 5 == 1 ? -std::numeric_limits<double>::infinity()
+                             : rng.uniform();
+    }
 
-    // No first-writer flags: every edge reads its target row.
-    const std::vector<std::uint8_t> none(edges.size(), 0);
-    AlignedVec<double> ref = init;
-    scalar->relax_edges(edges.data(), none.data(), edges.size(),
-                        factors.data(), ref.data(), width);
+    // The documented relaxation, arc by arc, without first-writer flags.
+    AlignedVec<double> want = init;
+    for (const simd::RelaxArc& a : arcs) {
+      const auto d = static_cast<double>(delays[a.delay]);
+      for (std::size_t b = 0; b < width; ++b) {
+        const double from = want[a.from * width + b];
+        double cand;
+        if (a.inst == simd::kInvalidRelaxInst) {
+          cand = from + d;
+        } else if (a.wire == simd::kNoRelaxWire) {
+          cand = from + d * factors[a.inst * width + b];
+        } else {
+          cand = (from + static_cast<double>(delays[a.wire])) +
+                 d * factors[a.inst * width + b];
+        }
+        double& to = want[a.to * width + b];
+        to = std::max(to, cand);
+      }
+    }
+    const std::vector<std::uint8_t> none(arcs.size(), 0);
     for (const simd::Arch a : archs) {
       const simd::Kernels* k = simd::kernels_for(a);
       ASSERT_NE(k, nullptr);
       AlignedVec<double> got = init;
-      k->relax_edges(edges.data(), none.data(), edges.size(), factors.data(),
-                     got.data(), width);
-      EXPECT_EQ(std::memcmp(ref.data(), got.data(),
-                            ref.size() * sizeof(double)),
+      k->relax_arcs(arcs.data(), none.data(), arcs.size(), delays.data(),
+                    factors.data(), got.data(), width);
+      EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                            want.size() * sizeof(double)),
                 0)
-          << "relax_edges " << simd::arch_name(a) << " width " << width;
+          << "relax_arcs " << simd::arch_name(a) << " width " << width;
+    }
+  }
+}
+
+// A cell arc that folds no net leaves a -0.0 arrival's sign alone:
+// -0.0 + (-0.0 * f) is -0.0, while (-0.0 + 0.0) + (-0.0 * f) is +0.0.
+TEST(SimdKernels, RelaxArcWithoutWireAddsNoZero) {
+  const std::vector<float> delays = {-0.0f, 0.0f};
+  simd::RelaxArc plain;
+  plain.from = 0;
+  plain.to = 1;
+  plain.inst = 0;
+  plain.delay = 0;
+  simd::RelaxArc folded = plain;
+  folded.to = 2;
+  folded.wire = 1;
+  const std::vector<simd::RelaxArc> arcs = {plain, folded};
+  const std::vector<std::uint8_t> first = {1, 1};
+  for (const simd::Arch a : simd::available_archs()) {
+    for (const std::size_t width :
+         {std::size_t{1}, std::size_t{8}, std::size_t{9}}) {
+      AlignedVec<double> factors(width, 1.25);
+      AlignedVec<double> arr(3 * width, std::nan(""));
+      std::fill_n(arr.data(), width, -0.0);
+      simd::kernels_for(a)->relax_arcs(arcs.data(), first.data(), arcs.size(),
+                                       delays.data(), factors.data(),
+                                       arr.data(), width);
+      for (std::size_t b = 0; b < width; ++b) {
+        EXPECT_TRUE(std::signbit(arr[width + b]) && arr[width + b] == 0.0)
+            << simd::arch_name(a) << " width " << width << " lane " << b;
+        EXPECT_FALSE(std::signbit(arr[2 * width + b]))
+            << simd::arch_name(a) << " width " << width << " lane " << b;
+      }
     }
   }
 }
@@ -401,9 +473,10 @@ TEST(SimdKernels, FusedDrawTableEdgesAndClampExact) {
 // First-writer relaxation (DESIGN.md §17): with only the launch rows and
 // the never-written rows pre-filled, flagged relaxation must leave the
 // whole arena bit-identical to a full -inf fill followed by the plain
-// sweep.  Random DAGs with duplicate edges, launch nodes that are also
-// edge targets, never-written nodes, a NaN factor (max against -inf turns
-// it into -inf either way) and NaN/+inf garbage in the unfilled rows.
+// sweep.  Random DAGs of fixed, cell and net-folding arcs with duplicate
+// arcs, launch nodes that are also arc targets, never-written nodes, a
+// NaN factor (max against -inf turns it into -inf either way) and
+// NaN/+inf garbage in the unfilled rows.
 TEST(SimdKernels, FirstWriterRelaxMatchesNegInfFill) {
   constexpr std::size_t kNodes = 64;
   constexpr std::size_t kInsts = 24;
@@ -411,25 +484,30 @@ TEST(SimdKernels, FirstWriterRelaxMatchesNegInfFill) {
   ArchGuard guard;
   Rng rng(0xf1257ULL);
   for (int trial = 0; trial < 6; ++trial) {
-    // Node ids are a topological order: edges run from lower to higher.
+    // Node ids are a topological order: arcs run from lower to higher.
     // Nodes with id % 7 == 3 are never targeted nor launched, but read.
     const auto unwritten = [](std::uint32_t v) { return v % 7 == 3; };
-    std::vector<simd::RelaxEdge> edges;
+    std::vector<float> delays(32);
+    for (float& d : delays) d = static_cast<float>(0.01 + rng.uniform() * 0.2);
+    std::vector<simd::RelaxArc> edges;
     while (edges.size() < 220) {
-      simd::RelaxEdge e;
+      simd::RelaxArc e;
       e.from = static_cast<std::uint32_t>(rng.below(kNodes - 1));
       e.to = static_cast<std::uint32_t>(e.from + 1 +
                                         rng.below(kNodes - 1 - e.from));
       if (unwritten(e.to)) continue;
-      e.inst = rng.below(4) == 0
-                   ? simd::kInvalidRelaxInst
-                   : static_cast<std::uint32_t>(rng.below(kInsts));
-      e.base_delay = static_cast<float>(0.01 + rng.uniform() * 0.2);
+      e.delay = static_cast<std::uint32_t>(rng.below(delays.size()));
+      if (rng.below(4) != 0) {
+        e.inst = static_cast<std::uint32_t>(rng.below(kInsts));
+        if (rng.below(2) == 0) {
+          e.wire = static_cast<std::uint32_t>(rng.below(delays.size()));
+        }
+      }
       edges.push_back(e);
-      if (rng.below(8) == 0) edges.push_back(e);  // duplicate edge
+      if (rng.below(8) == 0) edges.push_back(e);  // duplicate arc
     }
     std::stable_sort(edges.begin(), edges.end(),
-                     [](const simd::RelaxEdge& a, const simd::RelaxEdge& b) {
+                     [](const simd::RelaxArc& a, const simd::RelaxArc& b) {
                        return a.from < b.from;
                      });
     std::vector<std::uint32_t> launches;
@@ -477,16 +555,16 @@ TEST(SimdKernels, FirstWriterRelaxMatchesNegInfFill) {
       const simd::Kernels* scalar = simd::kernels_for(simd::Arch::Scalar);
       AlignedVec<double> ref;
       init(ref, true);
-      scalar->relax_edges(edges.data(), none.data(), edges.size(),
-                          factors.data(), ref.data(), width);
+      scalar->relax_arcs(edges.data(), none.data(), edges.size(),
+                         delays.data(), factors.data(), ref.data(), width);
       for (const simd::Arch a : simd::available_archs()) {
         const simd::Kernels* k = simd::kernels_for(a);
         AlignedVec<double> got;
         init(got, false);
-        k->relax_edges(edges.data(), first.data(), edges.size(),
-                       factors.data(), got.data(), width);
+        k->relax_arcs(edges.data(), first.data(), edges.size(), delays.data(),
+                      factors.data(), got.data(), width);
         EXPECT_EQ(std::memcmp(ref.data(), got.data(), ref.size() * 8), 0)
-            << "relax_edges " << simd::arch_name(a) << " width " << width;
+            << "relax_arcs " << simd::arch_name(a) << " width " << width;
       }
     }
   }

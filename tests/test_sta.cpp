@@ -549,7 +549,7 @@ TEST(StaCone, ConeAnalysisMatchesFullAnalysisForFactorsInsideTheBounds) {
   Rng rng(0xc0e1ULL);
   std::vector<double> centre(n);
   for (double& c : centre) c = rng.uniform(0.95, 1.1);
-  std::size_t dead_total = 0, live_edges = 0;
+  std::size_t dead_total = 0, live_arcs = 0;
   for (const double clock_scale : {1.005, 0.95}) {
     StaEngine sta(nominal);
     sta.set_clock_period(nominal.min_period(centre) * clock_scale);
@@ -568,8 +568,8 @@ TEST(StaCone, ConeAnalysisMatchesFullAnalysisForFactorsInsideTheBounds) {
           }
         }
         const TimingCone cone = sta.build_cone(bounds);
-        live_edges += cone.edges.size();
-        EXPECT_LE(cone.edges.size(), sta.num_edges());
+        live_arcs += cone.arcs.size();
+        EXPECT_LE(cone.arcs.size(), sta.arcs().size());
         for (const std::size_t width : {1u, 3u, 8u}) {
           std::vector<std::vector<double>> lanes(width, std::vector<double>(n));
           std::vector<double> soa(n * width);
@@ -735,6 +735,208 @@ TEST(StaCone, ConeRefusedByAnotherGraphOrClock) {
                std::invalid_argument);
   EXPECT_THROW(sta.build_cone(std::vector<double>(3, 1.0)),
                std::invalid_argument);
+}
+
+// ---- the folded propagation graph (DESIGN.md §17) -------------------------
+
+/// A hand-built netlist with every shape the fold must get right: primary
+/// inputs wired straight into gates, a multi-fanout net whose sinks
+/// (different cells, placed apart) get different wire delays, an input
+/// pin on an undriven net, a net feeding both a primary output and a flop
+/// D, and a tie cell feeding a gate that the cone tests leave unbounded.
+class FoldFixture : public ::testing::Test {
+ protected:
+  FoldFixture() : design_("fold", lib_) {
+    NetlistBuilder b(design_);
+    b.clock_input("clk");
+    b.set_stage(PipeStage::Execute);
+    const NetId a = b.input("a");
+    const NetId x = b.nand2(a, b.input("c"));  // PIs straight into a gate
+    const NetId y1 = b.inv(x);                 // x fans out to an INV,
+    const NetId y2 = b.xor2(x, y1);            // an XOR2
+    b.dff(x);                                  // and a flop D
+    const NetId z = b.nand2(b.wire("undriven"), y2);
+    b.dff(z);
+    tied_ = b.nand2(b.const0(), y1);
+    const NetId m = b.nor2(tied_, z);
+    b.output(m);  // a primary output next to a flop D on one net
+    b.dff(m);
+    b.set_stage(PipeStage::Decode);
+    NetId r = b.input("r");
+    for (int k = 0; k < 5; ++k) r = b.inv(r);
+    b.output(b.dff(r));
+    // No design_.check(): it rejects the undriven net on purpose.
+    for (InstId i = 0; i < design_.num_instances(); ++i) {
+      design_.instance(i).pos = {10.0 + 37.0 * (i % 5), 12.0 + 23.0 * (i % 7)};
+      design_.instance(i).placed = true;
+    }
+  }
+
+  Library lib_ = make_st65lp_like();
+  Design design_;
+  NetId tied_ = kInvalidNet;
+};
+
+TEST_F(FoldFixture, ArcsFoldEveryNetEdgeButThoseIntoEndpoints) {
+  const StaEngine sta(design_, StaOptions{});
+  struct PinEdge {
+    std::uint32_t from, to;
+    InstId inst;
+    double delay;
+  };
+  std::vector<PinEdge> edges;
+  sta.for_each_graph_edge(
+      [&](std::uint32_t from, std::uint32_t to, InstId inst, double d) {
+        edges.push_back({from, to, inst, d});
+      });
+  std::vector<std::uint8_t> endpoint(sta.num_nodes(), 0);
+  for (const Endpoint& ep : sta.endpoints()) endpoint[ep.node] = 1;
+  std::size_t cell = 0, net = 0, into_endpoints = 0, folded = 0;
+  for (const PinEdge& e : edges) {
+    cell += e.inst != kInvalidInst;
+    net += e.inst == kInvalidInst;
+    into_endpoints += e.inst == kInvalidInst && endpoint[e.to] != 0;
+  }
+  const auto arcs = sta.arcs();
+  ASSERT_EQ(arcs.size(), cell + into_endpoints);
+  EXPECT_LT(arcs.size(), edges.size());
+  std::vector<double> wires;
+  std::size_t prev = 0, unfolded = 0;
+  for (std::size_t ai = 0; ai < arcs.size(); ++ai) {
+    const simd::RelaxArc& a = arcs[ai];
+    ASSERT_LT(a.delay, edges.size());
+    if (ai > 0) {
+      EXPECT_GT(a.delay, prev);  // the pin-level order
+    }
+    prev = a.delay;
+    const PinEdge& e = edges[a.delay];
+    EXPECT_EQ(a.to, e.to);
+    EXPECT_EQ(a.inst, e.inst);
+    if (a.inst == kInvalidInst) {
+      EXPECT_EQ(a.from, e.from);
+      EXPECT_EQ(a.wire, simd::kNoRelaxWire);
+      EXPECT_NE(endpoint[a.to], 0);
+      continue;
+    }
+    if (a.wire == simd::kNoRelaxWire) {
+      // Only the input pin nothing drives keeps its own source.
+      EXPECT_EQ(a.from, e.from);
+      EXPECT_EQ(std::count_if(edges.begin(), edges.end(),
+                              [&](const PinEdge& w) { return w.to == e.from; }),
+                0);
+      ++unfolded;
+      continue;
+    }
+    ++folded;
+    const PinEdge& w = edges[a.wire];
+    EXPECT_EQ(w.inst, kInvalidInst);
+    EXPECT_EQ(w.to, e.from);
+    EXPECT_EQ(a.from, w.from);
+    wires.push_back(w.delay);
+  }
+  EXPECT_EQ(unfolded, 1u);
+  EXPECT_EQ(folded + unfolded, cell);
+  EXPECT_GT(net, into_endpoints);
+  // The multi-fanout net's sinks fold different wires.
+  std::sort(wires.begin(), wires.end());
+  EXPECT_GT(std::unique(wires.begin(), wires.end()) - wires.begin(), 2);
+}
+
+/// analyze_batch_soa over the whole graph and over a cone, and
+/// analyze_lazy, against analyze() bit for bit: at three clocks, on the
+/// engine's bases and on a snapshot with every third edge's base negated
+/// (net edges included, so a wire baked in at build time would show).
+TEST_F(FoldFixture, FoldedSweepsMatchAnalyze) {
+  StaEngine sta(design_, StaOptions{});
+  const std::size_t n = design_.num_instances();
+  const InstId gate = design_.net(tied_).driver.inst;
+  Rng rng(0xf01dULL);
+  std::vector<double> centre(n);
+  for (double& c : centre) c = rng.uniform(0.9, 1.1);
+  const double tmin = sta.min_period(centre);
+  StaEngine::BaseSnapshot negative = sta.snapshot_bases();
+  for (std::size_t ei = 0; ei < negative.edge_base.size(); ei += 3) {
+    negative.edge_base[ei] = -negative.edge_base[ei];
+  }
+  const std::vector<StaEngine::BaseSnapshot> snaps = {sta.snapshot_bases(),
+                                                      negative};
+  std::size_t violations = 0, dead = 0;
+  for (const double clock_scale : {1.05, 0.98, 0.8}) {
+    for (std::size_t s = 0; s < snaps.size(); ++s) {
+      SCOPED_TRACE("clock x" + std::to_string(clock_scale) + " snapshot " +
+                   std::to_string(s));
+      StaEngine eng(sta);
+      eng.set_clock_period(tmin * clock_scale);
+      eng.restore_bases(snaps[s]);
+      // Lanes: lower ends, upper ends, random points inside; the tied
+      // gate is unbounded in the cone and slow in the last lane.
+      constexpr std::size_t kW = 5;
+      std::vector<double> bounds(2 * n);
+      for (std::size_t i = 0; i < n; ++i) {
+        bounds[2 * i] = centre[i] * 0.97;
+        bounds[2 * i + 1] = centre[i] * 1.03;
+      }
+      std::vector<double> soa(n * kW);
+      std::vector<std::vector<double>> lanes(kW, std::vector<double>(n));
+      for (std::size_t b = 0; b < kW; ++b) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const double f = b == 0   ? bounds[2 * i]
+                           : b == 1 ? bounds[2 * i + 1]
+                                    : rng.uniform(bounds[2 * i],
+                                                  bounds[2 * i + 1]);
+          lanes[b][i] = f;
+          soa[i * kW + b] = f;
+        }
+      }
+      soa[gate * kW + kW - 1] = lanes[kW - 1][gate] = 40.0;
+      std::vector<double> cone_bounds = bounds;
+      cone_bounds[2 * gate] = -std::numeric_limits<double>::infinity();
+      cone_bounds[2 * gate + 1] = std::numeric_limits<double>::infinity();
+      const TimingCone cone = eng.build_cone(cone_bounds);
+      std::vector<StaResult> full(kW), got(kW);
+      eng.analyze_batch_soa(soa, kW, std::span(full));
+      eng.analyze_batch_soa(soa, kW, std::span(got), cone);
+      for (std::size_t b = 0; b < kW; ++b) {
+        const StaResult want = eng.analyze(lanes[b]);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(full[b].wns),
+                  std::bit_cast<std::uint64_t>(want.wns));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(full[b].tns),
+                  std::bit_cast<std::uint64_t>(want.tns));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(full[b].min_period_ns),
+                  std::bit_cast<std::uint64_t>(want.min_period_ns));
+        ASSERT_EQ(full[b].endpoint_slack.size(), want.endpoint_slack.size());
+        for (std::size_t k = 0; k < want.endpoint_slack.size(); ++k) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(full[b].endpoint_slack[k]),
+                    std::bit_cast<std::uint64_t>(want.endpoint_slack[k]))
+              << "lane " << b << " endpoint " << k;
+        }
+        dead += expect_cone_result(eng, cone, want, got[b]);
+      }
+      // The lazy analysis of the same snapshot, from the lane-2 factors,
+      // on an engine whose own bases are the unforged ones.
+      const std::vector<double>& f = lanes[2];
+      for (std::size_t i = 0; i < n; ++i) {
+        bounds[2 * i] = std::min(bounds[2 * i], f[i]);
+        bounds[2 * i + 1] = std::max(bounds[2 * i + 1], f[i]);
+      }
+      const StaResult want = eng.analyze(f);
+      StaEngine lazy(sta);
+      lazy.set_clock_period(tmin * clock_scale);
+      std::vector<std::uint8_t> violating;
+      const double wns = lazy.analyze_lazy(
+          snaps[s], bounds, [&](InstId i) { return f[i]; }, violating);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(wns),
+                std::bit_cast<std::uint64_t>(want.wns));
+      ASSERT_EQ(violating.size(), want.endpoint_slack.size());
+      for (std::size_t k = 0; k < violating.size(); ++k) {
+        EXPECT_EQ(violating[k] != 0, want.endpoint_slack[k] < 0.0)
+            << "endpoint " << k;
+        violations += violating[k];
+      }
+    }
+  }
+  EXPECT_GT(violations, 0u);
+  EXPECT_GT(dead, 0u);
 }
 
 }  // namespace

@@ -22,6 +22,8 @@
 #include "variation/field.hpp"
 #include "variation/mc_ssta.hpp"
 #include "variation/model.hpp"
+#include "yield/wafer.hpp"
+#include "yield/yield.hpp"
 
 namespace vipvt {
 namespace {
@@ -766,7 +768,7 @@ TEST_F(McFixture, ConePrunedRunMatchesFullReference) {
     StaEngine probe(*sta_);
     const TimingCone cone = MonteCarloSsta(design_, probe, model).cone(sys);
     EXPECT_LT(cone.endpoints.size(), sta_->endpoints().size());
-    EXPECT_LT(cone.edges.size(), sta_->num_edges());
+    EXPECT_LT(cone.arcs.size(), sta_->arcs().size());
     for (const DrawProfile profile :
          {DrawProfile::Scalar, DrawProfile::BatchedSimd}) {
       McConfig base;
@@ -814,21 +816,93 @@ TEST_F(McFixture, ConePrunedRunMatchesFullReference) {
   EXPECT_GT(runs, 0u);
 }
 
-// At 2x sigma the slow corner's reachable Lgates leave the factor tables,
-// so some instances are unbounded and the cone sweep meets +inf delay
-// bounds (DESIGN.md §22 (1), (2)); the pruned run must still match the
+// On the default wafer, reticle slot 0 sits at the exposure field's slow
+// corner: sys + c lands in the factor tables' last knot intervals, which
+// no bracket reaches.  Every slot's instances still get finite bounds,
+// holding both profiles' factors at both ends of their clamp range at
+// both supply corners, and a pruned slot-0 run matches the unpruned
+// reference byte for byte.
+TEST_F(McFixture, FactorBoundsFiniteOnEveryDefaultWaferSlot) {
+  const WaferModel wafer{WaferConfig{}};
+  const auto side = static_cast<std::size_t>(wafer.dies_per_field_side());
+  std::vector<std::vector<double>> maps(side * side);
+  for (const WaferDie& d : wafer.dies()) {
+    auto& map = maps[YieldAnalyzer::reticle_slot(wafer, d)];
+    if (map.empty()) map = model_->systematic_lgates(design_, d.location);
+  }
+  const DelayFactorTables& tables = model_->delay_factor_tables();
+  const double c = model_->config().clamp_sigma * model_->sigma_random_nm();
+  std::size_t unbracketable = 0;
+  for (const int corner : {kVddLow, kVddHigh}) {
+    StaEngine eng(*sta_);
+    eng.compute_base(std::vector<int>(8, corner));
+    const std::vector<std::int32_t> rows = model_->table_rows(design_, eng);
+    for (std::size_t s = 0; s < maps.size(); ++s) {
+      ASSERT_FALSE(maps[s].empty());
+      std::vector<double> bounds;
+      model_->factor_bounds(rows, maps[s], bounds);
+      std::size_t outside = 0, unbounded = 0;
+      for (std::size_t i = 0; i < design_.num_instances(); ++i) {
+        if (!(std::isfinite(bounds[2 * i]) && std::isfinite(bounds[2 * i + 1]))) {
+          ++unbounded;
+          continue;
+        }
+        for (const double lgate : {maps[s][i] + -c, maps[s][i] + c}) {
+          unbracketable += tables.bracket_knot(lgate) < 0;
+          const int r = rows[i];
+          for (const double f :
+               {model_->delay_factor(lgate, DelayFactorTables::row_corner(r),
+                                     DelayFactorTables::row_vth(r)),
+                tables.eval_row(tables.row_data(r), lgate)}) {
+            outside += !(bounds[2 * i] <= f && f <= bounds[2 * i + 1]);
+          }
+        }
+      }
+      EXPECT_EQ(unbounded, 0u) << "slot " << s << " corner " << corner;
+      EXPECT_EQ(outside, 0u) << "slot " << s << " corner " << corner;
+    }
+  }
+  EXPECT_GT(unbracketable, 0u);
+
+  const std::vector<double>& sys = maps[0];
+  const MonteCarloSsta mc(design_, *sta_, *model_);
+  StaEngine probe(*sta_);
+  const TimingCone cone = MonteCarloSsta(design_, probe, *model_).cone(sys);
+  EXPECT_LT(cone.endpoints.size(), sta_->endpoints().size());
+  EXPECT_LT(cone.instances.size(), design_.num_instances());
+  for (const DrawProfile profile :
+       {DrawProfile::Scalar, DrawProfile::BatchedSimd}) {
+    McConfig cfg;
+    cfg.samples = 48;
+    cfg.seed = 0x510eULL;
+    cfg.profile = profile;
+    cfg.batch = 8;
+    SCOPED_TRACE("profile " + std::to_string(static_cast<int>(profile)));
+    expect_matches_reference(
+        mc.run_with_systematic(sys, cfg),
+        unpruned_reference(design_, *sta_, *model_, sys, cfg, 48), *sta_);
+  }
+}
+
+// An instance whose clamp range leaves the factor tables is unbounded, so
+// the cone sweep meets +inf delay bounds (DESIGN.md §22 (1), (2)): at 2x
+// sigma, every 13th instance of the point-A map sits at the tables' top
+// edge, where its draws leave them.  The pruned run must still match the
 // unpruned reference byte for byte.
 TEST_F(McFixture, ConePrunedRunMatchesFullReferenceWithUnboundedInstances) {
   VariationConfig vc;
   vc.three_sigma_random_frac *= 2.0;
   const VariationModel model(lib_.char_params(), *field_, vc);
-  const std::vector<double> sys =
+  std::vector<double> sys =
       model.systematic_lgates(design_, DieLocation::point('A'));
+  for (std::size_t i = 0; i < sys.size(); i += 13) {
+    sys[i] = model.delay_factor_tables().hi_nm();
+  }
   std::vector<double> bounds;
   model.factor_bounds(model.table_rows(design_, *sta_), sys, bounds);
-  EXPECT_GT(std::count_if(bounds.begin(), bounds.end(),
-                          [](double b) { return !std::isfinite(b); }),
-            0);
+  const auto unbounded = std::count_if(
+      bounds.begin(), bounds.end(), [](double b) { return !std::isfinite(b); });
+  EXPECT_EQ(static_cast<std::size_t>(unbounded), 2 * ((sys.size() + 12) / 13));
   const MonteCarloSsta mc(design_, *sta_, model);
   for (const DrawProfile profile :
        {DrawProfile::Scalar, DrawProfile::BatchedSimd}) {

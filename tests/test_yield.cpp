@@ -182,7 +182,9 @@ TEST_F(YieldFixture, ReportCoversEveryDieConsistently) {
     EXPECT_EQ(d.die_id, static_cast<int>(i));
     EXPECT_GT(d.total_mw, 0.0);
     EXPECT_GT(d.fmax_ghz, 0.0);
-    if (d.policy != TuningPolicy::Discard) EXPECT_TRUE(d.timing_met);
+    if (d.policy != TuningPolicy::Discard) {
+      EXPECT_TRUE(d.timing_met);
+    }
   }
 }
 
