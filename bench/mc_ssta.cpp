@@ -4,12 +4,10 @@
 // whole repo.  Measures:
 //
 //   1. scalar-serial baseline — batch width 1 (one lane per pass of the
-//      batched kernel over the run's timing cone), no pool;
-//   2. the batched SoA kernel alone — widths 4/8/16/32, still serial;
-//   3. batched + parallel sampling — thread pools up to the machine's
-//      hardware_concurrency(); oversubscribed points (more threads than
-//      cores) are still run for the determinism cross-check but recorded
-//      under separate oversub_* keys and never reported as speedups;
+//      batched kernel over the run's timing cone);
+//   2. the batched SoA kernel alone — widths 4/8/16/32;
+//   3. (unused: every run is serial; bench/wafer_yield measures the
+//      per-die thread pool);
 //   4. the propagation kernel in isolation (pre-drawn factors, analyze
 //      vs analyze_batch);
 //   5. (unused: section 8 covers the BatchedSimd profile end to end);
@@ -21,7 +19,7 @@
 //      bit-compared against scalar analyze() and timed per lane;
 //   8. the BatchedSimd profile end-to-end and across dispatch targets:
 //      the arch-invariant draw byte-compared per target, pinned full runs
-//      fingerprint-compared, plus the profile's width/thread invariance;
+//      fingerprint-compared, plus the profile's width invariance;
 //      then (8b) the fused draw and the first-writer relaxation per
 //      target against their scalar references;
 //   9. end-to-end time attribution of one BatchedSimd sample into
@@ -35,7 +33,7 @@
 //  11. adaptive sequential sampling vs the fixed budget at an equal
 //      a-priori CI target: sample savings (soft), plus the hard
 //      prefix-equivalence gate — the adaptive run stopping at N must be
-//      bit-identical to a fixed run with samples = N, serial and pooled;
+//      bit-identical to a fixed run with samples = N;
 //  12. the bound-pruned engine (DESIGN.md §22): the live endpoint, edge
 //      and Box–Muller pair fractions of the run's timing cone; the hard
 //      gate that every dispatch target's run, both profiles, fingerprints
@@ -46,8 +44,7 @@
 //
 // Scalar-profile configurations must reproduce the scalar-serial
 // reference bit-for-bit; BatchedSimd configurations must reproduce one
-// BatchedSimd reference across widths, threads and every SIMD dispatch
-// target; every dispatch target must reproduce the scalar propagation
+// BatchedSimd reference across widths and every SIMD dispatch target; every dispatch target must reproduce the scalar propagation
 // bits.  Any mismatch — or a statistical disagreement between the
 // profiles — is a hard failure; CI runs this binary as the smoke check.
 // Emits BENCH_mc.json for trajectory tracking across PRs.
@@ -61,12 +58,10 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
-#include <thread>
 
 #include "netlist/vex.hpp"
 #include "placement/placer.hpp"
 #include "util/aligned.hpp"
-#include "util/parallel.hpp"
 #include "util/simd/dispatch.hpp"
 #include "util/table.hpp"
 #include "variation/mc_ssta.hpp"
@@ -156,10 +151,9 @@ bool stages_statistically_agree(const char* label, const McResult& scalar,
 int main(int argc, char** argv) {
   using clock = std::chrono::steady_clock;
   bench::print_header("MC SSTA", "per-die Monte-Carlo throughput, "
-                                 "scalar vs batched vs parallel");
+                                 "scalar vs batched");
 
   const int samples = bench::arg_int(argc, argv, "--samples", 1536);
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
   // The same tiny-core recipe as bench/wafer_yield: the workload SHAPE
   // (per-sample factor draw + full-graph propagation) matches the full
@@ -176,27 +170,26 @@ int main(int argc, char** argv) {
   const MonteCarloSsta mc(design, sta, model);
   const DieLocation loc = DieLocation::point('A');
   std::printf("# design: %zu instances, %zu timing edges (%zu folded "
-              "arcs), %d samples, %u hardware thread(s)\n\n",
+              "arcs), %d samples\n\n",
               design.num_instances(), sta.num_edges(), sta.arcs().size(),
-              samples, hw);
+              samples);
 
   McConfig base;
   base.samples = samples;
   base.seed = 0x5ca1ab1eULL;
 
-  const auto run = [&](DrawProfile profile, int batch, ThreadPool* pool) {
+  const auto run = [&](DrawProfile profile, int batch) {
     McConfig cfg = base;
     cfg.profile = profile;
     cfg.batch = batch;
     const auto t0 = clock::now();
-    McResult res = mc.run(loc, cfg, pool);
+    McResult res = mc.run(loc, cfg);
     const std::chrono::duration<double> dt = clock::now() - t0;
     return std::pair{std::move(res), dt.count()};
   };
 
   bench::BenchJson out("mc_ssta");
   out.set("samples", samples);
-  out.set("hardware_threads", hw);
   // Numeric twin of the top-level dispatch_arch provenance string
   // (0 scalar, 1 sse2, 2 avx2, 3 avx512) so trajectory tooling that only
   // reads metrics still sees which ISA produced the kernel rows.
@@ -206,7 +199,7 @@ int main(int argc, char** argv) {
   bool all_identical = true;
 
   // 1. Scalar-serial reference.
-  auto [scalar_ref, scalar_s] = run(DrawProfile::Scalar, 1, nullptr);
+  auto [scalar_ref, scalar_s] = run(DrawProfile::Scalar, 1);
   const std::string reference = fingerprint(scalar_ref);
   const double scalar_sps = samples / scalar_s;
   t.add_row({"scalar serial", Table::num(scalar_s, 3),
@@ -214,13 +207,13 @@ int main(int argc, char** argv) {
   out.set("scalar_serial_s", scalar_s);
   out.set("scalar_samples_per_sec", scalar_sps);
 
-  // 2. The batched kernel end-to-end, still serial: modest by design —
+  // 2. The batched kernel end-to-end: modest by design —
   // the factor draw (RNG + device-physics transcendentals per gate)
   // dominates a sample under the Scalar profile and is identical in both
   // paths; sections 4 and 6 isolate the kernels and section 8 measures
   // the BatchedSimd profile that removes the draw bottleneck.
   for (int batch : {4, 8, 16, 32}) {
-    auto [res_b, secs] = run(DrawProfile::Scalar, batch, nullptr);
+    auto [res_b, secs] = run(DrawProfile::Scalar, batch);
     const bool same = fingerprint(res_b) == reference;
     all_identical &= same;
     const double speedup = scalar_s / secs;
@@ -235,41 +228,6 @@ int main(int argc, char** argv) {
     out.set(key, speedup);
   }
 
-  // 3. Batch 8 + parallel sampling.  Thread counts beyond the machine's
-  // hardware concurrency measure scheduler thrash, not scaling: those
-  // points still run (the determinism contract must hold at ANY thread
-  // count) but are recorded under oversub_* keys, excluded from the
-  // speedup columns, and never gate anything.
-  double speedup_hw = 0.0;
-  unsigned speedup_hw_threads = 0;
-  for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    const bool oversub = threads > hw;
-    ThreadPool pool(threads);
-    auto [res_t, secs] = run(DrawProfile::Scalar, 8, &pool);
-    const bool same = fingerprint(res_t) == reference;
-    all_identical &= same;
-    const double speedup = scalar_s / secs;
-    if (!oversub && threads >= speedup_hw_threads) {
-      speedup_hw = speedup;
-      speedup_hw_threads = threads;
-    }
-    char label[48];
-    std::snprintf(label, sizeof label, "batch 8, %u thread%s%s", threads,
-                  threads == 1 ? "" : "s", oversub ? " (oversub)" : "");
-    t.add_row({label, Table::num(secs, 3), Table::num(samples / secs, 0),
-               oversub ? "-" : Table::num(speedup, 2),
-               same ? "yes" : "NO (BUG)"});
-    char key[48];
-    if (oversub) {
-      std::snprintf(key, sizeof key, "oversub_t%u_samples_per_sec", threads);
-      out.set(key, samples / secs);
-    } else {
-      std::snprintf(key, sizeof key, "samples_per_sec_t%u", threads);
-      out.set(key, samples / secs);
-      std::snprintf(key, sizeof key, "speedup_t%u", threads);
-      out.set(key, speedup);
-    }
-  }
   std::printf("%s\n", t.render().c_str());
 
   // 4. The propagation kernel in isolation: pre-draw the factor sets,
@@ -440,7 +398,7 @@ int main(int argc, char** argv) {
   //   a) draw isolation: draw_factors_batch byte-compared (memcmp)
   //      across every target;
   //   b) pinned BatchedSimd full runs must fingerprint identically
-  //      across targets, plus the profile's own width/thread invariance.
+  //      across targets, plus the profile's own width invariance.
   bool simd_identical = true;
   McResult simd_ref;
   {
@@ -478,7 +436,7 @@ int main(int argc, char** argv) {
                   factor_soa.data(), n_inst * 8 * sizeof(double)) == 0;
         }
       }
-      auto [simd_run, simd_run_s] = run(DrawProfile::BatchedSimd, 8, nullptr);
+      auto [simd_run, simd_run_s] = run(DrawProfile::BatchedSimd, 8);
       const std::string fp = fingerprint(simd_run);
       bool fp_same = true;
       if (simd_reference.empty()) {
@@ -501,23 +459,19 @@ int main(int argc, char** argv) {
                           : "MISMATCH"});
     }
     simd::reset_arch();
-    // Width/thread invariance of the BatchedSimd profile itself — the
-    // same contract Scalar carries, checked the same way.  The unpinned
+    // Width invariance of the BatchedSimd profile itself — the same
+    // contract Scalar carries, checked the same way.  The unpinned
     // batch-8 serial run doubles as the profile's throughput number: the
     // pinned loop above starts with the scalar target, whose draw cost
     // says nothing about what the autodetected dispatch delivers.
     double simd_unpinned_s = 0.0;
     {
-      auto [w8u, w8u_s] = run(DrawProfile::BatchedSimd, 8, nullptr);
+      auto [w8u, w8u_s] = run(DrawProfile::BatchedSimd, 8);
       simd_unpinned_s = w8u_s;
       simd_identical &= fingerprint(w8u) == simd_reference;
-      auto [w16, w16_s] = run(DrawProfile::BatchedSimd, 16, nullptr);
+      auto [w16, w16_s] = run(DrawProfile::BatchedSimd, 16);
       (void)w16_s;
       simd_identical &= fingerprint(w16) == simd_reference;
-      ThreadPool pool(std::min(4u, hw));
-      auto [pooled, pooled_s] = run(DrawProfile::BatchedSimd, 8, &pool);
-      (void)pooled_s;
-      simd_identical &= fingerprint(pooled) == simd_reference;
     }
     std::printf("BatchedSimd stream across dispatch targets (%d draw lanes; "
                 "one pinned full run per target):\n%s",
@@ -526,7 +480,7 @@ int main(int argc, char** argv) {
                 "(%.2fx scalar), %s\n\n",
                 simd::arch_name(simd::active_arch()), samples / simd_unpinned_s,
                 scalar_s / simd_unpinned_s,
-                simd_identical ? "arch/width/thread-invariant"
+                simd_identical ? "arch/width-invariant"
                                : "INVARIANCE BROKEN (BUG)");
     out.set("simd_profile_samples_per_sec", samples / simd_unpinned_s);
     out.set("simd_profile_speedup_vs_scalar", scalar_s / simd_unpinned_s);
@@ -741,7 +695,7 @@ int main(int argc, char** argv) {
   // overshoots, so a correct sequential rule stops well short of it
   // (sample savings, soft target).  The hard gate is prefix equivalence:
   // the adaptive run stopping at N must fingerprint identically to a
-  // fixed run with samples = N, serial AND pooled.
+  // fixed run with samples = N.
   bool adaptive_identical = true;
   int adaptive_n = 0;
   double adaptive_savings = 0.0;
@@ -766,20 +720,10 @@ int main(int argc, char** argv) {
     adaptive_n = adaptive.samples;
     const std::string adaptive_fp = fingerprint(adaptive);
 
-    ThreadPool pool(std::min(4u, hw));
-    t0 = clock::now();
-    const McResult adaptive_pooled = mc.run(loc, acfg, &pool);
-    const std::chrono::duration<double> adaptive_pool_s = clock::now() - t0;
-    const bool pooled_same = fingerprint(adaptive_pooled) == adaptive_fp &&
-                             adaptive_pooled.samples == adaptive_n;
-    adaptive_identical &= pooled_same;
-
     McConfig fcfg = base;
     fcfg.samples = adaptive_n;
     const bool fixed_same = fingerprint(mc.run(loc, fcfg)) == adaptive_fp;
-    const bool fixed_pool_same =
-        fingerprint(mc.run(loc, fcfg, &pool)) == adaptive_fp;
-    adaptive_identical &= fixed_same && fixed_pool_same;
+    adaptive_identical &= fixed_same;
 
     fcfg.samples = fixed_budget;
     t0 = clock::now();
@@ -791,17 +735,13 @@ int main(int argc, char** argv) {
     Table at({"config", "samples", "wall [s]", "stop", "identical"});
     at.add_row({"fixed budget", std::to_string(fixed_budget),
                 Table::num(fixed_s.count(), 3), "fixed-budget", "-"});
-    at.add_row({"adaptive serial", std::to_string(adaptive_n),
+    at.add_row({"adaptive", std::to_string(adaptive_n),
                 Table::num(adaptive_s.count(), 3),
                 mc_stop_name(adaptive.stopping_reason), "ref"});
-    at.add_row({"adaptive pooled", std::to_string(adaptive_pooled.samples),
-                Table::num(adaptive_pool_s.count(), 3),
-                mc_stop_name(adaptive_pooled.stopping_reason),
-                pooled_same ? "yes" : "NO (BUG)"});
     char nlabel[40];
     std::snprintf(nlabel, sizeof nlabel, "fixed at N=%d", adaptive_n);
     at.add_row({nlabel, std::to_string(adaptive_n), "-", "fixed-budget",
-                fixed_same && fixed_pool_same ? "yes" : "NO (BUG)"});
+                fixed_same ? "yes" : "NO (BUG)"});
     std::printf("adaptive sampling (sigma hw <= %.4g ns, mean hw <= %.4g ns "
                 "at 95 %%):\n%s",
                 acfg.adaptive.sigma_half_width_ns,
@@ -1037,7 +977,7 @@ int main(int argc, char** argv) {
   }
   if (!simd_identical) {
     std::printf("BIT-IDENTITY VIOLATION: the BatchedSimd stream is not "
-                "invariant across dispatch targets / widths / threads\n");
+                "invariant across dispatch targets / widths\n");
     return 1;
   }
   if (!attribution_ok) {
@@ -1078,17 +1018,6 @@ int main(int argc, char** argv) {
   if (kernel_speedup < 1.5) {
     std::printf("WARNING: batched kernel speedup %.2fx below the 1.5x "
                 "target\n", kernel_speedup);
-  }
-  // The 4x combined target needs real cores; smaller machines still
-  // verified bit-identity above, which is the part that silently breaks.
-  if (hw >= 8 && speedup_hw < 4.0) {
-    std::printf("WARNING: combined speedup %.2fx at %u threads below the "
-                "4x target\n", speedup_hw, speedup_hw_threads);
-    return 1;
-  }
-  if (hw < 8) {
-    std::printf("note: only %u hardware thread(s); thread-scaling targets "
-                "are not enforceable here\n", hw);
   }
   return 0;
 }

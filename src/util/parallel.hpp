@@ -1,6 +1,8 @@
 #pragma once
-// General-purpose parallel job runtime for batch workloads (wafer-scale
-// yield analysis, and later the Monte-Carlo SSTA inner loop itself).
+// General-purpose parallel job runtime for batch workloads: wafer-scale
+// yield analysis, campaigns and the policy compiler, each parallel across
+// dies or jobs.  A Monte-Carlo SSTA run stays serial inside its worker
+// (DESIGN.md §10).
 //
 // Design constraints, in order:
 //

@@ -18,8 +18,6 @@
 
 namespace vipvt {
 
-class ThreadPool;
-
 /// Versioned draw profiles.  A profile fixes the exact bit-stream of the
 /// per-sample factor draw; results are comparable across machines and
 /// releases only within a profile.  Ids are stable: id 1 (the libm
@@ -36,8 +34,8 @@ enum class DrawProfile : int {
   /// (Rng::normals_simd, DESIGN.md §17) + delay-factor interpolation
   /// tables (VariationModel::draw_factors_batch), writing the propagation
   /// kernel's SoA layout directly.  Its own determinism contract:
-  /// bit-identical for any thread count and any batch width, but a
-  /// DIFFERENT (statistically equivalent) stream than Scalar.  Its NORMAL
+  /// bit-identical for any batch width, but a DIFFERENT (statistically
+  /// equivalent) stream than Scalar.  Its NORMAL
   /// STREAM is identical across ISAs, compilers and build flags, because
   /// every dispatch target instantiates the same kernel body with FMA
   /// contraction disabled.  Its McResult is not: the factor-table knots
@@ -54,11 +52,10 @@ enum class DrawProfile : int {
 /// both at or below their targets at `confidence`.  Because sample k's
 /// randomness derives from substream_seed(seed, k) alone, an adaptive
 /// run that stops at N samples is BIT-IDENTICAL (on every sampling-
-/// derived McResult field) to a fixed run with samples = N, for any
-/// thread count.  The stopping N itself is a pure function of
-/// (seed, policy, batch width) — round boundaries land on whole batches,
-/// so the batch width quantizes the checkpoint grid; thread count never
-/// moves it.
+/// derived McResult field) to a fixed run with samples = N.  The stopping
+/// N itself is a pure function of (seed, policy, batch width) — round
+/// boundaries land on whole batches, so the batch width quantizes the
+/// checkpoint grid.
 struct AdaptivePolicy {
   bool enabled = false;
   /// Target CI half-width on each present stage's fitted mean [ns].
@@ -146,10 +143,10 @@ struct McResult {
   int num_violating_stages() const;
 };
 
-/// The lane buffers of one serial sampling loop — Scalar factor lanes,
-/// draw scratch, per-lane results and per-endpoint tallies — kept by a
-/// caller that runs many Monte-Carlo runs in a row (a wafer worker, one
-/// per thread), so no run reallocates them (DESIGN.md §22).  The
+/// Every buffer a Monte-Carlo run reuses from batch to batch — Scalar
+/// factor lanes, draw scratch, per-lane results and per-endpoint tallies
+/// — kept by a caller that runs many runs in a row (each wafer worker
+/// keeps one), so no run reallocates them (DESIGN.md §22).  The
 /// BatchedSimd SoA factor arena is not among them: each run allocates its
 /// own, because a long-lived one fragments the allocator's per-thread
 /// heaps (measured: +6 MB peak RSS on a four-thread wafer run).
@@ -164,11 +161,11 @@ struct McWorkspace {
 class MonteCarloSsta {
  public:
   /// Sampling never mutates the engine (analyze() is const apart from
-  /// its per-engine scratchpad, which a serial run and a run's cone
-  /// write), so a const reference suffices.  NOTE: the scratchpad means
-  /// two threads must not sample through the SAME engine concurrently —
-  /// give each worker its own copy (StaEngine is cheaply copyable
-  /// precisely for this).
+  /// its per-engine scratchpad, which every run and a run's cone write),
+  /// so a const reference suffices.  NOTE: the scratchpad means two
+  /// threads must not sample through the SAME engine concurrently — give
+  /// each worker its own copy (StaEngine is cheaply copyable precisely
+  /// for this).
   MonteCarloSsta(const Design& design, const StaEngine& sta,
                  const VariationModel& model);
 
@@ -176,15 +173,14 @@ class MonteCarloSsta {
   /// current base delays (supply corners) are used as-is — call
   /// StaEngine::compute_base first when analyzing an island configuration.
   ///
-  /// Sample k's randomness derives from substream_seed(cfg.seed, k) —
-  /// a function of the sample index alone — and every per-sample output
-  /// lands in a pre-sized index slot, so the result is BIT-IDENTICAL
-  /// for the serial path (`pool == nullptr`) and any thread count.
-  /// Per-endpoint criticality tallies are integer counts merged across
-  /// workers (integer addition commutes exactly).  Samples are drawn
-  /// against a per-run precomputed systematic-Lgate map and propagated
-  /// `cfg.batch` lanes at a time through the batched kernel over the
-  /// run's timing cone (DESIGN.md §22), a width of 1 included.
+  /// The run is one serial loop on this engine; parallelism belongs to
+  /// the callers, one die per worker (DESIGN.md §9).  Sample k's
+  /// randomness derives from substream_seed(cfg.seed, k) — a function of
+  /// the sample index alone — so the result is BIT-IDENTICAL for any
+  /// batch width.  Samples are drawn against a per-run precomputed
+  /// systematic-Lgate map and propagated `cfg.batch` lanes at a time
+  /// through the batched kernel over the run's timing cone (DESIGN.md
+  /// §22), a width of 1 included.
   ///
   /// With cfg.adaptive.enabled the budget becomes sequential: rounds of
   /// whole batches are drawn until the per-stage CI targets are met
@@ -193,27 +189,26 @@ class MonteCarloSsta {
   /// degenerate policy (min/max/cadence < 1, max < min, confidence
   /// outside (0,1)) and for a draw profile other than Scalar or
   /// BatchedSimd.
-  McResult run(const DieLocation& loc, const McConfig& cfg,
-               ThreadPool* pool = nullptr) const;
+  McResult run(const DieLocation& loc, const McConfig& cfg) const;
 
   /// Same run against a caller-provided systematic Lgate map (one entry
   /// per instance, from VariationModel::systematic_lgates).  This is the
   /// wafer path: all dies in a reticle slot share the map, so the
   /// YieldAnalyzer computes it once per slot instead of once per die.
   /// Bit-identical to run(loc, ...) when the map equals the one loc
-  /// would produce.
+  /// would produce.  Throws std::invalid_argument for a map shorter than
+  /// the design's instance count, whatever the budget.
   ///
   /// Every run draws, propagates and tallies only the timing cone of its
   /// systematic map (DESIGN.md §22): `cone` when given — it must be
   /// cone(systematic) on an engine with this engine's bases and clock —
-  /// else one built here.  Without a pool the run samples serially on the
-  /// engine itself, whose scratch it writes (no other thread may use the
-  /// engine meanwhile), through `ws` when given: a caller running many
-  /// runs in a row (a wafer worker) keeps its lane buffers there.  `ws`
-  /// is unused with a pool.  No McResult bit depends on the cone, the
-  /// pool or the workspace.
+  /// else one built here.  The run samples on the engine itself, whose
+  /// scratch it writes (no other thread may use the engine meanwhile),
+  /// through `ws` when given: a caller running many runs in a row (a
+  /// wafer worker) keeps its buffers there.  No McResult bit depends on
+  /// the cone or the workspace.
   McResult run_with_systematic(std::span<const double> systematic,
-                               const McConfig& cfg, ThreadPool* pool = nullptr,
+                               const McConfig& cfg,
                                const TimingCone* cone = nullptr,
                                McWorkspace* ws = nullptr) const;
 

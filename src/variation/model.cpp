@@ -355,10 +355,10 @@ void VariationModel::draw_batch(
   const PairRun all{0, static_cast<std::uint32_t>((n + 1) / 2)};
   if (runs.empty()) runs = std::span<const PairRun>(&all, 1);
   // Lane l owns the substream of global sample first_sample + l, so its
-  // bits are a function of the sample index alone — never of width,
-  // batch boundaries or the thread schedule.  A correlated lane draws its
-  // field first and passes the field values as the kernel's offset; its
-  // keys are the two draws normals_simd() would take after the field.
+  // bits are a function of the sample index alone — never of width or
+  // batch boundaries.  A correlated lane draws its field first and passes
+  // the field values as the kernel's offset; its keys are the two draws
+  // normals_simd() would take after the field.
   scratch.keys.resize(2 * width);
   if (correlated && scratch.offset.size() < n * width) {
     scratch.offset.resize(n * width);

@@ -242,11 +242,12 @@ class VariationModel {
       std::span<const std::uint32_t> instances);
 
   /// Reusable buffers of the batched draw, kept across batches by the
-  /// caller (one per MC worker) to avoid per-batch allocation: keys holds
-  /// each lane's two counter keys; offset holds the correlated lanes'
-  /// field values, instance-major [instances x width] like the factors,
-  /// 64-byte aligned (util/aligned.hpp); rows caches the per-instance
-  /// table row of draw_factors_batch.
+  /// caller (a Monte-Carlo run keeps them in its McWorkspace) to avoid
+  /// per-batch allocation: keys holds each lane's two counter keys;
+  /// offset holds the correlated lanes' field values, instance-major
+  /// [instances x width] like the factors, 64-byte aligned
+  /// (util/aligned.hpp); rows caches the per-instance table row of
+  /// draw_factors_batch.
   struct DrawScratch {
     std::vector<std::uint64_t> keys;
     AlignedVec<double> offset;
@@ -261,8 +262,8 @@ class VariationModel {
   /// Rng::normals_simd (the arch-invariant stream of DESIGN.md §17) and
   /// maps Lgate to delay factor through the interpolation tables.  Every
   /// lane's bits are a function of (seed, global sample index) alone —
-  /// never of width, batch boundaries or the thread schedule — which is
-  /// the profile's determinism contract.
+  /// never of width or batch boundaries — which is the profile's
+  /// determinism contract.
   /// NOTE: this is a different (statistically equivalent) stream than the
   /// scalar path's polar normals; the two profiles do not produce
   /// bit-identical samples by design.  Equivalent to table_rows() into

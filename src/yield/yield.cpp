@@ -479,8 +479,7 @@ DieOutcome YieldAnalyzer::analyze_die_impl(
     // A worker samples on its own engine through its own lane buffers,
     // over the slot's memoized level-0 cone (DESIGN.md §22).
     const McResult mc = MonteCarloSsta(*design_, engine, *model_)
-                            .run_with_systematic(systematic, mcc, nullptr,
-                                                 cone, ws);
+                            .run_with_systematic(systematic, mcc, cone, ws);
     out.mc_severity = mc.num_violating_stages();
     out.mc_samples = mc.samples;
     out.mc_stop = mc.stopping_reason;

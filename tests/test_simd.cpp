@@ -21,7 +21,6 @@
 #include "netlist/vex.hpp"
 #include "placement/placer.hpp"
 #include "util/aligned.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/simd/dispatch.hpp"
 #include "util/simd/kernels.hpp"
@@ -715,7 +714,7 @@ TEST(SimdKernels, NormalsSimdMatchesLibmReferenceAndMoments) {
 }
 
 // End-to-end: the BatchedSimd profile is invariant across dispatch
-// targets, batch widths and thread counts.
+// targets and batch widths.
 TEST(SimdMc, BatchedSimdProfileInvariance) {
   Library lib = make_st65lp_like();
   Design design = make_vex_design(lib, VexConfig::tiny());
@@ -748,8 +747,6 @@ TEST(SimdMc, BatchedSimdProfileInvariance) {
   McConfig wide = cfg;
   wide.batch = 16;
   same(mc.run(loc, wide));
-  ThreadPool pool(2);
-  same(mc.run(loc, cfg, &pool));
 
   ArchGuard guard;
   for (const simd::Arch a : simd::available_archs()) {

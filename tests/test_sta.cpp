@@ -12,6 +12,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "netlist/builder.hpp"
@@ -472,6 +473,36 @@ TEST(StaVex, AnalyzeBatchRejectsBadInput) {
   lanes[0].assign(3, 1.0);  // shorter than num_instances
   EXPECT_THROW(sta.analyze_batch(std::span(lanes), std::span(results)),
                std::invalid_argument);
+
+  // Both SoA overloads, the cone one over a valid cone so that only the
+  // checked input can throw.
+  const TimingCone cone =
+      sta.build_cone(std::vector<double>(2 * d.num_instances(), 1.0));
+  const auto expect_rejects = [&](std::span<const double> soa,
+                                  std::span<StaResult> res,
+                                  const char* what) {
+    for (const bool on_cone : {false, true}) {
+      SCOPED_TRACE(std::string(what) + (on_cone ? ", cone" : ", full"));
+      try {
+        if (on_cone) {
+          sta.analyze_batch_soa(soa, 2, res, cone);
+        } else {
+          sta.analyze_batch_soa(soa, 2, res);
+        }
+        ADD_FAILURE() << "nothing thrown";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+      }
+    }
+  };
+  const std::vector<double> soa(2 * d.num_instances(), 1.0);
+  expect_rejects(soa, std::span(wrong_size), "size mismatch");
+  expect_rejects(std::span(soa).first(soa.size() - 1), std::span(results),
+                 "short factor buffer");
+  // The same buffers pass once they fit.
+  EXPECT_NO_THROW(sta.analyze_batch_soa(soa, 2, std::span(results)));
+  EXPECT_NO_THROW(sta.analyze_batch_soa(soa, 2, std::span(results), cone));
 }
 
 TEST(StaVex, MonotoneUnderUniformSlowdown) {

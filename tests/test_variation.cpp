@@ -12,12 +12,10 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "netlist/vex.hpp"
 #include "placement/placer.hpp"
-#include "util/parallel.hpp"
 #include "util/simd/dispatch.hpp"
 #include "variation/field.hpp"
 #include "variation/mc_ssta.hpp"
@@ -330,56 +328,38 @@ void expect_identical(const McResult& a, const McResult& b) {
   }
 }
 
-/// The determinism-under-parallelism contract: serial, 1-thread, and
-/// 8-thread runs produce the bit-identical McResult.
-TEST_F(McFixture, BitIdenticalAcrossThreadCounts) {
-  MonteCarloSsta mc(design_, *sta_, *model_);
-  McConfig cfg;
-  cfg.samples = 60;  // not a multiple of the batch width: ragged tail
-  const McResult serial = mc.run(DieLocation::point('A'), cfg);
-  ThreadPool one(1);
-  expect_identical(serial, mc.run(DieLocation::point('A'), cfg, &one));
-  ThreadPool eight(8);
-  expect_identical(serial, mc.run(DieLocation::point('A'), cfg, &eight));
-}
-
 /// The batch width is a pure execution-layout choice: one lane per pass
 /// of the batched kernel (batch 1), the default width, and odd widths all
 /// yield the same bits.
 TEST_F(McFixture, BitIdenticalAcrossBatchWidths) {
   MonteCarloSsta mc(design_, *sta_, *model_);
   McConfig cfg;
-  cfg.samples = 60;
+  cfg.samples = 60;  // not a multiple of the batch width: ragged tail
   const McResult ref = mc.run(DieLocation::point('A'), cfg);  // batch 8
-  // 4096 lies far above the budget: the worker is sized by the budget.
+  // 4096 lies far above the budget: the lane buffers are sized by the
+  // budget.
   for (int batch : {1, 7, 32, 4096}) {
     McConfig c = cfg;
     c.batch = batch;
     expect_identical(ref, mc.run(DieLocation::point('A'), c));
-    ThreadPool pool(3);
-    expect_identical(ref, mc.run(DieLocation::point('A'), c, &pool));
   }
 }
 
 // ---- the BatchedSimd draw profile -----------------------------------------
 
-/// Within the BatchedSimd profile, thread count and batch width are pure
-/// execution-layout choices, exactly as they are for Scalar: every lane's
+/// Within the BatchedSimd profile, the batch width is a pure
+/// execution-layout choice, exactly as it is for Scalar: every lane's
 /// bits derive from (seed, global sample index) alone.
-TEST_F(McFixture, BatchedSimdProfileBitIdenticalAcrossThreadsAndWidths) {
+TEST_F(McFixture, BatchedSimdProfileBitIdenticalAcrossBatchWidths) {
   MonteCarloSsta mc(design_, *sta_, *model_);
   McConfig cfg;
   cfg.samples = 60;  // not a multiple of the batch width: ragged tail
   cfg.profile = DrawProfile::BatchedSimd;
   const McResult ref = mc.run(DieLocation::point('A'), cfg);  // batch 8
-  ThreadPool one(1), three(3), eight(8);
-  expect_identical(ref, mc.run(DieLocation::point('A'), cfg, &one));
-  expect_identical(ref, mc.run(DieLocation::point('A'), cfg, &eight));
   for (int batch : {1, 7, 32, 4096}) {
     McConfig c = cfg;
     c.batch = batch;
     expect_identical(ref, mc.run(DieLocation::point('A'), c));
-    expect_identical(ref, mc.run(DieLocation::point('A'), c, &three));
   }
 }
 
@@ -747,16 +727,14 @@ void expect_matches_reference(const McResult& got,
 }
 
 // The pruned engine against the unpruned reference, byte for byte: both
-// profiles, widths {1, 3, 8, 16, 4096}, serial and on two threads,
-// adaptive off and on, correlated_fraction {0, 0.5}, every dispatch
-// target; plus the same run over a caller-built cone and through a
-// caller's workspace.
+// profiles, widths {1, 3, 8, 16, 4096}, adaptive off and on,
+// correlated_fraction {0, 0.5}, every dispatch target; plus the same run
+// over a caller-built cone and through a caller's workspace.
 TEST_F(McFixture, ConePrunedRunMatchesFullReference) {
   struct ArchGuard {
     ~ArchGuard() { simd::reset_arch(); }
   } guard;
   constexpr int kSamples = 40;
-  ThreadPool two(2);
   std::size_t runs = 0;
   for (const double corr : {0.0, 0.5}) {
     VariationConfig vc;
@@ -796,18 +774,15 @@ TEST_F(McFixture, ConePrunedRunMatchesFullReference) {
                          std::to_string(adaptive));
             const McResult serial = mc.run_with_systematic(sys, cfg);
             expect_matches_reference(serial, ref, *sta_);
-            expect_identical(serial, mc.run_with_systematic(sys, cfg, &two));
-            expect_identical(serial,
-                             mc.run_with_systematic(sys, cfg, nullptr, &cone));
+            expect_identical(serial, mc.run_with_systematic(sys, cfg, &cone));
             StaEngine own(*sta_);
             McWorkspace ws;
             const MonteCarloSsta on_own(design_, own, model);
-            expect_identical(serial, on_own.run_with_systematic(
-                                         sys, cfg, nullptr, &cone, &ws));
+            expect_identical(serial,
+                             on_own.run_with_systematic(sys, cfg, &cone, &ws));
             expect_identical(serial,  // the workspace carries no state
-                             on_own.run_with_systematic(sys, cfg, nullptr,
-                                                        &cone, &ws));
-            runs += 5;
+                             on_own.run_with_systematic(sys, cfg, &cone, &ws));
+            runs += 4;
           }
         }
       }
@@ -1078,7 +1053,7 @@ TEST_F(McFixture, StencilDrawBitIdenticalToPointDraw) {
 
 TEST_F(McFixture, BatchedSimdProfileDeterministicWithCorrelatedField) {
   // The correlated bulk field draw is part of the lane's substream: the
-  // profile's thread/width invariance must survive it.
+  // profile's width invariance must survive it.
   VariationConfig vc;
   vc.correlated_fraction = 0.5;
   const VariationModel model(lib_.char_params(), *field_, vc);
@@ -1087,12 +1062,10 @@ TEST_F(McFixture, BatchedSimdProfileDeterministicWithCorrelatedField) {
   cfg.samples = 36;
   cfg.profile = DrawProfile::BatchedSimd;
   const McResult ref = mc.run(DieLocation::point('A'), cfg);
-  ThreadPool pool(5);
   for (int batch : {3, 16}) {
     McConfig c = cfg;
     c.batch = batch;
     expect_identical(ref, mc.run(DieLocation::point('A'), c));
-    expect_identical(ref, mc.run(DieLocation::point('A'), c, &pool));
   }
 }
 
@@ -1129,8 +1102,7 @@ TEST_F(McFixture, AdaptivePolicyValidation) {
 
 /// The tentpole contract, fuzzed: for random seeds and random policies,
 /// an adaptive run that stops at N is bit-identical to a fixed run with
-/// samples = N — serially and for every thread count — and the stopping
-/// N itself never depends on the pool.  Both draw profiles.
+/// samples = N.  Both draw profiles.
 TEST_F(McFixture, AdaptiveStopBitIdenticalToFixedAtNFuzz) {
   MonteCarloSsta mc(design_, *sta_, *model_);
   const auto systematic =
@@ -1147,8 +1119,6 @@ TEST_F(McFixture, AdaptiveStopBitIdenticalToFixedAtNFuzz) {
   ASSERT_GT(sigma, 0.0);
 
   Rng fuzz(0xada9717e);
-  ThreadPool one(1), four(4);
-  ThreadPool many(std::max(2u, std::thread::hardware_concurrency()));
   for (int iter = 0; iter < 6; ++iter) {
     McConfig cfg;
     cfg.seed = fuzz.next();
@@ -1176,7 +1146,7 @@ TEST_F(McFixture, AdaptiveStopBitIdenticalToFixedAtNFuzz) {
     EXPECT_EQ(adaptive.convergence.back().converged,
               adaptive.stopping_reason == McStop::Converged);
 
-    // Fixed-at-N equivalence, serial and across thread counts.
+    // Fixed-at-N equivalence.
     McConfig fixed = cfg;
     fixed.adaptive = AdaptivePolicy{};
     fixed.samples = n;
@@ -1184,24 +1154,6 @@ TEST_F(McFixture, AdaptiveStopBitIdenticalToFixedAtNFuzz) {
     EXPECT_EQ(f.stopping_reason, McStop::FixedBudget);
     EXPECT_TRUE(f.convergence.empty());
     expect_identical(adaptive, f);
-    expect_identical(adaptive, mc.run_with_systematic(systematic, fixed, &one));
-    expect_identical(adaptive,
-                     mc.run_with_systematic(systematic, fixed, &four));
-    expect_identical(adaptive,
-                     mc.run_with_systematic(systematic, fixed, &many));
-
-    // Adaptive under a pool: same stopping N, same reason, same history,
-    // same bits as the serial adaptive run.
-    const McResult pooled = mc.run_with_systematic(systematic, cfg, &four);
-    EXPECT_EQ(pooled.stopping_reason, adaptive.stopping_reason);
-    ASSERT_EQ(pooled.convergence.size(), adaptive.convergence.size());
-    for (std::size_t r = 0; r < pooled.convergence.size(); ++r) {
-      EXPECT_EQ(pooled.convergence[r].samples,
-                adaptive.convergence[r].samples);
-      EXPECT_EQ(pooled.convergence[r].converged,
-                adaptive.convergence[r].converged);
-    }
-    expect_identical(adaptive, pooled);
   }
 }
 
@@ -1304,6 +1256,75 @@ TEST_F(McFixture, RunWithSystematicMatchesRun) {
   expect_identical(mc.run(loc, cfg), mc.run_with_systematic(systematic, cfg));
   cfg.profile = DrawProfile::BatchedSimd;
   expect_identical(mc.run(loc, cfg), mc.run_with_systematic(systematic, cfg));
+}
+
+/// A map shorter than the design is refused whatever the budget, a zero
+/// budget included, instead of yielding an empty result.
+TEST_F(McFixture, ShortSystematicMapRejectedAtEveryBudget) {
+  const MonteCarloSsta mc(design_, *sta_, *model_);
+  const std::vector<double> sys =
+      model_->systematic_lgates(design_, DieLocation::point('A'));
+  const auto short_map = std::span(sys).first(sys.size() - 1);
+  for (const int samples : {0, 8}) {
+    McConfig cfg;
+    cfg.samples = samples;
+    EXPECT_THROW(mc.run_with_systematic(short_map, cfg), std::invalid_argument)
+        << "samples " << samples;
+  }
+}
+
+/// One workspace carried through runs of other profiles, widths, budgets
+/// and die locations (so other cones) leaves no trace: every run equals
+/// a fresh run without a workspace, bit for bit.  The last run's model
+/// draws a correlated field, which fills the draw scratch's offsets.
+TEST_F(McFixture, WorkspaceCarriedAcrossConfigsMatchesFreshRuns) {
+  VariationConfig vc;
+  vc.correlated_fraction = 0.5;
+  const VariationModel correlated(lib_.char_params(), *field_, vc);
+  struct Step {
+    DrawProfile profile;
+    int batch;
+    bool adaptive;
+    char point;
+    const VariationModel* model;
+  };
+  const Step steps[] = {
+      {DrawProfile::Scalar, 16, false, 'A', model_.get()},
+      {DrawProfile::BatchedSimd, 3, false, 'D', model_.get()},
+      {DrawProfile::Scalar, 1, false, 'B', model_.get()},
+      {DrawProfile::BatchedSimd, 8, true, 'C', model_.get()},
+      {DrawProfile::BatchedSimd, 5, false, 'A', &correlated},
+  };
+  McWorkspace ws;
+  for (const Step& st : steps) {
+    SCOPED_TRACE(std::string("point ") + st.point + " batch " +
+                 std::to_string(st.batch));
+    const MonteCarloSsta mc(design_, *sta_, *st.model);
+    const std::vector<double> sys =
+        st.model->systematic_lgates(design_, DieLocation::point(st.point));
+    McConfig cfg;
+    cfg.samples = 40;
+    cfg.profile = st.profile;
+    cfg.batch = st.batch;
+    if (st.adaptive) {
+      cfg.adaptive.enabled = true;
+      cfg.adaptive.min_samples = 16;
+      cfg.adaptive.max_samples = 64;
+      cfg.adaptive.check_every_batches = 1;
+    }
+    const McResult fresh = mc.run_with_systematic(sys, cfg);
+    const McResult reused = mc.run_with_systematic(sys, cfg, nullptr, &ws);
+    expect_identical(fresh, reused);
+    EXPECT_EQ(fresh.stopping_reason, reused.stopping_reason);
+    ASSERT_EQ(fresh.convergence.size(), reused.convergence.size());
+    for (std::size_t r = 0; r < fresh.convergence.size(); ++r) {
+      EXPECT_EQ(fresh.convergence[r].samples, reused.convergence[r].samples);
+      EXPECT_EQ(fresh.convergence[r].worst_mean_half_width_ns,
+                reused.convergence[r].worst_mean_half_width_ns);
+      EXPECT_EQ(fresh.convergence[r].worst_sigma_half_width_ns,
+                reused.convergence[r].worst_sigma_half_width_ns);
+    }
+  }
 }
 
 }  // namespace
