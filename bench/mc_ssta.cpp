@@ -44,9 +44,10 @@
 //
 // Scalar-profile configurations must reproduce the scalar-serial
 // reference bit-for-bit; BatchedSimd configurations must reproduce one
-// BatchedSimd reference across widths and every SIMD dispatch target; every dispatch target must reproduce the scalar propagation
-// bits.  Any mismatch — or a statistical disagreement between the
-// profiles — is a hard failure; CI runs this binary as the smoke check.
+// BatchedSimd reference across widths and every SIMD dispatch target;
+// every dispatch target must reproduce the scalar propagation bits.  Any
+// mismatch — or a statistical disagreement between the profiles — is a
+// hard failure; CI runs this binary as the smoke check.
 // Emits BENCH_mc.json for trajectory tracking across PRs.
 //
 // Options: --samples N (default 1536), --out PATH (default: repo root).
@@ -207,11 +208,11 @@ int main(int argc, char** argv) {
   out.set("scalar_serial_s", scalar_s);
   out.set("scalar_samples_per_sec", scalar_sps);
 
-  // 2. The batched kernel end-to-end: modest by design —
-  // the factor draw (RNG + device-physics transcendentals per gate)
-  // dominates a sample under the Scalar profile and is identical in both
-  // paths; sections 4 and 6 isolate the kernels and section 8 measures
-  // the BatchedSimd profile that removes the draw bottleneck.
+  // 2. The batched kernel end-to-end: modest by design — the factor
+  // draw (RNG + device-physics transcendentals per gate) dominates a
+  // sample under the Scalar profile and is identical in both paths;
+  // sections 4 and 6 isolate the kernels and section 8 measures the
+  // BatchedSimd profile that removes the draw bottleneck.
   for (int batch : {4, 8, 16, 32}) {
     auto [res_b, secs] = run(DrawProfile::Scalar, batch);
     const bool same = fingerprint(res_b) == reference;

@@ -35,12 +35,12 @@ enum class DrawProfile : int {
   /// tables (VariationModel::draw_factors_batch), writing the propagation
   /// kernel's SoA layout directly.  Its own determinism contract:
   /// bit-identical for any batch width, but a DIFFERENT (statistically
-  /// equivalent) stream than Scalar.  Its NORMAL
-  /// STREAM is identical across ISAs, compilers and build flags, because
-  /// every dispatch target instantiates the same kernel body with FMA
-  /// contraction disabled.  Its McResult is not: the factor-table knots
-  /// (pow) still come from the host libm, whose FMA and non-FMA builds
-  /// differ in the last bit on some inputs.
+  /// equivalent) stream than Scalar.  Its NORMAL STREAM is identical
+  /// across ISAs, compilers and build flags, because every dispatch
+  /// target instantiates the same kernel body with FMA contraction
+  /// disabled.  Its McResult is not: the factor-table knots (pow) still
+  /// come from the host libm, whose FMA and non-FMA builds differ in the
+  /// last bit on some inputs.
   BatchedSimd = 2,
 };
 
