@@ -19,6 +19,8 @@
 // Emits BENCH_wafer.json with dies/sec and speedups for trajectory
 // tracking across PRs.
 //
+// Before the wafer runs it prints the time of each Flow set-up stage.
+//
 // Knobs: --samples N (per-die MC budget, default 24), --dies N (use the
 // smallest wafer with at least N dies instead of the 300 mm default),
 // --wafers W (fabricate W wafers per configuration, each on its own
@@ -58,8 +60,27 @@ int main(int argc, char** argv) {
   cfg.scenario.mc.samples = 100;
   cfg.islands.mc_samples = 80;
   cfg.sim_cycles = 150;
+  // Built stage by stage so each set-up stage prints its own time (the
+  // same config as bench/e2e, whose setup_s is their sum).
+  auto stage_t0 = clock::now();
+  const auto stage_done = [&](const char* stage) {
+    const std::chrono::duration<double, std::milli> dt =
+        clock::now() - stage_t0;
+    std::printf("# setup %-17s %8.1f ms\n", stage, dt.count());
+    stage_t0 = clock::now();
+  };
   Flow flow(cfg);
+  stage_done("constructor");
+  flow.characterize();
+  stage_done("characterize");
+  flow.generate_islands();
+  stage_done("generate_islands");
+  flow.insert_shifters();
+  stage_done("insert_shifters");
+  flow.plan_sensors();
+  stage_done("plan_sensors");
   flow.simulate_activity();
+  stage_done("simulate_activity");
   std::printf("# design: %zu instances, clock %.3f ns\n",
               flow.design().num_instances(), flow.nominal_clock_ns());
 

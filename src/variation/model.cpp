@@ -205,18 +205,14 @@ std::vector<CorrelatedField::Stencil> VariationModel::field_stencils(
   return stencils;
 }
 
-std::vector<double>& VariationModel::draw_factors(
-    const Design& design, const StaEngine& sta,
-    std::span<const double> systematic_lgate_nm,
+template <class Emit>
+void VariationModel::draw_lgates(
+    const Design& design, std::span<const double> systematic_lgate_nm,
     std::span<const CorrelatedField::Stencil> stencils, Rng& rng,
-    std::vector<double>& factors, std::span<const std::uint8_t> live) const {
+    std::span<const std::uint8_t> live, Emit emit) const {
   if (systematic_lgate_nm.size() < design.num_instances()) {
     throw std::invalid_argument("draw_factors: short systematic map");
   }
-  if (!live.empty() && live.size() < design.num_instances()) {
-    throw std::invalid_argument("draw_factors: short live mask");
-  }
-  factors.resize(design.num_instances());
   const CorrelatedField field = draw_field(rng);
   const bool correlated = field.active();
   const bool use_stencils =
@@ -238,10 +234,43 @@ std::vector<double>& VariationModel::draw_factors(
     }
     if (!live.empty() && live[i] == 0) continue;  // drawn, never read
     eps = std::clamp(eps, -clamp, clamp);
-    factors[i] = delay_factor(systematic_lgate_nm[i] + eps,
-                              sta.inst_corner(i), design.cell_of(i).vth);
+    emit(i, systematic_lgate_nm[i] + eps);
   }
+}
+
+std::vector<double>& VariationModel::draw_factors(
+    const Design& design, const StaEngine& sta,
+    std::span<const double> systematic_lgate_nm,
+    std::span<const CorrelatedField::Stencil> stencils, Rng& rng,
+    std::vector<double>& factors, std::span<const std::uint8_t> live) const {
+  if (!live.empty() && live.size() < design.num_instances()) {
+    throw std::invalid_argument("draw_factors: short live mask");
+  }
+  factors.resize(design.num_instances());
+  draw_lgates(design, systematic_lgate_nm, stencils, rng, live,
+              [&](InstId i, double lgate) {
+                factors[i] = delay_factor(lgate, sta.inst_corner(i),
+                                          design.cell_of(i).vth);
+              });
   return factors;
+}
+
+void VariationModel::draw_factor_pairs(
+    const Design& design, std::span<const double> systematic_lgate_nm,
+    std::span<const CorrelatedField::Stencil> stencils, Rng& rng,
+    std::span<double> pairs) const {
+  if (pairs.size() < 2 * design.num_instances()) {
+    throw std::invalid_argument("draw_factor_pairs: short pair buffer");
+  }
+  draw_lgates(design, systematic_lgate_nm, stencils, rng, {},
+              [&](InstId i, double lgate) {
+                // delay_factor(lgate, corner, vth) is this quotient of
+                // the same terms, so each corner keeps its bits.
+                const CharParams::LgateTerms t = cp_.lgate_terms(lgate);
+                const VthClass vth = design.cell_of(i).vth;
+                pairs[2 * i] = delay_factor(t, kVddLow, vth);
+                pairs[2 * i + 1] = delay_factor(t, kVddHigh, vth);
+              });
 }
 
 void VariationModel::factor_bounds(std::span<const std::int32_t> rows,

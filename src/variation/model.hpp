@@ -216,6 +216,15 @@ class VariationModel {
       std::vector<double>& factors,
       std::span<const std::uint8_t> live = {}) const;
 
+  /// The stencil draw above at both supply corners: pairs[2i + c] is the
+  /// factor draw_factors gives instance i when the engine holds it at
+  /// corner c (kVddLow = 0, kVddHigh = 1), from the same draws.  A
+  /// DrawTable (mc_ssta.hpp) is filled with it.
+  void draw_factor_pairs(const Design& design,
+                         std::span<const double> systematic_lgate_nm,
+                         std::span<const CorrelatedField::Stencil> stencils,
+                         Rng& rng, std::span<double> pairs) const;
+
   /// Bounds on every delay factor a clamped draw can produce against
   /// `systematic_lgate_nm` under the table rows `rows` (DESIGN.md §22):
   /// bounds[2i] = bracket(rows[i], knot(sys - clamp)).lo and bounds[2i + 1]
@@ -305,6 +314,16 @@ class VariationModel {
                   std::span<const PairRun> runs = {}) const;
 
  private:
+  /// The draw loop of draw_factors and draw_factor_pairs, which mirrors
+  /// sample_lgate() draw for draw (same RNG consumption, same clamp):
+  /// calls emit(i, lgate) with every instance's drawn Lgate, skipping
+  /// the instances whose `live` flag is 0 when the mask is not empty.
+  template <class Emit>
+  void draw_lgates(const Design& design,
+                   std::span<const double> systematic_lgate_nm,
+                   std::span<const CorrelatedField::Stencil> stencils, Rng& rng,
+                   std::span<const std::uint8_t> live, Emit emit) const;
+
   CharParams cp_;
   const ExposureField* field_;
   VariationConfig cfg_;

@@ -1,7 +1,9 @@
 #include "vi/islands.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <utility>
 
 namespace vipvt {
 
@@ -35,17 +37,17 @@ IslandGenerator::IslandGenerator(Design& design, const Floorplan& fp,
                                  const IslandConfig& cfg)
     : design_(&design), fp_(&fp), sta_(&sta), model_(&model), cfg_(cfg) {}
 
-double IslandGenerator::slice_key(InstId i) const {
+double IslandGenerator::slice_key(InstId i, bool from_low_side) const {
   const Instance& inst = design_->instance(i);
   const Rect& die = fp_->die();
   const double coord =
       cfg_.dir == SliceDir::Vertical ? inst.pos.x : inst.pos.y;
   const double lo = cfg_.dir == SliceDir::Vertical ? die.lo.x : die.lo.y;
   const double hi = cfg_.dir == SliceDir::Vertical ? die.hi.x : die.hi.y;
-  return from_low_side_ ? coord - lo : hi - coord;
+  return from_low_side ? coord - lo : hi - coord;
 }
 
-bool IslandGenerator::trial_passes(int severity, const DieLocation& loc) {
+bool IslandGenerator::trial_passes(const DrawTable& table) {
   // Base delays at the trial's corner assignment were already installed
   // by the caller; run the scenario MC and apply the 3-sigma criterion.
   MonteCarloSsta mc(*design_, *sta_, *model_);
@@ -53,8 +55,8 @@ bool IslandGenerator::trial_passes(int severity, const DieLocation& loc) {
   mcc.samples = cfg_.mc_samples;
   mcc.seed = cfg_.seed;  // common random numbers across trials
   mcc.confidence = cfg_.confidence;
-  (void)severity;
-  const McResult res = mc.run(loc, mcc);
+  const McResult res =
+      mc.run_with_systematic(table.systematic(), mcc, nullptr, nullptr, &table);
   const double margin =
       std::max(cfg_.slack_margin_ns,
                cfg_.slack_margin_fraction * sta_->options().clock_period_ns);
@@ -81,43 +83,58 @@ IslandPlan IslandGenerator::generate(
 
   const int num_islands = static_cast<int>(severity_locations.size());
 
-  // One full nested-island construction for a given start side.
-  auto build_from_side = [&](bool from_low) {
-    from_low_side_ = from_low;
-    sorted_.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) sorted_[i] = i;
-    std::sort(sorted_.begin(), sorted_.end(), [&](InstId a, InstId b) {
-      return slice_key(a) < slice_key(b);
-    });
-    for (InstId i = 0; i < n; ++i) d.instance(i).domain = kDomainBase;
-
+  // One nested-island construction per start side.  A trial reads only
+  // the design's domain assignment, from which compute_base rebuilds
+  // every base delay, so the sides take turns on the design: each keeps
+  // its committed domains and installs them before its search.
+  struct Side {
     IslandPlan plan;
-    plan.dir = cfg_.dir;
-    plan.from_low_side = from_low;
-
+    std::vector<InstId> sorted;  ///< instances sorted by slice key
+    std::vector<DomainId> domains;
     std::size_t prev_idx = 0;
-    auto assign_prefix = [&](std::size_t from, std::size_t to, DomainId dom) {
-      for (std::size_t k = from; k < to; ++k) {
-        d.instance(sorted_[k]).domain = dom;
+  };
+  std::array<Side, 2> sides;
+  for (std::size_t s = 0; s < sides.size(); ++s) {
+    Side& side = sides[s];
+    const bool from_low = s == 0;
+    side.plan.dir = cfg_.dir;
+    side.plan.from_low_side = from_low;
+    side.sorted.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i) side.sorted[i] = i;
+    std::sort(side.sorted.begin(), side.sorted.end(),
+              [&](InstId a, InstId b) {
+                return slice_key(a, from_low) < slice_key(b, from_low);
+              });
+    side.domains.assign(n, kDomainBase);
+  }
+
+  for (int island = 1; island <= num_islands; ++island) {
+    const DieLocation& loc =
+        severity_locations[static_cast<std::size_t>(island - 1)];
+    const auto dom = static_cast<DomainId>(island);
+    const auto corners = [&] {
+      std::vector<int> c(static_cast<std::size_t>(num_islands) + 1, kVddLow);
+      for (int k = 1; k <= island; ++k) {
+        c[static_cast<std::size_t>(k)] = kVddHigh;
       }
-    };
+      return c;
+    }();
+    const DrawTable table(d, *model_, model_->systematic_lgates(d, loc),
+                          cfg_.seed, cfg_.mc_samples);
 
-    for (int island = 1; island <= num_islands; ++island) {
-      const DieLocation& loc =
-          severity_locations[static_cast<std::size_t>(island - 1)];
-      const auto dom = static_cast<DomainId>(island);
-      const auto corners = [&] {
-        std::vector<int> c(static_cast<std::size_t>(num_islands) + 1, kVddLow);
-        for (int k = 1; k <= island; ++k) {
-          c[static_cast<std::size_t>(k)] = kVddHigh;
+    for (Side& side : sides) {
+      for (InstId i = 0; i < n; ++i) d.instance(i).domain = side.domains[i];
+      const std::size_t prev_idx = side.prev_idx;
+      auto assign_prefix = [&](std::size_t from, std::size_t to,
+                               DomainId to_dom) {
+        for (std::size_t k = from; k < to; ++k) {
+          d.instance(side.sorted[k]).domain = to_dom;
         }
-        return c;
-      }();
-
+      };
       auto passes_with_prefix = [&](std::size_t idx) {
         assign_prefix(prev_idx, idx, dom);
         sta_->compute_base(corners);
-        const bool ok = trial_passes(island, loc);
+        const bool ok = trial_passes(table);
         assign_prefix(prev_idx, idx, kDomainBase);  // roll back trial
         return ok;
       };
@@ -144,23 +161,24 @@ IslandPlan IslandGenerator::generate(
         cut_idx = hi;
       }
 
-      assign_prefix(prev_idx, cut_idx, dom);
+      for (std::size_t k = prev_idx; k < cut_idx; ++k) {
+        side.domains[side.sorted[k]] = dom;
+      }
+      IslandPlan& plan = side.plan;
       plan.cell_count.push_back(cut_idx - prev_idx);
       plan.feasible.push_back(feasible);
-      plan.cuts.push_back(cut_idx == 0 ? 0.0
-                          : cut_idx >= n
-                              ? slice_key(sorted_[n - 1]) + 1.0
-                              : slice_key(sorted_[cut_idx]));
-      prev_idx = cut_idx;
+      plan.cuts.push_back(
+          cut_idx == 0 ? 0.0
+          : cut_idx >= n
+              ? slice_key(side.sorted[n - 1], plan.from_low_side) + 1.0
+              : slice_key(side.sorted[cut_idx], plan.from_low_side));
+      side.prev_idx = cut_idx;
     }
-    return plan;
-  };
+  }
 
   // "Most promising side" (paper §4.5): evaluated empirically — build
   // from both sides and keep the plan that compensates the mildest
   // scenario with the smaller first island (ties: fewer total cells).
-  const IslandPlan low_plan = build_from_side(true);
-  const IslandPlan high_plan = build_from_side(false);
   auto better = [&](const IslandPlan& a, const IslandPlan& b) {
     const bool a_ok = a.feasible.empty() || a.feasible.front();
     const bool b_ok = b.feasible.empty() || b.feasible.front();
@@ -170,14 +188,12 @@ IslandPlan IslandGenerator::generate(
     }
     return a.total_island_cells() <= b.total_island_cells();
   };
-  const bool use_low = better(low_plan, high_plan);
-  // The high-side build overwrote the domains; rebuilding the winner
-  // re-applies its domain assignment.
-  const IslandPlan plan = use_low ? build_from_side(true) : high_plan;
+  Side& winner = better(sides[0].plan, sides[1].plan) ? sides[0] : sides[1];
+  for (InstId i = 0; i < n; ++i) d.instance(i).domain = winner.domains[i];
 
   // Restore nominal base delays for the caller.
   sta_->compute_base_all_low();
-  return plan;
+  return std::move(winner.plan);
 }
 
 }  // namespace vipvt

@@ -15,7 +15,8 @@
 // candidate cells at high Vdd; the slice is the minimal prefix (in the
 // slicing direction) for which no pipeline stage violates its 3-sigma
 // slack.  The search uses common random numbers so the pass/fail
-// predicate is monotone in the prefix size and binary search applies.
+// predicate is monotone in the prefix size and binary search applies:
+// every trial at one location reads the same draws, from one DrawTable.
 
 #include <vector>
 
@@ -72,21 +73,21 @@ class IslandGenerator {
                   const VariationModel& model, const IslandConfig& cfg);
 
   /// `severity_locations[k]` is the representative (worst) die location
-  /// where k+1 stages violate; one island is generated per entry.
+  /// where k+1 stages violate; one island is generated per entry.  Both
+  /// start sides grow island k from one draw table of location k before
+  /// either moves on, so one table is alive at a time.
   IslandPlan generate(const std::vector<DieLocation>& severity_locations);
 
  private:
   /// Slice-space key of an instance (distance from the start side).
-  double slice_key(InstId i) const;
-  bool trial_passes(int severity, const DieLocation& loc);
+  double slice_key(InstId i, bool from_low_side) const;
+  bool trial_passes(const DrawTable& table);
 
   Design* design_;
   const Floorplan* fp_;
   StaEngine* sta_;
   const VariationModel* model_;
   IslandConfig cfg_;
-  bool from_low_side_ = true;
-  std::vector<InstId> sorted_;  ///< instances sorted by slice key
 };
 
 }  // namespace vipvt

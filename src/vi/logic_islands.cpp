@@ -11,13 +11,14 @@ LogicIslandGenerator::LogicIslandGenerator(Design& design, StaEngine& sta,
                                            const LogicIslandConfig& cfg)
     : design_(&design), sta_(&sta), model_(&model), cfg_(cfg) {}
 
-bool LogicIslandGenerator::trial_passes(const DieLocation& loc) {
+bool LogicIslandGenerator::trial_passes(const DrawTable& table) {
   MonteCarloSsta mc(*design_, *sta_, *model_);
   McConfig mcc;
   mcc.samples = cfg_.mc_samples;
   mcc.seed = cfg_.seed;  // common random numbers across trials
   mcc.confidence = cfg_.confidence;
-  const McResult res = mc.run(loc, mcc);
+  const McResult res =
+      mc.run_with_systematic(table.systematic(), mcc, nullptr, nullptr, &table);
   const double margin =
       cfg_.slack_margin_fraction * sta_->options().clock_period_ns;
   for (PipeStage s :
@@ -53,15 +54,18 @@ IslandPlan LogicIslandGenerator::generate(
       return c;
     }();
 
+    // Every trial at this location reads the same draws, made once.
+    const DrawTable table(d, *model_, model_->systematic_lgates(d, loc),
+                          cfg_.seed, cfg_.mc_samples);
+
     // Criticality under this scenario's systematic corner: per-instance
     // slack with the current (already-raised) islands active and the
     // location's systematic Lgate applied.
     sta_->compute_base(corners);
     std::vector<double> factors(d.num_instances());
     for (InstId i = 0; i < n; ++i) {
-      const double lg = model_->systematic_lgate(d.instance(i).pos, loc);
-      factors[i] =
-          model_->delay_factor(lg, sta_->inst_corner(i), d.cell_of(i).vth);
+      factors[i] = model_->delay_factor(table.systematic()[i],
+                                        sta_->inst_corner(i), d.cell_of(i).vth);
     }
     const std::vector<double> slack = sta_->instance_slack(factors);
 
@@ -84,7 +88,7 @@ IslandPlan LogicIslandGenerator::generate(
     auto passes_with = [&](std::size_t count) {
       assign_prefix(count, dom);
       sta_->compute_base(corners);
-      const bool ok = trial_passes(loc);
+      const bool ok = trial_passes(table);
       assign_prefix(count, kDomainBase);
       return ok;
     };

@@ -6,7 +6,8 @@
 // *criticality* of the logic itself: for each violation scenario, the
 // cells with the least slack under that scenario's systematic corner are
 // switched to high Vdd first, with a binary search on the slack
-// threshold until the scenario's Monte-Carlo check passes.
+// threshold until the scenario's Monte-Carlo check passes.  Every check
+// at one location reads the same draws, from one DrawTable.
 //
 // This produces much smaller islands (only the critical cones are
 // boosted) at the cost of fragmentation: island cells are scattered, so
@@ -35,11 +36,12 @@ class LogicIslandGenerator {
   /// Same contract as IslandGenerator::generate: one nested island per
   /// severity location; Instance::domain carries the assignment on
   /// return.  The returned plan's `cuts` hold the chosen slack
-  /// thresholds [ns] instead of geometric coordinates.
+  /// thresholds [ns] instead of geometric coordinates.  One draw table
+  /// is alive at a time, for the island being grown.
   IslandPlan generate(const std::vector<DieLocation>& severity_locations);
 
  private:
-  bool trial_passes(const DieLocation& loc);
+  bool trial_passes(const DrawTable& table);
 
   Design* design_;
   StaEngine* sta_;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "netlist/vex.hpp"
@@ -251,6 +252,25 @@ TEST_F(LogicIslandFixture, SmallerIslandsButMoreShifters) {
                 static_cast<double>(std::max<std::size_t>(1, logic_cells)),
             static_cast<double>(slice_crossings) /
                 static_cast<double>(std::max<std::size_t>(1, slice_cells)));
+}
+
+TEST_F(LogicIslandFixture, PlanPinned) {
+  // Recorded from the generator that drew every trial's samples; reading
+  // them from one draw table per location must not move a bit.
+  LogicIslandConfig cfg;
+  cfg.mc_samples = 80;
+  const IslandPlan plan =
+      LogicIslandGenerator(*design_, *sta_, *model_, cfg).generate(locs_);
+  EXPECT_EQ(plan.cell_count, (std::vector<std::size_t>{83, 252}));
+  EXPECT_EQ(plan.feasible, (std::vector<bool>{true, true}));
+  EXPECT_EQ(plan.cuts,
+            (std::vector<double>{0x1.b2124e587a7cp-6, -0x1.442a8f9146ap-7}));
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over the domains
+  for (InstId i = 0; i < design_->num_instances(); ++i) {
+    hash ^= design_->instance(i).domain;
+    hash *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(hash, 0x040c5ac3092db8beull);
 }
 
 }  // namespace

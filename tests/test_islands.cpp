@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "netlist/vex.hpp"
 #include "placement/placer.hpp"
 #include "timing/recovery.hpp"
@@ -12,6 +14,16 @@
 
 namespace vipvt {
 namespace {
+
+/// 64-bit FNV-1a over every instance's domain, in instance order.
+std::uint64_t domain_hash(const Design& d) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (InstId i = 0; i < d.num_instances(); ++i) {
+    h ^= d.instance(i).domain;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 /// Shared expensive setup: placed + recovered tiny VEX with scenarios.
 class IslandFixture : public ::testing::Test {
@@ -201,6 +213,60 @@ TEST_F(IslandFixture, HorizontalDirectionAlsoWorks) {
   vcfg.mc_samples = 80;
   IslandGenerator vgen(*design_, *fp_, *sta_, *model_, vcfg);
   vgen.generate(locs);
+}
+
+// The plans and domain assignments below were recorded from the
+// generator that built each start side in turn and rebuilt a low-side
+// winner; generating both sides island by island must not move a bit.
+TEST_F(IslandFixture, PlansPinnedInBothDirections) {
+  const auto locs = severity_locations();
+  IslandConfig cfg;
+  cfg.mc_samples = 80;
+  cfg.dir = SliceDir::Vertical;
+  IslandPlan plan = IslandGenerator(*design_, *fp_, *sta_, *model_, cfg)
+                        .generate(locs);
+  EXPECT_FALSE(plan.from_low_side);
+  EXPECT_EQ(plan.cell_count, (std::vector<std::size_t>{657, 534}));
+  EXPECT_EQ(plan.feasible, (std::vector<bool>{true, true}));
+  EXPECT_EQ(plan.cuts,
+            (std::vector<double>{0x1.4e66666666668p+5, 0x1.2266666666668p+6}));
+  EXPECT_EQ(domain_hash(*design_), 0xb52a48f74ff83564ull);
+
+  cfg.dir = SliceDir::Horizontal;
+  plan = IslandGenerator(*design_, *fp_, *sta_, *model_, cfg).generate(locs);
+  EXPECT_FALSE(plan.from_low_side);
+  EXPECT_EQ(plan.cell_count, (std::vector<std::size_t>{1138, 576}));
+  EXPECT_EQ(plan.feasible, (std::vector<bool>{true, true}));
+  EXPECT_EQ(plan.cuts,
+            (std::vector<double>{0x1.0a66666666667p+6, 0x1.8cp+6}));
+  EXPECT_EQ(domain_hash(*design_), 0x1e60bfea30417ccdull);
+
+  // Leave the vertical plan in place for later fixture users.
+  cfg.dir = SliceDir::Vertical;
+  IslandGenerator(*design_, *fp_, *sta_, *model_, cfg).generate(locs);
+}
+
+TEST_F(IslandFixture, PlanPinnedWhenLowStartSideWins) {
+  // Mirroring the placement in x puts the critical logic on the low side,
+  // so the low start side wins the vertical plan.
+  Design mirrored = *design_;
+  const Rect& die = fp_->die();
+  for (InstId i = 0; i < mirrored.num_instances(); ++i) {
+    Point& p = mirrored.instance(i).pos;
+    p.x = die.lo.x + die.hi.x - p.x;
+  }
+  StaEngine sta(mirrored, sta_->options());
+  IslandConfig cfg;
+  cfg.mc_samples = 80;
+  cfg.dir = SliceDir::Vertical;
+  const IslandPlan plan = IslandGenerator(mirrored, *fp_, sta, *model_, cfg)
+                              .generate(severity_locations());
+  EXPECT_TRUE(plan.from_low_side);
+  EXPECT_EQ(plan.cell_count, (std::vector<std::size_t>{657, 534}));
+  EXPECT_EQ(plan.feasible, (std::vector<bool>{true, true}));
+  EXPECT_EQ(plan.cuts,
+            (std::vector<double>{0x1.4e66666666668p+5, 0x1.2266666666668p+6}));
+  EXPECT_EQ(domain_hash(mirrored), 0xb52a48f74ff83564ull);
 }
 
 TEST(IslandPlanUnit, CornersForSeverity) {

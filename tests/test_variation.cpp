@@ -1327,5 +1327,87 @@ TEST_F(McFixture, WorkspaceCarriedAcrossConfigsMatchesFreshRuns) {
   }
 }
 
+// ---- the Scalar draw table (DESIGN.md §10) ---------------------------------
+
+/// A table-backed Scalar run reads every factor the drawn run computes:
+/// one table per model serves all-low, raised-prefix and all-high corner
+/// states, with and without a caller cone, at batch widths 1 and 8, for
+/// the i.i.d. model and a correlated one (which draws its field first).
+TEST_F(McFixture, DrawTableRunMatchesDrawnRun) {
+  VariationConfig vc;
+  vc.correlated_fraction = 0.5;
+  const VariationModel correlated(lib_.char_params(), *field_, vc);
+  const std::size_t n = design_.num_instances();
+  for (const VariationModel* model :
+       {static_cast<const VariationModel*>(model_.get()), &correlated}) {
+    const MonteCarloSsta mc(design_, *sta_, *model);
+    std::vector<double> sys =
+        model->systematic_lgates(design_, DieLocation::point('A'));
+    McConfig cfg;
+    cfg.samples = 20;  // a ragged tail at width 8
+    const DrawTable table(design_, *model, sys, cfg.seed, cfg.samples);
+    for (const int state : {0, 1, 2}) {  // all low, raised prefix, all high
+      for (InstId i = 0; i < n; ++i) {
+        design_.instance(i).domain = state == 1 && i < n / 3 ? 1 : kDomainBase;
+      }
+      sta_->compute_base(std::vector<int>{state == 2 ? kVddHigh : kVddLow,
+                                          kVddHigh});
+      const TimingCone cone = mc.cone(sys);
+      for (const TimingCone* c : {static_cast<const TimingCone*>(nullptr),
+                                  &cone}) {
+        for (const int batch : {1, 8}) {
+          SCOPED_TRACE("correlated " + std::to_string(model != model_.get()) +
+                       " state " + std::to_string(state) + " cone " +
+                       std::to_string(c != nullptr) + " batch " +
+                       std::to_string(batch));
+          cfg.batch = batch;
+          expect_identical(
+              mc.run_with_systematic(sys, cfg, c),
+              mc.run_with_systematic(sys, cfg, c, nullptr, &table));
+        }
+      }
+    }
+  }
+  for (InstId i = 0; i < n; ++i) design_.instance(i).domain = kDomainBase;
+  sta_->compute_base_all_low();
+}
+
+/// A table is refused by every run it does not hold the draws of: another
+/// seed, budget, map, model or profile.
+TEST_F(McFixture, DrawTableRefusesAnotherRun) {
+  const MonteCarloSsta mc(design_, *sta_, *model_);
+  const std::vector<double> sys =
+      model_->systematic_lgates(design_, DieLocation::point('A'));
+  McConfig cfg;
+  cfg.samples = 16;
+  const DrawTable table(design_, *model_, sys, cfg.seed, cfg.samples);
+  EXPECT_NO_THROW(mc.run_with_systematic(sys, cfg, nullptr, nullptr, &table));
+  const auto refused = [&](const McConfig& c, std::span<const double> map,
+                           const MonteCarloSsta& engine) {
+    EXPECT_THROW(engine.run_with_systematic(map, c, nullptr, nullptr, &table),
+                 std::invalid_argument);
+  };
+  McConfig other = cfg;
+  other.seed = cfg.seed + 1;
+  refused(other, sys, mc);
+  for (const int samples : {0, 15, 17}) {
+    other = cfg;
+    other.samples = samples;
+    refused(other, sys, mc);
+  }
+  other = cfg;
+  other.profile = DrawProfile::BatchedSimd;
+  refused(other, sys, mc);
+  refused(cfg, model_->systematic_lgates(design_, DieLocation::point('B')), mc);
+  std::vector<double> nudged = sys;
+  nudged.back() = std::nextafter(nudged.back(), 0.0);
+  refused(cfg, nudged, mc);
+  const VariationModel same_config(lib_.char_params(), *field_);
+  refused(cfg, sys, MonteCarloSsta(design_, *sta_, same_config));
+  EXPECT_THROW(DrawTable(design_, *model_, std::vector<double>(sys.size() - 1),
+                         cfg.seed, cfg.samples),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace vipvt
