@@ -5,7 +5,8 @@
 // netlist once (compile_policy_mix) and fabricate every die on the
 // transformed design.
 //
-// Hard determinism gates (any failure exits 1):
+// Hard determinism gates (each failure is printed; any makes the bench
+// exit 1):
 //   1. Per mix, the serialized report (CSV + JSON) is byte-identical for
 //      any thread count.
 //   2. Per mix, reducing the wafer in shards of ANY size and merging
@@ -26,59 +27,38 @@
 // smallest wafer with at least N dies instead of the 300 mm default),
 // --out PATH.
 
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "campaign/checkpoint.hpp"
-#include "io/yield_writers.hpp"
 #include "timing/sta.hpp"
 #include "util/table.hpp"
 #include "vi/policy.hpp"
-#include "yield/wafer.hpp"
-#include "yield/yield.hpp"
 
 #include "common.hpp"
 
 int main(int argc, char** argv) {
   using namespace vipvt;
-  using clock = std::chrono::steady_clock;
+  const bench::Flags flags(
+      argc, argv, "usage: policy_portfolio [--samples N>=1] [--dies N>=1] "
+                  "[--out PATH]",
+      {"--samples", "--dies", "--out"});
+  YieldConfig yc;
+  yc.mc.samples = flags.get("--samples", 12, 1);
+  yc.mc.profile = DrawProfile::BatchedSimd;
+  const WaferConfig wc = bench::wafer_for_dies(flags.get("--dies", 0, 1));
   bench::print_header("Policy portfolio",
                       "power/area/yield Pareto per compensation-policy mix");
 
-  // Same tiny core as bench/wafer_yield: the workload SHAPE (per-die MC
-  // + compensation on a shared read-only design) is the full VEX's.
-  FlowConfig cfg;
-  cfg.vex = VexConfig::tiny();
-  cfg.floorplan.target_utilization = 0.55;
-  cfg.scenario.sweep_points = 6;
-  cfg.scenario.mc.samples = 100;
-  cfg.islands.mc_samples = 80;
-  cfg.sim_cycles = 150;
-  Flow flow(cfg);
+  Flow flow(bench::tiny_flow_config());
   flow.simulate_activity();
   std::printf("# design: %zu instances, clock %.3f ns\n",
               flow.design().num_instances(), flow.nominal_clock_ns());
 
-  WaferConfig wc;  // 300 mm, 28 mm field, 14 mm die
-  const int want_dies = bench::arg_int(argc, argv, "--dies", 0);
-  if (want_dies > 0) {
-    for (double diameter = 50.0; diameter <= 450.0; diameter += 10.0) {
-      wc.wafer_diameter_mm = diameter;
-      if (WaferModel(wc).num_dies() >= static_cast<std::size_t>(want_dies)) {
-        break;
-      }
-    }
-  }
   const WaferModel wafer{wc};
-  YieldConfig yc;
-  yc.mc.samples = bench::arg_int(argc, argv, "--samples", 12);
-  yc.mc.profile = DrawProfile::BatchedSimd;
   std::printf("# wafer: %zu dies (%.0f mm), %d MC samples/die\n\n",
               wafer.num_dies(), wc.wafer_diameter_mm, yc.mc.samples);
 
@@ -136,50 +116,30 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  const auto fingerprint = [&](const YieldReport& r) {
-    std::ostringstream os;
-    write_yield_csv(os, wafer, r);
-    write_yield_json(os, r);
-    return os.str();
-  };
-  // Every per-die field, as bit patterns: the identity the zero-strength
-  // and portfolio-off gates compare (their CSV/JSON provenance stamps
-  // may legitimately differ; the silicon must not).
-  const auto die_bits = [](const YieldReport& r) {
-    std::ostringstream os;
-    os << std::hexfloat;
-    for (const DieOutcome& d : r.dies) {
-      os << d.die_id << ' ' << d.mc_severity << ' ' << d.mc_samples << ' '
-         << static_cast<int>(d.mc_stop) << ' ' << d.detected_severity << ' '
-         << d.islands_raised << ' ' << static_cast<int>(d.policy) << ' '
-         << d.timing_met << ' ' << d.escalated << ' ' << d.missed_violation
-         << ' ' << d.wns_all_low_ns << ' ' << d.wns_final_ns << ' '
-         << d.fmax_ghz << ' ' << d.total_mw << ' ' << d.leakage_mw << '\n';
-    }
-    return os.str();
-  };
-
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  // Per-die identity below compares bench::die_bits with the MC fields:
+  // the CSV/JSON provenance stamps may legitimately differ; the silicon
+  // must not.
+  bench::Gates gates;
   bench::BenchJson out("policy_portfolio");
   out.set("dies", static_cast<double>(wafer.num_dies()));
   out.set("mc_samples_per_die", yc.mc.samples);
-  out.set("hardware_threads", hw);
+  out.set("hardware_threads", bench::hardware_threads());
 
   // ---- gate 1: per-mix byte determinism across thread counts -------------
+  const auto report_bytes = [&](const YieldReport& r) {
+    return bench::report_bytes(wafer, r);
+  };
+  bool identical = true;
   for (MixRun& m : mixes) {
-    const auto t0 = clock::now();
-    m.serial_report = m.analyzer->analyze(wafer, yc, nullptr);
-    const std::chrono::duration<double> dt = clock::now() - t0;
-    m.serial_s = dt.count();
-    const std::string reference = fingerprint(m.serial_report);
-    for (unsigned threads : {2u, 4u}) {
-      ThreadPool pool(threads);
-      const YieldReport r = m.analyzer->analyze(wafer, yc, &pool);
-      if (fingerprint(r) != reference) {
-        std::printf("DETERMINISM VIOLATION: mix %s differs at %u threads\n",
-                    m.mix.name.c_str(), threads);
-        return 1;
-      }
+    const auto run = [&](ThreadPool* pool) {
+      return m.analyzer->analyze(wafer, yc, pool);
+    };
+    m.serial_s = bench::seconds([&] { m.serial_report = run(nullptr); });
+    for (const bench::SweepRow& r :
+         bench::thread_sweep(gates, "mix " + m.mix.name, {2u, 4u},
+                             report_bytes(m.serial_report), run,
+                             report_bytes)) {
+      identical &= r.identical;
     }
   }
 
@@ -216,33 +176,31 @@ int main(int argc, char** argv) {
     };
     const std::string whole = shard_record(n);
     for (const std::size_t shard : {std::size_t{7}, std::size_t{19}}) {
-      if (shard_record(shard) != whole) {
-        std::printf("DETERMINISM VIOLATION: mix %s shard size %zu diverges "
-                    "from the single-shard reduction\n",
-                    m.mix.name.c_str(), shard);
-        return 1;
-      }
+      identical &= gates.check(shard_record(shard) == whole,
+                               "DETERMINISM VIOLATION: mix %s shard size %zu "
+                               "diverges from the single-shard reduction",
+                               m.mix.name.c_str(), shard);
     }
   }
-  std::printf("determinism: 4 mixes byte-identical across {1,2,4} threads "
-              "and shard sizes {7,19,%zu}\n",
-              wafer.num_dies());
+  std::printf("determinism: 4 mixes %s across {1,2,4} threads and shard "
+              "sizes {7,19,%zu}\n",
+              identical ? "byte-identical" : "DIVERGED", wafer.num_dies());
 
   // ---- gate 3: portfolio-off bit-identity --------------------------------
   // A pre-portfolio analyzer (from_flow, no portfolio stamp beyond the
   // vi-only default) must reproduce the vi-only mix bit-for-bit: CSV
   // bytes AND every per-die field.
   const YieldReport pre_portfolio = baseline.analyze(wafer, yc, nullptr);
+  bool bits_ok;
   {
     std::ostringstream a, b;
     write_yield_csv(a, wafer, pre_portfolio);
     write_yield_csv(b, wafer, mixes[0].serial_report);
-    if (a.str() != b.str() ||
-        die_bits(pre_portfolio) != die_bits(mixes[0].serial_report)) {
-      std::printf("PORTFOLIO VIOLATION: vi-only mix differs from the "
-                  "pre-portfolio path\n");
-      return 1;
-    }
+    bits_ok = gates.check(a.str() == b.str() &&
+                    bench::die_bits(pre_portfolio, true) ==
+                        bench::die_bits(mixes[0].serial_report, true),
+                "PORTFOLIO VIOLATION: vi-only mix differs from the "
+                "pre-portfolio path");
   }
 
   // ---- gate 4: zero-strength transform bit-identity ----------------------
@@ -255,21 +213,22 @@ int main(int argc, char** argv) {
     zero.sizing.min_crit_prob = 2.0;  // probabilities are <= 1
     const CompiledPolicy cp = compile_policy_mix(
         zero, flow.design(), flow.sta(), flow.variation(), flow.activity());
-    if (!cp.transformed() || cp.stats.gates_upsized != 0) {
-      std::printf("PORTFOLIO VIOLATION: zero-strength mix was expected to "
-                  "transform nothing\n");
-      return 1;
+    bits_ok &= gates.check(cp.transformed() && cp.stats.gates_upsized == 0,
+                           "PORTFOLIO VIOLATION: zero-strength mix was "
+                           "expected to transform nothing");
+    if (cp.transformed()) {
+      YieldAnalyzer an(*cp.design, *cp.sta, flow.variation(),
+                       flow.island_plan(), flow.razor_plan(), *cp.activity,
+                       1.0 / flow.post_shifter_clock_ns());
+      const YieldReport r = an.analyze(wafer, yc, nullptr);
+      bits_ok &= gates.check(bench::die_bits(r, true) ==
+                                 bench::die_bits(pre_portfolio, true),
+                             "PORTFOLIO VIOLATION: zero-strength sizing "
+                             "policy changed per-die bits vs the "
+                             "pre-portfolio path");
     }
-    YieldAnalyzer an(*cp.design, *cp.sta, flow.variation(),
-                     flow.island_plan(), flow.razor_plan(), *cp.activity,
-                     1.0 / flow.post_shifter_clock_ns());
-    const YieldReport r = an.analyze(wafer, yc, nullptr);
-    if (die_bits(r) != die_bits(pre_portfolio)) {
-      std::printf("PORTFOLIO VIOLATION: zero-strength sizing policy changed "
-                  "per-die bits vs the pre-portfolio path\n");
-      return 1;
-    }
-    std::printf("zero-strength + portfolio-off bit-identity: ok\n");
+    std::printf("zero-strength + portfolio-off bit-identity: %s\n",
+                bits_ok ? "ok" : "FAILED");
   }
 
   // ---- the Pareto table ---------------------------------------------------
@@ -313,6 +272,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", pt.render().c_str());
 
-  out.write(bench::out_path(argc, argv, "BENCH_policy.json"));
-  return 0;
+  out.write(flags.out_path("BENCH_policy.json"));
+  return gates.exit_code();
 }

@@ -3,18 +3,16 @@
 // compensation-policy selection serially and on thread pools of
 // increasing size, reporting dies/sec and the speedup trajectory, and
 // verifying on the way that every configuration produced the identical
-// report (the determinism-under-parallelism contract).  Thread counts
-// beyond hardware_concurrency() still run the determinism check but are
-// recorded under oversub_* keys and never reported as speedups.  A
-// second sweep repeats the run under the BatchedSimd draw profile (bulk
-// normals + factor tables in the per-die MC), which must be identical
-// across thread counts WITHIN the profile.  A third sweep turns the
-// analytical triage tier on (DESIGN.md §16) and hard-gates on its
-// contract: non-MC outputs bit-identical to the triage-off run, and the
-// analytic severity verdict agreeing with full MC within the confidence
-// band's stated error rate — exit 1 beyond either bound.  A fourth
-// sweep runs the stage-macromodel tier (DESIGN.md §19) under the same
-// gates.
+// report (the determinism-under-parallelism contract).  A second sweep
+// repeats the run under the BatchedSimd draw profile (bulk normals +
+// factor tables in the per-die MC), which must be identical across
+// thread counts WITHIN the profile.  Then each screening tier — the
+// analytical triage tier (DESIGN.md §16) and the stage-macromodel tier
+// (DESIGN.md §19) — runs the same sweep plus the tier gates: non-MC
+// outputs bit-identical to the screen-off run, a screen that decides at
+// least one die, and the screen's severity verdict agreeing with full MC
+// within the confidence band's stated error rate.  Every failed gate is
+// printed and the bench exits 1.
 //
 // Emits BENCH_wafer.json with dies/sec and speedups for trajectory
 // tracking across PRs.
@@ -23,43 +21,33 @@
 //
 // Knobs: --samples N (per-die MC budget, default 24), --dies N (use the
 // smallest wafer with at least N dies instead of the 300 mm default),
-// --wafers W (fabricate W wafers per configuration, each on its own
-// substream seed), --out PATH.
+// --out PATH.
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
-#include <thread>
-#include <utility>
+#include <string>
 #include <vector>
 
-#include "io/yield_writers.hpp"
 #include "ssta/canonical.hpp"
 #include "ssta/macromodel.hpp"
 #include "timing/sta.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
-#include "yield/wafer.hpp"
-#include "yield/yield.hpp"
 
 #include "common.hpp"
 
 int main(int argc, char** argv) {
   using namespace vipvt;
   using clock = std::chrono::steady_clock;
+  const bench::Flags flags(
+      argc, argv, "usage: wafer_yield [--samples N>=1] [--dies N>=1] "
+                  "[--out PATH]",
+      {"--samples", "--dies", "--out"});
+  YieldConfig yc;
+  yc.mc.samples = flags.get("--samples", 24, 1);
+  const WaferConfig wc = bench::wafer_for_dies(flags.get("--dies", 0, 1));
   bench::print_header("Wafer yield", "virtual fab throughput, serial vs pool");
 
-  // The tiny core keeps the bench in seconds; the workload SHAPE (per-die
-  // MC + policy escalation, shared read-only design/model) is identical
-  // to the full VEX, so the scaling numbers transfer.
-  FlowConfig cfg;
-  cfg.vex = VexConfig::tiny();
-  cfg.floorplan.target_utilization = 0.55;
-  cfg.scenario.sweep_points = 6;
-  cfg.scenario.mc.samples = 100;
-  cfg.islands.mc_samples = 80;
-  cfg.sim_cycles = 150;
   // Built stage by stage so each set-up stage prints its own time (the
   // same config as bench/e2e, whose setup_s is their sum).
   auto stage_t0 = clock::now();
@@ -69,7 +57,7 @@ int main(int argc, char** argv) {
     std::printf("# setup %-17s %8.1f ms\n", stage, dt.count());
     stage_t0 = clock::now();
   };
-  Flow flow(cfg);
+  Flow flow(bench::tiny_flow_config());
   stage_done("constructor");
   flow.characterize();
   stage_done("characterize");
@@ -84,45 +72,56 @@ int main(int argc, char** argv) {
   std::printf("# design: %zu instances, clock %.3f ns\n",
               flow.design().num_instances(), flow.nominal_clock_ns());
 
-  // Wafer geometry: the 300 mm default, or (--dies N) the smallest wafer
-  // that fits at least N dies — a direct workload-size dial.
-  WaferConfig wc;  // 300 mm, 28 mm field, 14 mm die
-  const int want_dies = bench::arg_int(argc, argv, "--dies", 0);
-  if (want_dies > 0) {
-    for (double diameter = 50.0; diameter <= 450.0; diameter += 10.0) {
-      wc.wafer_diameter_mm = diameter;
-      if (WaferModel(wc).num_dies() >= static_cast<std::size_t>(want_dies)) {
-        break;
+  const WaferModel wafer{wc};
+  const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(flow);
+  const auto dies = static_cast<double>(wafer.num_dies());
+  std::printf("# wafer: %zu dies (%.0f mm), %d MC samples/die\n\n",
+              wafer.num_dies(), wc.wafer_diameter_mm, yc.mc.samples);
+
+  bench::Gates gates;
+  bench::BenchJson out("wafer_yield");
+  out.set("dies", dies);
+  out.set("mc_samples_per_die", yc.mc.samples);
+
+  // One profile or tier: the serial run, then the thread sweep gated
+  // against its report bytes.  Prints the table (the `vs` column divides
+  // `base_s`, or the serial time when 0, by each row's time) and writes
+  // `<key>dies_per_sec_t<n>` for every thread count the host has.
+  struct Sweep {
+    YieldReport report;
+    double serial_s = 0.0;
+    std::vector<bench::SweepRow> rows;
+  };
+  const auto sweep = [&](const char* what, const std::string& key,
+                         const YieldConfig& cfg,
+                         std::initializer_list<unsigned> threads,
+                         double base_s, const char* vs) {
+    const auto run = [&](ThreadPool* pool) {
+      return analyzer.analyze(wafer, cfg, pool);
+    };
+    Sweep s;
+    s.serial_s = bench::seconds([&] { s.report = run(nullptr); });
+    const double serial_s = s.serial_s;
+    s.rows = bench::thread_sweep(
+        gates, what, threads, bench::report_bytes(wafer, s.report), run,
+        [&](const YieldReport& r) { return bench::report_bytes(wafer, r); });
+    const double base = base_s > 0.0 ? base_s : serial_s;
+    Table t({"threads", "wall [s]", "dies/sec", vs, "identical"});
+    t.add_row({"serial", Table::num(serial_s, 2), Table::num(dies / serial_s, 1),
+               Table::num(base / serial_s, 2), "ref"});
+    for (const bench::SweepRow& r : s.rows) {
+      t.add_row({std::to_string(r.threads) +
+                     (r.oversubscribed ? " (oversub)" : ""),
+                 Table::num(r.seconds, 2), Table::num(dies / r.seconds, 1),
+                 r.oversubscribed ? "-" : Table::num(base / r.seconds, 2),
+                 r.identical ? "yes" : "NO (BUG)"});
+      if (!r.oversubscribed) {
+        out.set(key + "dies_per_sec_t" + std::to_string(r.threads),
+                dies / r.seconds);
       }
     }
-  }
-  const WaferModel wafer{wc};
-  const int num_wafers = std::max(1, bench::arg_int(argc, argv, "--wafers", 1));
-  YieldConfig yc;
-  yc.mc.samples = bench::arg_int(argc, argv, "--samples", 24);
-  const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(flow);
-  std::printf("# wafer: %zu dies (%.0f mm) x %d wafer(s), %d MC samples/die\n\n",
-              wafer.num_dies(), wc.wafer_diameter_mm, num_wafers,
-              yc.mc.samples);
-
-  // Each wafer of a multi-wafer run gets its own substream seed (the
-  // same derivation the campaign layer uses); --wafers 1 keeps the
-  // historical single-wafer bytes.  The base config (profile, triage)
-  // comes from the caller so every section — scalar, batched, triaged —
-  // runs through the same timed loop.
-  const auto run = [&](const YieldConfig& base_cfg, ThreadPool* pool) {
-    YieldConfig cfg = base_cfg;
-    std::vector<YieldReport> reports;
-    reports.reserve(static_cast<std::size_t>(num_wafers));
-    const auto t0 = clock::now();
-    for (int w = 0; w < num_wafers; ++w) {
-      cfg.seed = num_wafers > 1
-                     ? substream_seed(yc.seed, static_cast<std::uint64_t>(w))
-                     : yc.seed;
-      reports.push_back(analyzer.analyze(wafer, cfg, pool));
-    }
-    const std::chrono::duration<double> dt = clock::now() - t0;
-    return std::pair{std::move(reports), dt.count()};
+    std::printf("%s\n", t.render().c_str());
+    return s;
   };
   const auto with_profile = [&](DrawProfile profile) {
     YieldConfig cfg = yc;
@@ -130,65 +129,19 @@ int main(int argc, char** argv) {
     return cfg;
   };
 
-  // Serial reference (no pool involved at all).
-  auto [serial_reports, serial_s] = run(with_profile(DrawProfile::Scalar),
-                                        nullptr);
-  const YieldReport& serial_report = serial_reports.front();
-  const auto dies =
-      static_cast<double>(wafer.num_dies()) * static_cast<double>(num_wafers);
-
-  const auto fingerprint = [&](const std::vector<YieldReport>& rs) {
-    std::ostringstream os;
-    for (const YieldReport& r : rs) {
-      write_yield_csv(os, wafer, r);
-      write_yield_json(os, r);
-    }
-    return os.str();
-  };
-  const std::string reference = fingerprint(serial_reports);
-
-  Table t({"threads", "wall [s]", "dies/sec", "speedup", "identical"});
-  t.add_row({"serial", Table::num(serial_s, 2), Table::num(dies / serial_s, 1),
-             Table::num(1.0, 2), "ref"});
-
-  bench::BenchJson out("wafer_yield");
-  out.set("dies", dies);
-  out.set("wafers", num_wafers);
-  out.set("mc_samples_per_die", yc.mc.samples);
-  out.set("serial_s", serial_s);
-  out.set("serial_dies_per_sec", dies / serial_s);
-
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  // Scalar profile: the serial reference and the thread-scaling rows.
+  const Sweep scalar = sweep("the Scalar-profile report", "",
+                             with_profile(DrawProfile::Scalar),
+                             {1u, 2u, 4u, 8u}, 0.0, "speedup");
+  out.set("serial_s", scalar.serial_s);
+  out.set("serial_dies_per_sec", dies / scalar.serial_s);
   double speedup_at_4 = 0.0;
-  for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    const bool oversub = threads > hw;
-    ThreadPool pool(threads);
-    auto [report, secs] = run(with_profile(DrawProfile::Scalar), &pool);
-    const bool same = fingerprint(report) == reference;
-    const double speedup = serial_s / secs;
-    if (threads == 4 && !oversub) speedup_at_4 = speedup;
-    char label[32];
-    std::snprintf(label, sizeof label, "%u%s", threads,
-                  oversub ? " (oversub)" : "");
-    t.add_row({label, Table::num(secs, 2), Table::num(dies / secs, 1),
-               oversub ? "-" : Table::num(speedup, 2),
-               same ? "yes" : "NO (BUG)"});
-    char key[64];
-    if (oversub) {
-      std::snprintf(key, sizeof key, "oversub_t%u_dies_per_sec", threads);
-      out.set(key, dies / secs);
-    } else {
-      std::snprintf(key, sizeof key, "dies_per_sec_t%u", threads);
-      out.set(key, dies / secs);
-      std::snprintf(key, sizeof key, "speedup_t%u", threads);
-      out.set(key, speedup);
-    }
-    if (!same) {
-      std::printf("DETERMINISM VIOLATION at %u threads\n", threads);
-      return 1;
-    }
+  for (const bench::SweepRow& r : scalar.rows) {
+    if (r.oversubscribed) continue;
+    const double speedup = scalar.serial_s / r.seconds;
+    out.set("speedup_t" + std::to_string(r.threads), speedup);
+    if (r.threads == 4) speedup_at_4 = speedup;
   }
-  std::printf("%s\n", t.render().c_str());
 
   // The same wafer under the BatchedSimd draw profile: the per-die MC
   // draws its factors through the bulk engine.  The report is bit-identical
@@ -196,237 +149,91 @@ int main(int argc, char** argv) {
   // per-sample stream differs from Scalar by design, so the two
   // profiles' reports are compared statistically in bench/mc_ssta, not
   // here).
-  auto [batched_serial, batched_s] =
-      run(with_profile(DrawProfile::BatchedSimd), nullptr);
-  const std::string batched_reference = fingerprint(batched_serial);
-  Table bt({"threads", "wall [s]", "dies/sec", "vs scalar", "identical"});
-  bt.add_row({"serial", Table::num(batched_s, 2),
-              Table::num(dies / batched_s, 1),
-              Table::num(serial_s / batched_s, 2), "ref"});
-  out.set("batched_serial_dies_per_sec", dies / batched_s);
-  out.set("batched_speedup_vs_scalar", serial_s / batched_s);
-  for (unsigned threads : {2u, 4u}) {
-    const bool oversub = threads > hw;
-    ThreadPool pool(threads);
-    auto [report, secs] = run(with_profile(DrawProfile::BatchedSimd), &pool);
-    const bool same = fingerprint(report) == batched_reference;
-    char label[32];
-    std::snprintf(label, sizeof label, "%u%s", threads,
-                  oversub ? " (oversub)" : "");
-    bt.add_row({label, Table::num(secs, 2), Table::num(dies / secs, 1),
-                oversub ? "-" : Table::num(serial_s / secs, 2),
-                same ? "yes" : "NO (BUG)"});
-    if (!oversub) {
-      char key[64];
-      std::snprintf(key, sizeof key, "batched_dies_per_sec_t%u", threads);
-      out.set(key, dies / secs);
-    }
-    if (!same) {
-      std::printf("DETERMINISM VIOLATION within the BatchedSimd profile at "
-                  "%u threads\n", threads);
-      return 1;
-    }
-  }
-  std::printf("%s\n", bt.render().c_str());
+  const YieldConfig bc = with_profile(DrawProfile::BatchedSimd);
+  const Sweep batched = sweep("the BatchedSimd-profile report", "batched_", bc,
+                              {2u, 4u}, scalar.serial_s, "vs scalar");
+  out.set("batched_serial_dies_per_sec", dies / batched.serial_s);
+  out.set("batched_speedup_vs_scalar", scalar.serial_s / batched.serial_s);
 
-  // Same wafer again with the analytical triage tier on (DESIGN.md §16):
-  // one canonical-SSTA pass per reticle slot screens the wafer, and dies
-  // whose analytic 3-sigma margin clears the confidence band skip their
-  // MC budget entirely.  Three hard gates ride on this section:
-  //   1. byte-determinism across thread counts, as for every profile;
-  //   2. non-MC exactness — a triaged die's policy / wns / power /
-  //      silicon bits must match the triage-off BatchedSimd run EXACTLY
-  //      (the screen may only ever replace MC population statistics);
-  //   3. statistical agreement — among analytically-decided dies, the
-  //      analytic severity verdict may disagree with the full-MC verdict
-  //      on at most ceil(3 * (1 - confidence) * decided) dies, the
-  //      band's stated error rate with 3x headroom.
-  YieldConfig tc = with_profile(DrawProfile::BatchedSimd);
-  tc.triage.enabled = true;
-  auto [triage_serial, triage_s] = run(tc, nullptr);
-  const std::string triage_reference = fingerprint(triage_serial);
-  Table tt({"threads", "wall [s]", "dies/sec", "vs batched", "identical"});
-  tt.add_row({"serial", Table::num(triage_s, 2), Table::num(dies / triage_s, 1),
-              Table::num(batched_s / triage_s, 2), "ref"});
-  out.set("triage_dies_per_sec", dies / triage_s);
-  out.set("triage_speedup_vs_batched", batched_s / triage_s);
-  for (unsigned threads : {2u, 4u}) {
-    const bool oversub = threads > hw;
-    ThreadPool pool(threads);
-    auto [report, secs] = run(tc, &pool);
-    const bool same = fingerprint(report) == triage_reference;
-    char label[32];
-    std::snprintf(label, sizeof label, "%u%s", threads,
-                  oversub ? " (oversub)" : "");
-    tt.add_row({label, Table::num(secs, 2), Table::num(dies / secs, 1),
-                oversub ? "-" : Table::num(batched_s / secs, 2),
-                same ? "yes" : "NO (BUG)"});
-    if (!oversub) {
-      char key[64];
-      std::snprintf(key, sizeof key, "triage_dies_per_sec_t%u", threads);
-      out.set(key, dies / secs);
-    }
-    if (!same) {
-      std::printf("DETERMINISM VIOLATION within the triaged profile at "
-                  "%u threads\n", threads);
-      return 1;
-    }
-  }
-  std::printf("%s\n", tt.render().c_str());
-
-  // Gate 2: every output the screen is NOT allowed to touch, compared
-  // bit-for-bit (hexfloat) against the triage-off BatchedSimd run.
-  const auto non_mc_fingerprint = [](const std::vector<YieldReport>& rs) {
-    std::ostringstream os;
-    os << std::hexfloat;
-    for (const YieldReport& r : rs) {
-      for (const DieOutcome& d : r.dies) {
-        os << d.die_id << ' ' << d.detected_severity << ' '
-           << d.islands_raised << ' ' << static_cast<int>(d.policy) << ' '
-           << d.timing_met << ' ' << d.escalated << ' ' << d.missed_violation
-           << ' ' << d.wns_all_low_ns << ' ' << d.wns_final_ns << ' '
-           << d.total_mw << ' ' << d.leakage_mw << '\n';
+  // The tier gates, run once per screening tier against the screen-off
+  // BatchedSimd run (same seeds):
+  //   1. non-MC exactness — a screened die's policy / wns / power /
+  //      silicon bits must match the screen-off run EXACTLY (the screen
+  //      may only ever replace MC population statistics);
+  //   2. the screen decided at least one die;
+  //   3. statistical agreement — among screen-decided dies, the screen's
+  //      severity verdict may disagree with the full-MC verdict on at
+  //      most ceil(3 * (1 - confidence) * decided) dies, the band's
+  //      stated error rate with 3x headroom.
+  // Also the sample-budget accounting the tiers exist for.
+  const auto tier_gates = [&](const char* name, const std::string& key,
+                              TriageTier decided_by, const YieldReport& screened,
+                              const YieldConfig& cfg) {
+    gates.check(bench::die_bits(screened, false) ==
+                    bench::die_bits(batched.report, false),
+                "%s VIOLATION: non-MC die outputs differ from the "
+                "screen-off run", name);
+    std::size_t decided = 0, mismatches = 0, mc_saved = 0;
+    for (std::size_t i = 0; i < screened.dies.size(); ++i) {
+      if (screened.dies[i].triage_tier != decided_by) continue;
+      ++decided;
+      mc_saved += static_cast<std::size_t>(batched.report.dies[i].mc_samples);
+      if (screened.dies[i].mc_severity != batched.report.dies[i].mc_severity) {
+        ++mismatches;
       }
     }
-    return os.str();
+    const double frac = static_cast<double>(decided) / dies;
+    const auto allowed = static_cast<std::size_t>(std::ceil(
+        3.0 * (1.0 - cfg.triage.confidence) * static_cast<double>(decided)));
+    std::printf("%s: %zu/%.0f dies decided by the screen (%.0f %%), %zu MC "
+                "samples skipped, severity mismatches vs full MC: %zu "
+                "(allowed %zu)\n\n",
+                name, decided, dies, 100.0 * frac, mc_saved, mismatches,
+                allowed);
+    out.set(key + "fraction", frac);
+    out.set(key + "decided_dies", static_cast<double>(decided));
+    out.set(key + "mc_samples_saved", static_cast<double>(mc_saved));
+    out.set(key + "severity_mismatches", static_cast<double>(mismatches));
+    out.set(key + "allowed_mismatches", static_cast<double>(allowed));
+    gates.check(decided > 0,
+                "%s VIOLATION: the screen decided no dies at all on this "
+                "wafer", name);
+    gates.check(mismatches <= allowed,
+                "%s VIOLATION: the screen's verdict disagreed with full MC "
+                "beyond the band's stated error rate", name);
   };
-  if (non_mc_fingerprint(triage_serial) != non_mc_fingerprint(batched_serial)) {
-    std::printf("TRIAGE VIOLATION: non-MC die outputs differ from the "
-                "triage-off run\n");
-    return 1;
-  }
 
-  // Gate 3: the analytic verdict vs what full MC concluded on the SAME
-  // dies (the triage-off run above, same seeds) — plus the sample-budget
-  // accounting the tier exists for.
-  std::size_t decided = 0, mismatches = 0, mc_saved = 0;
-  for (std::size_t w = 0; w < triage_serial.size(); ++w) {
-    const YieldReport& tr = triage_serial[w];
-    const YieldReport& br = batched_serial[w];
-    for (std::size_t i = 0; i < tr.dies.size(); ++i) {
-      if (tr.dies[i].triage_tier != TriageTier::Analytical) continue;
-      ++decided;
-      mc_saved += static_cast<std::size_t>(br.dies[i].mc_samples);
-      if (tr.dies[i].mc_severity != br.dies[i].mc_severity) ++mismatches;
-    }
-  }
-  const double triage_frac = static_cast<double>(decided) / dies;
-  const auto allowed = static_cast<std::size_t>(std::ceil(
-      3.0 * (1.0 - tc.triage.confidence) * static_cast<double>(decided)));
-  std::printf("triage: %zu/%.0f dies decided analytically (%.0f %%), "
-              "%zu MC samples skipped, severity mismatches vs full MC: "
-              "%zu (allowed %zu)\n\n",
-              decided, dies, 100.0 * triage_frac, mc_saved, mismatches,
-              allowed);
-  out.set("triage_fraction", triage_frac);
-  out.set("triage_analytical_dies", static_cast<double>(decided));
-  out.set("triage_mc_samples_saved", static_cast<double>(mc_saved));
-  out.set("triage_severity_mismatches", static_cast<double>(mismatches));
-  out.set("triage_allowed_mismatches", static_cast<double>(allowed));
-  if (decided == 0) {
-    std::printf("TRIAGE VIOLATION: the screen decided no dies at all on "
-                "this wafer\n");
-    return 1;
-  }
-  if (mismatches > allowed) {
-    std::printf("TRIAGE VIOLATION: analytic verdict disagreed with full MC "
-                "beyond the band's stated error rate\n");
-    return 1;
-  }
+  // The analytical triage tier (DESIGN.md §16): one canonical-SSTA pass
+  // per reticle slot screens the wafer, and dies whose analytic 3-sigma
+  // margin clears the confidence band skip their MC budget entirely.
+  YieldConfig tc = bc;
+  tc.triage.enabled = true;
+  const Sweep triage = sweep("the triaged report", "triage_", tc, {2u, 4u},
+                             batched.serial_s, "vs batched");
+  out.set("triage_dies_per_sec", dies / triage.serial_s);
+  out.set("triage_speedup_vs_batched", batched.serial_s / triage.serial_s);
+  tier_gates("TRIAGE", "triage_", TriageTier::Analytical, triage.report, tc);
 
-  // Same wafer once more with the stage-macromodel tier (DESIGN.md §19):
-  // each pipeline stage is characterized ONCE into boundary-moment forms
-  // over a (basis-variant x knot) grid, and the per-die screen becomes a
-  // macromodel EVALUATION (3-scalar basis fit + interpolation) instead
-  // of a full canonical gate-graph pass.  The triage section's hard
-  // gates all apply — byte-determinism across thread counts, non-MC
-  // exactness vs the macro-off BatchedSimd run, statistical severity
-  // agreement within the band's stated error rate.
-  YieldConfig mcc = with_profile(DrawProfile::BatchedSimd);
+  // The stage-macromodel tier (DESIGN.md §19): each pipeline stage is
+  // characterized ONCE into boundary-moment forms over a (basis-variant x
+  // knot) grid, and the per-die screen becomes a macromodel EVALUATION
+  // (3-scalar basis fit + interpolation) instead of a full canonical
+  // gate-graph pass.  Characterization is timed apart: it is cached per
+  // analyzer.
+  YieldConfig mcc = bc;
   mcc.tier = EvalTier::Macro;
-  double characterize_s;
-  {
-    const auto t0 = clock::now();
-    (void)analyzer.macro_library(mcc.macro);
-    const std::chrono::duration<double> dt = clock::now() - t0;
-    characterize_s = dt.count();
-    out.set("macro_characterize_s", characterize_s);
-    std::printf("macromodel characterization (5 variants x %d knots): "
-                "%.3f s (amortized across wafers, cached per analyzer)\n",
-                mcc.macro.knots, characterize_s);
-  }
-  auto [macro_serial, macro_s] = run(mcc, nullptr);
-  const std::string macro_reference = fingerprint(macro_serial);
-  Table mt({"threads", "wall [s]", "dies/sec", "vs batched", "identical"});
-  mt.add_row({"serial", Table::num(macro_s, 2), Table::num(dies / macro_s, 1),
-              Table::num(batched_s / macro_s, 2), "ref"});
-  out.set("macro_dies_per_sec", dies / macro_s);
-  out.set("macro_speedup_vs_batched", batched_s / macro_s);
-  out.set("macro_speedup_vs_triage", triage_s / macro_s);
-  for (unsigned threads : {2u, 4u}) {
-    const bool oversub = threads > hw;
-    ThreadPool pool(threads);
-    auto [report, secs] = run(mcc, &pool);
-    const bool same = fingerprint(report) == macro_reference;
-    char label[32];
-    std::snprintf(label, sizeof label, "%u%s", threads,
-                  oversub ? " (oversub)" : "");
-    mt.add_row({label, Table::num(secs, 2), Table::num(dies / secs, 1),
-                oversub ? "-" : Table::num(batched_s / secs, 2),
-                same ? "yes" : "NO (BUG)"});
-    if (!oversub) {
-      char key[64];
-      std::snprintf(key, sizeof key, "macro_dies_per_sec_t%u", threads);
-      out.set(key, dies / secs);
-    }
-    if (!same) {
-      std::printf("DETERMINISM VIOLATION within the macro tier at "
-                  "%u threads\n", threads);
-      return 1;
-    }
-  }
-  std::printf("%s\n", mt.render().c_str());
-
-  if (non_mc_fingerprint(macro_serial) != non_mc_fingerprint(batched_serial)) {
-    std::printf("MACRO VIOLATION: non-MC die outputs differ from the "
-                "macro-off run\n");
-    return 1;
-  }
-
-  std::size_t mac_decided = 0, mac_mismatches = 0, mac_saved = 0;
-  for (std::size_t w = 0; w < macro_serial.size(); ++w) {
-    const YieldReport& mr = macro_serial[w];
-    const YieldReport& br = batched_serial[w];
-    for (std::size_t i = 0; i < mr.dies.size(); ++i) {
-      if (mr.dies[i].triage_tier != TriageTier::Macro) continue;
-      ++mac_decided;
-      mac_saved += static_cast<std::size_t>(br.dies[i].mc_samples);
-      if (mr.dies[i].mc_severity != br.dies[i].mc_severity) ++mac_mismatches;
-    }
-  }
-  const double macro_frac = static_cast<double>(mac_decided) / dies;
-  const auto mac_allowed = static_cast<std::size_t>(std::ceil(
-      3.0 * (1.0 - mcc.triage.confidence) * static_cast<double>(mac_decided)));
-  std::printf("macro: %zu/%.0f dies decided by the macromodel (%.0f %%), "
-              "%zu MC samples skipped, severity mismatches vs full MC: "
-              "%zu (allowed %zu)\n",
-              mac_decided, dies, 100.0 * macro_frac, mac_saved, mac_mismatches,
-              mac_allowed);
-  out.set("macro_fraction", macro_frac);
-  out.set("macro_decided_dies", static_cast<double>(mac_decided));
-  out.set("macro_mc_samples_saved", static_cast<double>(mac_saved));
-  out.set("macro_severity_mismatches", static_cast<double>(mac_mismatches));
-  out.set("macro_allowed_mismatches", static_cast<double>(mac_allowed));
-  if (mac_decided == 0) {
-    std::printf("MACRO VIOLATION: the macromodel decided no dies at all on "
-                "this wafer\n");
-    return 1;
-  }
-  if (mac_mismatches > mac_allowed) {
-    std::printf("MACRO VIOLATION: macromodel verdict disagreed with full MC "
-                "beyond the band's stated error rate\n");
-    return 1;
-  }
+  const double characterize_s =
+      bench::seconds([&] { (void)analyzer.macro_library(mcc.macro); });
+  out.set("macro_characterize_s", characterize_s);
+  std::printf("macromodel characterization (5 variants x %d knots): %.3f s "
+              "(amortized across wafers, cached per analyzer)\n",
+              mcc.macro.knots, characterize_s);
+  const Sweep macro = sweep("the macro-tier report", "macro_", mcc, {2u, 4u},
+                            batched.serial_s, "vs batched");
+  out.set("macro_dies_per_sec", dies / macro.serial_s);
+  out.set("macro_speedup_vs_batched", batched.serial_s / macro.serial_s);
+  out.set("macro_speedup_vs_triage", triage.serial_s / macro.serial_s);
+  tier_gates("MACRO", "macro_", TriageTier::Macro, macro.report, mcc);
 
   // Per-die screen cost: macromodel evaluation vs one flat canonical
   // pass over the reticle slots.  This is the per-die work the macro
@@ -441,23 +248,17 @@ int main(int argc, char** argv) {
     const std::vector<std::vector<double>> slots =
         analyzer.reticle_slot_maps(wafer);
     constexpr int kEvalReps = 200;
-    double canon_us = 0.0, eval_us = 0.0;
+    double canon_s = 0.0, eval_s = 0.0;
     for (int rep = 0; rep < kEvalReps; ++rep) {
       for (const std::vector<double>& map : slots) {
-        auto t0 = clock::now();
-        (void)canon.run(map);
-        std::chrono::duration<double, std::micro> dt = clock::now() - t0;
-        canon_us += dt.count();
-        t0 = clock::now();
-        (void)lib.evaluate(map);
-        dt = clock::now() - t0;
-        eval_us += dt.count();
+        canon_s += bench::seconds([&] { (void)canon.run(map); });
+        eval_s += bench::seconds([&] { (void)lib.evaluate(map); });
       }
     }
-    const double per = static_cast<double>(kEvalReps) *
-                       static_cast<double>(slots.size());
-    canon_us /= per;
-    eval_us /= per;
+    const double evals =
+        static_cast<double>(kEvalReps) * static_cast<double>(slots.size());
+    const double canon_us = canon_s / evals * 1e6;
+    const double eval_us = eval_s / evals * 1e6;
     const double saving_per_wafer_s =
         (canon_us - eval_us) * static_cast<double>(slots.size()) * 1e-6;
     const double break_even =
@@ -472,29 +273,27 @@ int main(int argc, char** argv) {
     out.set("macro_break_even_wafers", break_even);
   }
 
+  const YieldReport& r = scalar.report;
   std::printf("yield: %.1f %% parametric (%zu/%zu shipped), "
               "policy mix: %zu all-low / %zu islands / %zu chip-wide / %zu discard\n",
-              serial_report.parametric_yield() * 100.0,
-              serial_report.shipped_dies(), serial_report.total_dies(),
-              serial_report.count(TuningPolicy::AllLow),
-              serial_report.count(TuningPolicy::NestedIslands),
-              serial_report.count(TuningPolicy::ChipWideHigh),
-              serial_report.count(TuningPolicy::Discard));
-  out.set("parametric_yield", serial_report.parametric_yield());
+              r.parametric_yield() * 100.0, r.shipped_dies(), r.total_dies(),
+              r.count(TuningPolicy::AllLow),
+              r.count(TuningPolicy::NestedIslands),
+              r.count(TuningPolicy::ChipWideHigh),
+              r.count(TuningPolicy::Discard));
+  out.set("parametric_yield", r.parametric_yield());
+  const unsigned hw = bench::hardware_threads();
   out.set("hardware_threads", hw);
-  out.write(bench::out_path(argc, argv, "BENCH_wafer.json"));
+  out.write(flags.out_path("BENCH_wafer.json"));
 
   // The 2x-at-4-threads target only makes sense with >= 4 real cores; on
-  // smaller machines we still verified determinism above, which is the
-  // part that can silently break.
-  if (speedup_at_4 < 2.0) {
-    if (hw >= 4) {
-      std::printf("WARNING: speedup at 4 threads %.2fx below the 2x target\n",
-                  speedup_at_4);
-      return 1;
-    }
+  // smaller machines the sweeps above still verified determinism, which
+  // is the part that can silently break.
+  if (hw < 4) {
     std::printf("note: only %u hardware thread(s); the 4-thread scaling "
                 "target is not enforceable here\n", hw);
   }
-  return 0;
+  gates.check(hw < 4 || speedup_at_4 >= 2.0,
+              "speedup at 4 threads %.2fx below the 2x target", speedup_at_4);
+  return gates.exit_code();
 }

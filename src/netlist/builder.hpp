@@ -31,7 +31,6 @@ class NetlistBuilder {
   void pop_unit();
   void set_stage(PipeStage stage) { stage_ = stage; }
   PipeStage stage() const { return stage_; }
-  UnitId current_unit() const { return unit_; }
 
   /// RAII unit scope.
   class UnitScope {
@@ -98,8 +97,6 @@ class NetlistBuilder {
   Bus mux2_bus(const Bus& a, const Bus& b, NetId s);
   /// Bus of constants from an integer literal (LSB first).
   Bus const_bus(std::uint64_t value, int width);
-
-  std::size_t gates_created() const { return gates_created_; }
 
  private:
   std::string next_name(const char* kind);

@@ -49,11 +49,6 @@ void PlacementDb::release(int row, int site, int span) {
   occupied_ -= static_cast<std::size_t>(span);
 }
 
-InstId PlacementDb::occupant(int row, int site) const {
-  return occ_.at(static_cast<std::size_t>(row))
-      .at(static_cast<std::size_t>(site));
-}
-
 std::optional<Point> PlacementDb::allocate_near(Point target, int span,
                                                 InstId inst) {
   const int trow = fp_->row_at(target.y);

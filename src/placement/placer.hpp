@@ -58,7 +58,6 @@ class PlacementDb {
   /// Occupy on behalf of an instance (movable during ECO shoves).
   void occupy_inst(int row, int site, int span, InstId inst);
   void release(int row, int site, int span);
-  InstId occupant(int row, int site) const;
 
   /// Finds the free span of `span` sites nearest to `target` (spiral row
   /// search + in-row scan), occupies it and returns its lower-left

@@ -947,22 +947,6 @@ std::vector<double> StaEngine::instance_slack(
   return slack;
 }
 
-std::vector<double> StaEngine::instance_arc_delay() const {
-  std::vector<double> worst(design_->num_instances(), 0.0);
-  const std::vector<Edge>& edges = graph_->edges;
-  for (std::size_t ei = 0; ei < edges.size(); ++ei) {
-    const InstId i = edges[ei].inst;
-    if (i == kInvalidInst) continue;
-    worst[i] = std::max(worst[i], static_cast<double>(edge_base_[ei]));
-  }
-  for (std::size_t li = 0; li < launch_nodes_.size(); ++li) {
-    const InstId i = launch_inst_[li];
-    if (i == kInvalidInst) continue;
-    worst[i] = std::max(worst[i], static_cast<double>(launch_base_[li]));
-  }
-  return worst;
-}
-
 void StaEngine::for_each_cell_arc(
     const std::function<void(InstId, std::uint16_t, std::uint16_t, double)>&
         fn) const {

@@ -283,10 +283,6 @@ class StaEngine {
   std::vector<double> instance_slack(
       std::span<const double> inst_factor = {}) const;
 
-  /// Worst (max) nominal cell-arc base delay per instance, from the last
-  /// compute_base(); sequential cells report their clk->q launch delay.
-  std::vector<double> instance_arc_delay() const;
-
   /// Visit every cell timing arc with its current base delay: callback
   /// (inst, from_pin, to_pin, delay_ns).  Flop clk->q launch arcs are
   /// included.  Used by the SDF writer.

@@ -13,14 +13,6 @@
 
 namespace vipvt {
 
-double McResult::worst_three_sigma_slack() const {
-  double worst = std::numeric_limits<double>::infinity();
-  for (const auto& sd : stages) {
-    if (sd.present) worst = std::min(worst, sd.three_sigma_slack());
-  }
-  return worst;
-}
-
 const char* mc_stop_name(McStop reason) {
   switch (reason) {
     case McStop::FixedBudget: return "fixed-budget";

@@ -138,8 +138,6 @@ struct McResult {
   const StageSlackDist& stage(PipeStage s) const {
     return stages[static_cast<std::size_t>(s)];
   }
-  /// Worst (most negative) 3-sigma slack across violating stages.
-  double worst_three_sigma_slack() const;
   /// Number of violating stages among DC/EX/WB (the scenario severity).
   int num_violating_stages() const;
 };

@@ -78,7 +78,6 @@ class Flow {
   Design& design() { return *design_; }
   const Design& design() const { return *design_; }
   const Floorplan& floorplan() const { return *fp_; }
-  PlacementDb& placement_db() { return *db_; }
   StaEngine& sta() { return *sta_; }
   const StaEngine& sta() const { return *sta_; }
   const ExposureField& field() const { return *field_; }
