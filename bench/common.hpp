@@ -266,20 +266,11 @@ inline WaferConfig wafer_for_dies(int dies) {
   return wc;
 }
 
-/// The serialized wafer report (CSV + JSON): the bytes every determinism
-/// gate compares.
-inline std::string report_bytes(const WaferModel& wafer,
-                                const YieldReport& r) {
-  std::ostringstream os;
-  write_yield_csv(os, wafer, r);
-  write_yield_json(os, r);
-  return os.str();
-}
-
 /// Every per-die field as bit patterns (hexfloat), without the report's
 /// provenance stamps.  `mc` adds the fields the Monte-Carlo run or a
-/// screen sets (severity, samples, stop reason, fmax); without them the
-/// string is what a screening tier must leave unchanged.
+/// screen sets (severity, samples, stop reason, fmax, screen tier,
+/// margin and band); without them the string is what a screening tier
+/// must leave unchanged.
 inline std::string die_bits(const YieldReport& r, bool mc) {
   std::ostringstream os;
   os << std::hexfloat;
@@ -290,10 +281,25 @@ inline std::string die_bits(const YieldReport& r, bool mc) {
        << ' ' << d.wns_final_ns << ' ' << d.total_mw << ' ' << d.leakage_mw;
     if (mc) {
       os << ' ' << d.mc_severity << ' ' << d.mc_samples << ' '
-         << static_cast<int>(d.mc_stop) << ' ' << d.fmax_ghz;
+         << static_cast<int>(d.mc_stop) << ' ' << d.fmax_ghz << ' '
+         << static_cast<int>(d.triage_tier) << ' ' << d.triage_margin_ns
+         << ' ' << d.triage_band_ns;
     }
     os << '\n';
   }
+  return os.str();
+}
+
+/// What every wafer determinism sweep compares: the serialized report
+/// (CSV + JSON) and every per-die field's bits.  The writers print six
+/// decimals, so a die whose power moved in its low bits keeps its report
+/// text; its hexfloat die_bits line does not.
+inline std::string report_bytes(const WaferModel& wafer,
+                                const YieldReport& r) {
+  std::ostringstream os;
+  write_yield_csv(os, wafer, r);
+  write_yield_json(os, r);
+  os << die_bits(r, true);
   return os.str();
 }
 

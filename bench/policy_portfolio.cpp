@@ -7,11 +7,11 @@
 //
 // Hard determinism gates (each failure is printed; any makes the bench
 // exit 1):
-//   1. Per mix, the serialized report (CSV + JSON) is byte-identical for
-//      any thread count.
+//   1. Per mix, the serialized report (CSV + JSON) and every die's bits
+//      are identical for any thread count.
 //   2. Per mix, reducing the wafer in shards of ANY size and merging
-//      reproduces the single-shard aggregate's serialized NDJSON record
-//      byte-for-byte (the campaign-layer contract on compiled netlists).
+//      reproduces the wafer report's aggregate exactly (the campaign-
+//      layer contract on compiled netlists).
 //   3. Portfolio-off bit-identity: the vi-only mix's per-die bits and
 //      CSV equal a pre-portfolio YieldAnalyzer::from_flow run exactly —
 //      wiring the portfolio in changes NOTHING for untouched mixes.
@@ -30,10 +30,8 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "campaign/checkpoint.hpp"
 #include "timing/sta.hpp"
 #include "util/table.hpp"
 #include "vi/policy.hpp"
@@ -144,41 +142,27 @@ int main(int argc, char** argv) {
   }
 
   // ---- gate 2: shard-partition invariance on compiled netlists -----------
-  // The wafer reduced in one shard vs shards of 7 and 19 dies must
-  // serialize to byte-identical NDJSON records (identity fields pinned,
-  // so the bytes compare the reducer state alone).
+  // The wafer reduced in one shard, and in shards of 7 and 19 dies, must
+  // equal the serial report's aggregate as a whole struct: the wafer run
+  // and the shards fold through the one reducer, YieldAggregate::add.
   for (MixRun& m : mixes) {
     const std::size_t n = wafer.num_dies();
-    const auto shard_record = [&](std::size_t shard_dies) {
+    const auto shard_merge = [&](std::size_t shard_dies) {
       StaEngine engine(m.compiled.sta_or(flow.sta()));
       CompensationController ctrl(m.compiled.design_or(flow.design()), engine,
                                   flow.variation(), flow.island_plan(),
                                   flow.razor_plan());
       YieldAggregate agg;
       for (std::size_t b = 0; b < n; b += shard_dies) {
-        const std::size_t e = std::min(n, b + shard_dies);
-        YieldAggregate part =
-            m.analyzer->analyze_shard(engine, ctrl, wafer, yc, b, e);
-        if (b == 0) {
-          agg = std::move(part);
-        } else {
-          agg.merge(part);
-        }
+        agg.merge(m.analyzer->analyze_shard(engine, ctrl, wafer, yc, b,
+                                            std::min(n, b + shard_dies)));
       }
-      ShardRecord rec;
-      rec.job = 0;
-      rec.cell = 0;
-      rec.wafer = 0;
-      rec.die_begin = 0;
-      rec.die_end = n;
-      rec.agg = std::move(agg);
-      return serialize_shard_record(rec);
+      return agg;
     };
-    const std::string whole = shard_record(n);
-    for (const std::size_t shard : {std::size_t{7}, std::size_t{19}}) {
-      identical &= gates.check(shard_record(shard) == whole,
+    for (const std::size_t shard : {n, std::size_t{7}, std::size_t{19}}) {
+      identical &= gates.check(shard_merge(shard) == m.serial_report.agg,
                                "DETERMINISM VIOLATION: mix %s shard size %zu "
-                               "diverges from the single-shard reduction",
+                               "diverges from the wafer report's aggregate",
                                m.mix.name.c_str(), shard);
     }
   }
@@ -247,7 +231,7 @@ int main(int argc, char** argv) {
                                            : power / static_cast<double>(shipped);
     const double dies_per_s =
         static_cast<double>(wafer.num_dies()) / m.serial_s;
-    pt.add_row({m.mix.name, Table::num(r.parametric_yield() * 100.0, 1),
+    pt.add_row({m.mix.name, Table::num(r.agg.parametric_yield() * 100.0, 1),
                 Table::num(ship_power, 3),
                 Table::num(m.compiled.stats.area_um2, 1),
                 Table::num(m.compiled.stats.area_delta_um2, 1),
@@ -256,7 +240,7 @@ int main(int argc, char** argv) {
                 Table::num(dies_per_s, 1)});
     char key[96];
     std::snprintf(key, sizeof key, "%s_yield", m.key);
-    out.set(key, r.parametric_yield());
+    out.set(key, r.agg.parametric_yield());
     std::snprintf(key, sizeof key, "%s_ship_power_mw", m.key);
     out.set(key, ship_power);
     std::snprintf(key, sizeof key, "%s_area_um2", m.key);

@@ -3,7 +3,8 @@
 // compensation-policy selection serially and on thread pools of
 // increasing size, reporting dies/sec and the speedup trajectory, and
 // verifying on the way that every configuration produced the identical
-// report (the determinism-under-parallelism contract).  A second sweep
+// report bytes and per-die bits (the determinism-under-parallelism
+// contract).  A second sweep
 // repeats the run under the BatchedSimd draw profile (bulk normals +
 // factor tables in the per-die MC), which must be identical across
 // thread counts WITHIN the profile.  Then each screening tier — the
@@ -273,15 +274,18 @@ int main(int argc, char** argv) {
     out.set("macro_break_even_wafers", break_even);
   }
 
-  const YieldReport& r = scalar.report;
-  std::printf("yield: %.1f %% parametric (%zu/%zu shipped), "
-              "policy mix: %zu all-low / %zu islands / %zu chip-wide / %zu discard\n",
-              r.parametric_yield() * 100.0, r.shipped_dies(), r.total_dies(),
-              r.count(TuningPolicy::AllLow),
-              r.count(TuningPolicy::NestedIslands),
-              r.count(TuningPolicy::ChipWideHigh),
-              r.count(TuningPolicy::Discard));
-  out.set("parametric_yield", r.parametric_yield());
+  const YieldAggregate& a = scalar.report.agg;
+  const auto count = [&a](TuningPolicy p) {
+    return static_cast<unsigned long long>(a.count(p));
+  };
+  std::printf("yield: %.1f %% parametric (%llu/%llu shipped), policy mix: "
+              "%llu all-low / %llu islands / %llu chip-wide / %llu discard\n",
+              a.parametric_yield() * 100.0,
+              static_cast<unsigned long long>(a.shipped_dies()),
+              static_cast<unsigned long long>(a.dies),
+              count(TuningPolicy::AllLow), count(TuningPolicy::NestedIslands),
+              count(TuningPolicy::ChipWideHigh), count(TuningPolicy::Discard));
+  out.set("parametric_yield", a.parametric_yield());
   const unsigned hw = bench::hardware_threads();
   out.set("hardware_threads", hw);
   out.write(flags.out_path("BENCH_wafer.json"));

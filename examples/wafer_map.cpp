@@ -45,27 +45,28 @@ int main() {
 
   std::printf("\n%s\n", wafer.ascii_map(report.policy_glyphs()).c_str());
 
-  std::printf("parametric yield: %.1f %% (%zu/%zu dies ship)\n",
-              report.parametric_yield() * 100.0, report.shipped_dies(),
+  const YieldAggregate& a = report.agg;
+  std::printf("parametric yield: %.1f %% (%llu/%zu dies ship)\n",
+              a.parametric_yield() * 100.0,
+              static_cast<unsigned long long>(a.shipped_dies()),
               report.total_dies());
   for (int p = 0; p < kNumTuningPolicies; ++p) {
     const auto pol = static_cast<TuningPolicy>(p);
-    const auto& pw = report.power_mw[static_cast<std::size_t>(p)];
+    const ExactMoments& pw = a.power_mw[static_cast<std::size_t>(p)];
     if (pw.count() == 0) {
       std::printf("  %-14s: 0 dies\n", tuning_policy_name(pol));
       continue;
     }
     std::printf("  %-14s: %4zu dies, power %.3f +/- %.3f mW\n",
-                tuning_policy_name(pol), report.count(pol), pw.mean(),
-                pw.stddev());
+                tuning_policy_name(pol), pw.count(), pw.mean(), pw.stddev());
   }
   std::printf("island activation:");
-  for (std::size_t k = 0; k < report.island_activation.size(); ++k) {
-    std::printf(" %zu:%zu", k, report.island_activation[k]);
+  for (std::size_t k = 0; k < a.island_activation.size(); ++k) {
+    std::printf(" %zu:%llu", k,
+                static_cast<unsigned long long>(a.island_activation[k]));
   }
   std::printf("\nshipped fmax: %.4f +/- %.4f GHz over %zu dies\n",
-              report.fmax_ghz.mean(), report.fmax_ghz.stddev(),
-              report.fmax_ghz.count());
+              a.fmax_ghz.mean(), a.fmax_ghz.stddev(), a.fmax_ghz.count());
 
   write_yield_csv_file("wafer_yield.csv", wafer, report);
   write_yield_json_file("wafer_yield.json", report);

@@ -1,29 +1,11 @@
 #include "io/campaign_writers.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <ostream>
-#include <stdexcept>
 
-#include "util/stats.hpp"
+#include "io/format.hpp"
+#include "io/ndjson.hpp"
 
 namespace vipvt {
-
-namespace {
-
-std::string num(double v, int digits = 6) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", digits, v);
-  return buf;
-}
-
-void write_moments_json(std::ostream& os, const ExactMoments& m) {
-  os << "{\"count\": " << m.count() << ", \"mean\": " << num(m.mean())
-     << ", \"stddev\": " << num(m.stddev()) << ", \"min\": " << num(m.min())
-     << ", \"max\": " << num(m.max()) << "}";
-}
-
-}  // namespace
 
 void write_campaign_json(std::ostream& os, const CampaignReport& report) {
   const CampaignSpec& spec = report.spec;
@@ -37,7 +19,8 @@ void write_campaign_json(std::ostream& os, const CampaignReport& report) {
 
   os << "  \"variants\": [";
   for (std::size_t i = 0; i < report.variant_names.size(); ++i) {
-    os << (i ? ", " : "") << '"' << report.variant_names[i] << '"';
+    os << (i ? ", " : "") << '"' << json_escape(report.variant_names[i])
+       << '"';
   }
   os << "],\n";
 
@@ -60,7 +43,7 @@ void write_campaign_json(std::ostream& os, const CampaignReport& report) {
   os << "  \"policies\": [";
   for (std::size_t i = 0; i < spec.policies.size(); ++i) {
     const PolicyMix& p = spec.policies[i];
-    os << (i ? ", " : "") << "{\"name\": \"" << p.name
+    os << (i ? ", " : "") << "{\"name\": \"" << json_escape(p.name)
        << "\", \"escalation\": " << (p.allow_escalation ? "true" : "false")
        << ", \"chip_wide_fallback\": "
        << (p.allow_chip_wide_fallback ? "true" : "false")
@@ -96,10 +79,11 @@ void write_campaign_json(std::ostream& os, const CampaignReport& report) {
     const CampaignCell& cell = report.cells[c].cell;
     const YieldAggregate& a = report.cells[c].agg;
     os << "    {\"cell\": " << cell.index << ", \"variant\": \""
-       << report.variant_names[cell.variant] << "\", \"wafer_grid\": "
+       << json_escape(report.variant_names[cell.variant])
+       << "\", \"wafer_grid\": "
        << cell.wafer_grid << ", \"sigma_scale\": "
        << num(spec.sigma_scales[cell.sigma], 4) << ", \"policy\": \""
-       << spec.policies[cell.policy].name << "\", \"mc_samples\": "
+       << json_escape(spec.policies[cell.policy].name) << "\", \"mc_samples\": "
        << spec.mc_samples[cell.samples] << ",\n";
     os << "     \"dies\": " << a.dies << ", \"shipped_dies\": "
        << a.shipped_dies() << ", \"parametric_yield\": "
@@ -131,7 +115,7 @@ void write_campaign_json(std::ostream& os, const CampaignReport& report) {
        << ", \"triage_mc_fallback\": " << a.triage_mc_fallback << ",\n";
 
     const PortfolioStats& pf = report.cells[c].portfolio;
-    os << "     \"portfolio\": {\"mix\": \"" << pf.mix
+    os << "     \"portfolio\": {\"mix\": \"" << json_escape(pf.mix)
        << "\", \"sizing\": " << (pf.sizing ? "true" : "false")
        << ", \"buffering\": " << (pf.buffering ? "true" : "false")
        << ", \"gates_upsized\": " << pf.gates_upsized
@@ -171,10 +155,8 @@ void write_campaign_json(std::ostream& os, const CampaignReport& report) {
 
 void write_campaign_json_file(const std::string& path,
                               const CampaignReport& report) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open " + path + " for writing");
-  write_campaign_json(os, report);
-  if (!os) throw std::runtime_error("write failed: " + path);
+  open_and_write(path,
+                 [&](std::ostream& os) { write_campaign_json(os, report); });
 }
 
 }  // namespace vipvt

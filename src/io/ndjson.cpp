@@ -9,24 +9,6 @@ namespace vipvt {
 
 namespace {
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 std::uint64_t double_bits(double v) {
   std::uint64_t bits;
   static_assert(sizeof bits == sizeof v);
@@ -55,11 +37,29 @@ bool parse_u64_at(std::string_view v, std::uint64_t& out) {
 
 }  // namespace
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 JsonBuilder& JsonBuilder::value(std::string_view key,
                                 std::string_view rendered) {
   if (!body_.empty()) body_ += ", ";
   body_ += '"';
-  body_ += escape(key);
+  body_ += json_escape(key);
   body_ += "\": ";
   body_ += rendered;
   return *this;
@@ -93,7 +93,7 @@ JsonBuilder& JsonBuilder::bits(std::string_view key, double v) {
 JsonBuilder& JsonBuilder::str(std::string_view key, std::string_view s) {
   std::string rendered;
   rendered += '"';
-  rendered += escape(s);
+  rendered += json_escape(s);
   rendered += '"';
   return value(key, rendered);
 }

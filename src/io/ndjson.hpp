@@ -29,6 +29,10 @@
 
 namespace vipvt {
 
+/// `s` as the body of a JSON string literal: \\ and \" backslash-escaped,
+/// control bytes as \u00XX, everything else verbatim.
+std::string json_escape(std::string_view s);
+
 /// Deterministic single-object JSON builder: insertion-ordered keys,
 /// fixed number formats, no whitespace surprises.  build() returns the
 /// object as one line (no trailing newline).

@@ -2,11 +2,12 @@
 
 #include <cctype>
 #include <cmath>
-#include <fstream>
+#include <cstdio>
 #include <map>
 #include <ostream>
-#include <stdexcept>
 #include <vector>
+
+#include "io/format.hpp"
 
 namespace vipvt {
 
@@ -24,14 +25,6 @@ bool is_simple_ident(const std::string& name) {
     }
   }
   return true;
-}
-
-template <typename F>
-void open_and_write(const std::string& path, F&& writer) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open " + path + " for writing");
-  writer(os);
-  if (!os) throw std::runtime_error("write failed: " + path);
 }
 
 }  // namespace

@@ -1,37 +1,12 @@
 #include "io/yield_writers.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <stdexcept>
 
+#include "io/format.hpp"
+#include "io/ndjson.hpp"
+
 namespace vipvt {
-
-namespace {
-
-// Fixed-width float formatting: locale-independent and stable across
-// runs, so serialized reports are byte-comparable.
-std::string num(double v, int digits = 6) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", digits, v);
-  return buf;
-}
-
-template <typename F>
-void open_and_write(const std::string& path, F&& writer) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open " + path + " for writing");
-  writer(os);
-  if (!os) throw std::runtime_error("write failed: " + path);
-}
-
-void write_stats_json(std::ostream& os, const RunningStats& s) {
-  os << "{\"count\": " << s.count() << ", \"mean\": " << num(s.mean())
-     << ", \"stddev\": " << num(s.stddev()) << ", \"min\": " << num(s.min())
-     << ", \"max\": " << num(s.max()) << "}";
-}
-
-}  // namespace
 
 void write_yield_csv(std::ostream& os, const WaferModel& wafer,
                      const YieldReport& report) {
@@ -57,37 +32,39 @@ void write_yield_csv(std::ostream& os, const WaferModel& wafer,
        << num(d.fmax_ghz) << ',' << num(d.total_mw) << ','
        << num(d.leakage_mw) << ',' << triage_tier_name(d.triage_tier) << ','
        << num(d.triage_margin_ns) << ',' << num(d.triage_band_ns) << ','
-       << report.portfolio.mix << '\n';
+       << csv_field(report.portfolio.mix) << '\n';
   }
 }
 
 void write_yield_json(std::ostream& os, const YieldReport& report) {
+  const YieldAggregate& a = report.agg;
   os << "{\n";
   os << "  \"wafer\": {\"diameter_mm\": " << num(report.wafer.wafer_diameter_mm, 1)
      << ", \"edge_exclusion_mm\": " << num(report.wafer.edge_exclusion_mm, 1)
      << ", \"field_mm\": " << num(report.wafer.field_mm, 1)
      << ", \"die_mm\": " << num(report.wafer.die_mm, 1) << "},\n";
   os << "  \"mc_samples\": " << report.config.mc.samples << ",\n";
-  // Adaptive sequential-sampling accounting (DESIGN.md §14): zero savings
-  // and drawn == budget for fixed-budget runs, so dashboards can diff the
-  // two modes without a schema switch.
+  // Sample accounting (DESIGN.md §14): the same keys with adaptive
+  // sampling on or off, so dashboards diff the two modes without a schema
+  // switch.  Savings count early-stopping and screen-decided dies alike;
+  // only a fixed-budget flat run reads drawn == budget.
   os << "  \"mc_adaptive\": "
      << (report.config.mc.adaptive.enabled ? "true" : "false") << ",\n";
-  os << "  \"mc_samples_drawn\": " << report.mc_samples_drawn << ",\n";
-  os << "  \"mc_samples_budget\": " << report.mc_samples_budget << ",\n";
-  os << "  \"mc_sample_savings\": " << num(report.mc_sample_savings())
+  os << "  \"mc_samples_drawn\": " << a.mc_samples_drawn << ",\n";
+  os << "  \"mc_samples_budget\": " << a.mc_samples_budget << ",\n";
+  os << "  \"mc_sample_savings\": " << num(a.mc_sample_savings())
      << ",\n";
-  os << "  \"mc_converged_dies\": " << report.mc_converged_dies << ",\n";
+  os << "  \"mc_converged_dies\": " << a.mc_converged_dies << ",\n";
   // Analytic screen accounting (DESIGN.md §16 triage, §19 macromodel):
   // all counts are 0, the fraction 0, and the tier "flat" when no
   // screen is on, so the schema never switches.
   os << "  \"triage\": {\"enabled\": "
      << (report.config.effective_tier() != EvalTier::Flat ? "true" : "false")
      << ", \"tier\": \"" << eval_tier_name(report.config.effective_tier())
-     << "\", \"analytical\": " << report.triage_analytical
-     << ", \"macro\": " << report.triage_macro
-     << ", \"mc_fallback\": " << report.triage_mc_fallback
-     << ", \"fraction\": " << num(report.triage_fraction())
+     << "\", \"analytical\": " << a.triage_analytical
+     << ", \"macro\": " << a.triage_macro
+     << ", \"mc_fallback\": " << a.triage_mc_fallback
+     << ", \"fraction\": " << num(a.triage_fraction())
      << ", \"confidence\": " << num(report.config.triage.confidence)
      << ", \"band_scale\": " << num(report.config.triage.band_scale)
      << ", \"model_error_ns\": " << num(report.config.triage.model_error_ns)
@@ -95,7 +72,7 @@ void write_yield_json(std::ostream& os, const YieldReport& report) {
   // Compensation-policy portfolio provenance (DESIGN.md §18): the
   // default vi-only stamp when the analyzer runs on an untransformed
   // netlist, so the schema never switches.
-  os << "  \"portfolio\": {\"mix\": \"" << report.portfolio.mix
+  os << "  \"portfolio\": {\"mix\": \"" << json_escape(report.portfolio.mix)
      << "\", \"sizing\": " << (report.portfolio.sizing ? "true" : "false")
      << ", \"buffering\": " << (report.portfolio.buffering ? "true" : "false")
      << ", \"gates_upsized\": " << report.portfolio.gates_upsized
@@ -107,20 +84,20 @@ void write_yield_json(std::ostream& os, const YieldReport& report) {
      << "},\n";
   os << "  \"seed\": " << report.config.seed << ",\n";
   os << "  \"total_dies\": " << report.total_dies() << ",\n";
-  os << "  \"shipped_dies\": " << report.shipped_dies() << ",\n";
-  os << "  \"parametric_yield\": " << num(report.parametric_yield()) << ",\n";
+  os << "  \"shipped_dies\": " << a.shipped_dies() << ",\n";
+  os << "  \"parametric_yield\": " << num(a.parametric_yield()) << ",\n";
 
   os << "  \"policy_count\": {";
   for (int p = 0; p < kNumTuningPolicies; ++p) {
     os << (p ? ", " : "") << '"'
        << tuning_policy_name(static_cast<TuningPolicy>(p))
-       << "\": " << report.policy_count[static_cast<std::size_t>(p)];
+       << "\": " << a.policy_count[static_cast<std::size_t>(p)];
   }
   os << "},\n";
 
   os << "  \"island_activation\": [";
-  for (std::size_t k = 0; k < report.island_activation.size(); ++k) {
-    os << (k ? ", " : "") << report.island_activation[k];
+  for (std::size_t k = 0; k < a.island_activation.size(); ++k) {
+    os << (k ? ", " : "") << a.island_activation[k];
   }
   os << "],\n";
 
@@ -128,7 +105,7 @@ void write_yield_json(std::ostream& os, const YieldReport& report) {
   for (int p = 0; p < kNumTuningPolicies; ++p) {
     os << (p ? ", " : "") << '"'
        << tuning_policy_name(static_cast<TuningPolicy>(p)) << "\": ";
-    write_stats_json(os, report.power_mw[static_cast<std::size_t>(p)]);
+    write_moments_json(os, a.power_mw[static_cast<std::size_t>(p)]);
   }
   os << "},\n";
 
@@ -136,12 +113,12 @@ void write_yield_json(std::ostream& os, const YieldReport& report) {
   for (int p = 0; p < kNumTuningPolicies; ++p) {
     os << (p ? ", " : "") << '"'
        << tuning_policy_name(static_cast<TuningPolicy>(p)) << "\": ";
-    write_stats_json(os, report.leakage_mw[static_cast<std::size_t>(p)]);
+    write_moments_json(os, a.leakage_mw[static_cast<std::size_t>(p)]);
   }
   os << "},\n";
 
   os << "  \"fmax_ghz\": ";
-  write_stats_json(os, report.fmax_ghz);
+  write_moments_json(os, a.fmax_ghz);
   os << ",\n";
   os << "  \"speed_bins\": {\"lo_ghz\": " << num(report.speed_bin_lo_ghz)
      << ", \"step_ghz\": " << num(report.speed_bin_step_ghz) << ", \"count\": [";

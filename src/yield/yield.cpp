@@ -617,64 +617,35 @@ YieldAggregate YieldAnalyzer::analyze_shard(
   return agg;
 }
 
-void YieldAnalyzer::aggregate(YieldReport& report) const {
-  report.island_activation.assign(
-      static_cast<std::size_t>(plan_->num_islands()) + 1, 0);
-  // Adaptive-sampling accounting: the budget is what a fixed-budget run
-  // would have drawn per die (max_samples when adaptive, mc.samples
-  // otherwise); what each die actually drew is in DieOutcome::mc_samples.
-  const int per_die_budget = per_die_mc_budget(report.config.mc);
-  report.mc_samples_budget =
-      report.dies.size() * static_cast<std::size_t>(per_die_budget);
-  report.mc_samples_drawn = 0;
-  report.mc_converged_dies = 0;
-  report.triage_analytical = 0;
-  report.triage_mc_fallback = 0;
-  report.triage_macro = 0;
-  for (const DieOutcome& d : report.dies) {
-    report.mc_samples_drawn += static_cast<std::size_t>(std::max(d.mc_samples, 0));
-    if (d.mc_stop == McStop::Converged) ++report.mc_converged_dies;
-    if (d.triage_tier == TriageTier::Analytical) ++report.triage_analytical;
-    if (d.triage_tier == TriageTier::McFallback) ++report.triage_mc_fallback;
-    if (d.triage_tier == TriageTier::Macro) ++report.triage_macro;
-  }
-  for (const DieOutcome& d : report.dies) {
-    const auto p = static_cast<std::size_t>(d.policy);
-    ++report.policy_count[p];
-    report.power_mw[p].add(d.total_mw);
-    report.leakage_mw[p].add(d.leakage_mw);
-    if (d.policy == TuningPolicy::AllLow ||
-        d.policy == TuningPolicy::NestedIslands) {
-      ++report.island_activation[static_cast<std::size_t>(
-          std::clamp<int>(d.islands_raised, 0, plan_->num_islands()))];
-    }
-    if (d.policy != TuningPolicy::Discard && d.fmax_ghz > 0.0) {
-      report.fmax_ghz.add(d.fmax_ghz);
-    }
-  }
+namespace {
 
-  // Speed bins over the shipped-die fmax range.
-  if (report.fmax_ghz.count() == 0 || report.config.speed_bins == 0) return;
-  const double lo = report.fmax_ghz.min();
-  const double hi = report.fmax_ghz.max();
+/// The speed-bin histogram over the shipped dies' fmax, between the
+/// extrema report.agg already holds.
+void bin_speeds(YieldReport& report) {
+  const ExactMoments& fmax = report.agg.fmax_ghz;
+  const std::size_t bins = report.config.speed_bins;
+  if (fmax.count() == 0 || bins == 0) return;
+  const double lo = fmax.min();
+  const double hi = fmax.max();
   report.speed_bin_lo_ghz = lo;
-  report.speed_bin_count.assign(report.config.speed_bins, 0);
+  report.speed_bin_count.assign(bins, 0);
   if (!(hi > lo)) {
     // All shipped dies bin identically (tiny wafers / zero variance).
     report.speed_bin_step_ghz = 0.0;
-    report.speed_bin_count[0] = report.fmax_ghz.count();
+    report.speed_bin_count[0] = fmax.count();
     return;
   }
-  report.speed_bin_step_ghz =
-      (hi - lo) / static_cast<double>(report.config.speed_bins);
+  report.speed_bin_step_ghz = (hi - lo) / static_cast<double>(bins);
   for (const DieOutcome& d : report.dies) {
     if (d.policy == TuningPolicy::Discard || !(d.fmax_ghz > 0.0)) continue;
     const auto bin = std::min<std::size_t>(
-        report.config.speed_bins - 1,
+        bins - 1,
         static_cast<std::size_t>((d.fmax_ghz - lo) / report.speed_bin_step_ghz));
     ++report.speed_bin_count[bin];
   }
 }
+
+}  // namespace
 
 YieldReport YieldAnalyzer::analyze(const WaferModel& wafer,
                                    const YieldConfig& cfg,
@@ -711,7 +682,15 @@ YieldReport YieldAnalyzer::analyze(const WaferModel& wafer,
     for (std::size_t i = 0; i < dies.size(); ++i) body(w, i);
   }
 
-  aggregate(report);
+  // One reducer (DESIGN.md §9): the dies fold in die-id order through
+  // the YieldAggregate::add call analyze_shard makes, into an activation
+  // histogram pre-sized as there, so a wafer with no dies still reports
+  // num_islands + 1 zeros.
+  const int n = plan_->num_islands();
+  const int budget = per_die_mc_budget(cfg.mc);
+  report.agg.island_activation.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const DieOutcome& d : report.dies) report.agg.add(d, n, budget);
+  bin_speeds(report);
   return report;
 }
 

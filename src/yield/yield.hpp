@@ -126,7 +126,7 @@ struct YieldConfig {
   /// (DESIGN.md §14): each die draws only until its own stage fits
   /// converge, so easy dies stop at min_samples while marginal dies run
   /// toward max_samples — per-die budgets, wafer-level savings
-  /// (YieldReport::mc_sample_savings()).
+  /// (YieldAggregate::mc_sample_savings()).
   McConfig mc{.samples = 48, .seed = 0, .confidence = 0.95};
   std::uint64_t seed = 0x5afe57a7eULL;
   /// Speed bin metric: the die's achievable clock is this percentile of
@@ -207,12 +207,13 @@ struct SlotTriage {
 
 /// The worst-case per-die MC sample budget of a config: max_samples when
 /// adaptive sampling is on, the fixed mc.samples otherwise (never
-/// negative).  Both YieldReport accounting and the campaign layer's
-/// streaming reducers charge budgets through this one definition.
+/// negative).  YieldAggregate::add charges every die's budget through
+/// this one definition.
 int per_die_mc_budget(const McConfig& mc);
 
-/// Partition-invariant mergeable aggregate over die outcomes: the
-/// campaign layer's streaming reducer (DESIGN.md §15).  Holds ONLY
+/// Partition-invariant mergeable aggregate over die outcomes: the one
+/// die reducer, of the wafer report (YieldReport::agg) and of the
+/// campaign layer's streams (DESIGN.md §9, §15).  Holds ONLY
 /// O(1)-in-dies state — exact integer tallies plus ExactMoments — so a
 /// shard worker can reduce its dies as it goes and discard every
 /// per-die result.  add() and merge() commute and associate exactly:
@@ -257,12 +258,38 @@ struct YieldAggregate {
   /// plans).
   void merge(const YieldAggregate& other);
 
-  std::uint64_t shipped_dies() const {
-    return dies - policy_count[static_cast<std::size_t>(TuningPolicy::Discard)];
+  /// Whole-state equality, ExactMoments compared bitwise.
+  bool operator==(const YieldAggregate&) const = default;
+
+  std::uint64_t count(TuningPolicy p) const {
+    return policy_count[static_cast<std::size_t>(p)];
   }
+  std::uint64_t shipped_dies() const {
+    return dies - count(TuningPolicy::Discard);
+  }
+  /// Fraction of dies that ship under SOME policy (the classic
+  /// parametric-yield number).
   double parametric_yield() const {
     return dies == 0 ? 0.0
                      : static_cast<double>(shipped_dies()) /
+                           static_cast<double>(dies);
+  }
+  /// Fraction of the worst-case MC sample budget (mc_samples_budget) the
+  /// dies never drew.  Adaptive dies that converge early save; so does
+  /// every screen-decided die, which draws none of its budget — so a
+  /// fixed-budget triage or macro wafer reads its decided fraction, and
+  /// only a fixed-budget flat wafer reads 0.
+  double mc_sample_savings() const {
+    return mc_samples_budget == 0
+               ? 0.0
+               : 1.0 - static_cast<double>(mc_samples_drawn) /
+                           static_cast<double>(mc_samples_budget);
+  }
+  /// Fraction of dies a screen decided without MC — analytical (§16)
+  /// plus macromodel (§19) verdicts (0 on the flat tier).
+  double triage_fraction() const {
+    return dies == 0 ? 0.0
+                     : static_cast<double>(triage_analytical + triage_macro) /
                            static_cast<double>(dies);
   }
 };
@@ -272,27 +299,10 @@ struct YieldReport {
   YieldConfig config{};
   std::vector<DieOutcome> dies;  ///< die-id order (== WaferModel::dies())
 
-  // ---- aggregates (filled serially after the per-die loop) ---------------
-  std::array<std::size_t, kNumTuningPolicies> policy_count{};
-  /// Histogram of islands_raised over island-compensated dies (index 0 =
-  /// all-low dies); size num_islands()+1.
-  std::vector<std::size_t> island_activation;
-  std::array<RunningStats, kNumTuningPolicies> power_mw;
-  std::array<RunningStats, kNumTuningPolicies> leakage_mw;
-  RunningStats fmax_ghz;  ///< over shipped (non-discarded) dies
-  /// Wafer-level adaptive-sampling accounting: samples actually drawn
-  /// across all dies vs the worst-case budget (max_samples per die when
-  /// adaptive, the fixed mc.samples otherwise — the two coincide for
-  /// fixed runs, so savings read 0 there by construction).
-  std::size_t mc_samples_drawn = 0;
-  std::size_t mc_samples_budget = 0;
-  /// Dies whose adaptive run stopped on McStop::Converged (0 for fixed
-  /// runs, where every die reports FixedBudget).
-  std::size_t mc_converged_dies = 0;
-  /// Tier tallies (DESIGN.md §16/§19); all 0 on the flat tier.
-  std::size_t triage_analytical = 0;
-  std::size_t triage_mc_fallback = 0;
-  std::size_t triage_macro = 0;
+  /// Every die folded through YieldAggregate::add in die-id order after
+  /// the per-die loop: the reducer analyze_shard and the campaign use, so
+  /// a wafer run and any merged shard partition hold equal aggregates.
+  YieldAggregate agg;
   /// Speed-bin histogram over shipped-die fmax: bin i spans
   /// [lo + i*step, lo + (i+1)*step).
   std::vector<std::size_t> speed_bin_count;
@@ -304,34 +314,6 @@ struct YieldReport {
   PortfolioStats portfolio{};
 
   std::size_t total_dies() const { return dies.size(); }
-  std::size_t count(TuningPolicy p) const {
-    return policy_count[static_cast<std::size_t>(p)];
-  }
-  std::size_t shipped_dies() const {
-    return dies.size() - count(TuningPolicy::Discard);
-  }
-  /// Fraction of dies that ship under SOME policy (the classic
-  /// parametric-yield number).
-  double parametric_yield() const {
-    return dies.empty() ? 0.0
-                        : static_cast<double>(shipped_dies()) /
-                              static_cast<double>(dies.size());
-  }
-  /// Fraction of the worst-case MC sample budget the wafer never had to
-  /// draw (0 for fixed-budget runs).
-  double mc_sample_savings() const {
-    return mc_samples_budget == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(mc_samples_drawn) /
-                           static_cast<double>(mc_samples_budget);
-  }
-  /// Fraction of dies a screen decided without MC — analytical (§16)
-  /// plus macromodel (§19) verdicts (0 on the flat tier).
-  double triage_fraction() const {
-    return dies.empty() ? 0.0
-                        : static_cast<double>(triage_analytical + triage_macro) /
-                              static_cast<double>(dies.size());
-  }
   /// Glyph string indexed by die id, for WaferModel::ascii_map().
   std::string policy_glyphs() const;
 };
@@ -440,7 +422,7 @@ class YieldAnalyzer {
   /// the analyzer's memo (DESIGN.md §22), so every shard of a wafer
   /// shares one copy of each.  Per-die bits are identical to
   /// analyze_die(), so aggregating any partition of [0, num_dies) and
-  /// merging reproduces the aggregate of a full analyze() run exactly.
+  /// merging reproduces a full analyze() run's YieldReport::agg exactly.
   YieldAggregate analyze_shard(StaEngine& engine,
                                CompensationController& ctrl,
                                const WaferModel& wafer, const YieldConfig& cfg,
@@ -523,7 +505,6 @@ class YieldAnalyzer {
   DiePower cached_die_power(const DieLocation& loc,
                             std::span<const double> systematic,
                             int state) const;
-  void aggregate(YieldReport& report) const;
   /// The shared margin-vs-band decision applied to analytic stage
   /// moments from either tier (§16 canonical pass or §19 macromodel).
   SlotTriage slot_verdict(const CanonicalResult& res,

@@ -282,6 +282,25 @@ TEST_F(CampaignFixture, ShardPartitionMergeMatchesSinglePass) {
   }
 }
 
+TEST_F(CampaignFixture, OneWaferCellEqualsTheWaferReportAggregate) {
+  // One reducer: the campaign's shards and analyze() fold the same dies
+  // through YieldAggregate::add, so a one-cell, one-wafer campaign's cell
+  // equals the wafer report's aggregate as a whole struct (tiny_spec's
+  // 3-die shards make the cell a merge of several).
+  CampaignSpec spec = tiny_spec();
+  spec.wafers_per_cell = 1;
+  spec.sigma_scales = {1.0};
+  spec.policies = {spec.policies[0]};
+  const CampaignReport rep = runner_->run(spec, CampaignRunOptions{});
+  ASSERT_EQ(rep.cells.size(), 1u);
+
+  YieldConfig cfg = runner_->expand(spec)[0].config;
+  cfg.seed = campaign_wafer_seed(spec.seed, 0, 0);
+  const YieldReport wafer_rep = YieldAnalyzer::from_flow(*flow_).analyze(
+      WaferModel(spec.wafer_grids[0]), cfg);
+  EXPECT_EQ(rep.cells[0].agg, wafer_rep.agg);
+}
+
 TEST_F(CampaignFixture, OnRecordStreamsInJobOrder) {
   CampaignSpec spec = tiny_spec();
   spec.wafers_per_cell = 1;

@@ -93,28 +93,11 @@ YieldReport synthetic_yield_report(const WaferModel& wafer) {
   r.config.mc.samples = 16;
   r.config.seed = 77;
   r.config.tier = EvalTier::Macro;
-  r.island_activation.assign(3, 0);
+  // Folded as analyze() folds a wafer: two islands, the config's budget.
+  r.agg.island_activation.assign(3, 0);
   for (std::size_t i = 0; i < wafer.num_dies(); ++i) {
-    const DieOutcome d = synthetic_die(static_cast<int>(i));
-    const auto p = static_cast<std::size_t>(d.policy);
-    ++r.policy_count[p];
-    r.power_mw[p].add(d.total_mw);
-    r.leakage_mw[p].add(d.leakage_mw);
-    if (d.policy == TuningPolicy::AllLow ||
-        d.policy == TuningPolicy::NestedIslands) {
-      ++r.island_activation[static_cast<std::size_t>(d.islands_raised)];
-    }
-    if (d.policy != TuningPolicy::Discard && d.fmax_ghz > 0.0) {
-      r.fmax_ghz.add(d.fmax_ghz);
-    }
-    if (d.triage_tier == TriageTier::Macro) {
-      ++r.triage_macro;
-    } else {
-      ++r.triage_mc_fallback;
-      r.mc_samples_drawn += static_cast<std::size_t>(d.mc_samples);
-    }
-    r.mc_samples_budget += 16;
-    r.dies.push_back(d);
+    r.dies.push_back(synthetic_die(static_cast<int>(i)));
+    r.agg.add(r.dies.back(), 2, per_die_mc_budget(r.config.mc));
   }
   r.speed_bin_lo_ghz = 1.0;
   r.speed_bin_step_ghz = 0.25;
@@ -215,6 +198,51 @@ TEST(GoldenWriters, CampaignNdjsonStreamMatchesGolden) {
   }
   os << serialize_campaign_trailer(2) << '\n';
   expect_matches_golden("campaign_stream.ndjson", os.str());
+}
+
+// User-supplied names (policy mix, variant, policy) reach the reports
+// as given: each JSON writer escapes them as the NDJSON stream does, and
+// the CSV quotes its policy_mix field, so a quote, backslash or comma in
+// a name neither breaks the JSON nor splits a CSV column.
+TEST(GoldenWriters, UserSuppliedNamesAreEscaped) {
+  const std::string name = R"(q"uo\te,comma)";
+  const std::string in_json = R"("q\"uo\\te,comma")";
+  const WaferModel wafer(golden_wafer_config());
+
+  YieldReport yr = synthetic_yield_report(wafer);
+  yr.portfolio.mix = name;
+  std::ostringstream yield_json;
+  write_yield_json(yield_json, yr);
+  EXPECT_NE(yield_json.str().find(R"("mix": )" + in_json), std::string::npos)
+      << yield_json.str();
+
+  std::ostringstream csv;
+  write_yield_csv(csv, wafer, yr);
+  std::istringstream rows(csv.str());
+  std::string row;
+  std::getline(rows, row);  // header
+  std::size_t data_rows = 0;
+  while (std::getline(rows, row)) {
+    ++data_rows;
+    const std::string quoted = R"(,"q""uo\te,comma")";
+    ASSERT_GE(row.size(), quoted.size());
+    EXPECT_EQ(row.substr(row.size() - quoted.size()), quoted) << row;
+  }
+  EXPECT_EQ(data_rows, wafer.num_dies());
+
+  CampaignReport cr = synthetic_campaign_report(wafer);
+  cr.variant_names = {name};
+  cr.spec.policies[1].name = name;
+  cr.cells[1].portfolio.mix = name;
+  std::ostringstream campaign_json;
+  write_campaign_json(campaign_json, cr);
+  const std::string out = campaign_json.str();
+  for (const std::string key :
+       {R"("variants": [)", R"("name": )", R"("variant": )", R"("policy": )",
+        R"("mix": )"}) {
+    EXPECT_NE(out.find(key + in_json), std::string::npos) << key;
+  }
+  EXPECT_EQ(out.find(name), std::string::npos) << "unescaped name in\n" << out;
 }
 
 }  // namespace

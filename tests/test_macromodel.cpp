@@ -274,10 +274,10 @@ TEST_F(MacroFixture, MacroDecidedDiesSkipMcAndKeepSiliconBits) {
   on_cfg.triage.model_error_ns = 0.0;
   const YieldReport on = analyzer.analyze(wafer, on_cfg);
 
-  EXPECT_EQ(on.triage_macro + on.triage_mc_fallback, on.dies.size());
-  EXPECT_GT(on.triage_macro, 0u);
-  EXPECT_EQ(on.triage_analytical, 0u);
-  EXPECT_GT(on.triage_fraction(), 0.0);
+  EXPECT_EQ(on.agg.triage_macro + on.agg.triage_mc_fallback, on.dies.size());
+  EXPECT_GT(on.agg.triage_macro, 0u);
+  EXPECT_EQ(on.agg.triage_analytical, 0u);
+  EXPECT_GT(on.agg.triage_fraction(), 0.0);
   for (const DieOutcome& d : on.dies) {
     if (d.triage_tier != TriageTier::Macro) continue;
     EXPECT_EQ(d.mc_samples, 0);
@@ -296,8 +296,8 @@ TEST_F(MacroFixture, HugeBandMacroFallsBackToMcWithIdenticalResults) {
   on_cfg.triage.model_error_ns = 1e9;
   const YieldReport on = analyzer.analyze(wafer, on_cfg);
 
-  EXPECT_EQ(on.triage_macro, 0u);
-  EXPECT_EQ(on.triage_mc_fallback, on.dies.size());
+  EXPECT_EQ(on.agg.triage_macro, 0u);
+  EXPECT_EQ(on.agg.triage_mc_fallback, on.dies.size());
   ASSERT_EQ(on.dies.size(), off.dies.size());
   for (std::size_t i = 0; i < on.dies.size(); ++i) {
     EXPECT_EQ(on.dies[i].triage_tier, TriageTier::McFallback);
@@ -337,11 +337,7 @@ TEST_F(MacroFixture, ShardsWithoutSharedScreenReproduceTheMacroWaferRun) {
   agg.merge(
       analyzer.analyze_shard(engine, ctrl, wafer, cfg, mid, wafer.num_dies()));
 
-  EXPECT_EQ(agg.dies, full.dies.size());
-  EXPECT_EQ(agg.triage_macro, full.triage_macro);
-  EXPECT_EQ(agg.triage_mc_fallback, full.triage_mc_fallback);
-  EXPECT_EQ(agg.shipped_dies(), full.shipped_dies());
-  EXPECT_EQ(agg.mc_samples_drawn, full.mc_samples_drawn);
+  EXPECT_EQ(agg, full.agg);
 }
 
 }  // namespace

@@ -210,9 +210,9 @@ TEST_F(SstaFixture, TriageOffReportsOffTierEverywhere) {
   const WaferModel wafer(test_wafer_config());
   const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
   const YieldReport r = analyzer.analyze(wafer, triage_off_config());
-  EXPECT_EQ(r.triage_analytical, 0u);
-  EXPECT_EQ(r.triage_mc_fallback, 0u);
-  EXPECT_DOUBLE_EQ(r.triage_fraction(), 0.0);
+  EXPECT_EQ(r.agg.triage_analytical, 0u);
+  EXPECT_EQ(r.agg.triage_mc_fallback, 0u);
+  EXPECT_DOUBLE_EQ(r.agg.triage_fraction(), 0.0);
   for (const DieOutcome& d : r.dies) {
     EXPECT_EQ(d.triage_tier, TriageTier::Off);
     EXPECT_DOUBLE_EQ(d.triage_margin_ns, 0.0);
@@ -232,8 +232,8 @@ TEST_F(SstaFixture, HugeBandFallsBackToMcWithIdenticalResults) {
   on_cfg.triage.model_error_ns = 1e9;
   const YieldReport on = analyzer.analyze(wafer, on_cfg);
 
-  EXPECT_EQ(on.triage_analytical, 0u);
-  EXPECT_EQ(on.triage_mc_fallback, on.dies.size());
+  EXPECT_EQ(on.agg.triage_analytical, 0u);
+  EXPECT_EQ(on.agg.triage_mc_fallback, on.dies.size());
   ASSERT_EQ(on.dies.size(), off.dies.size());
   for (std::size_t i = 0; i < on.dies.size(); ++i) {
     EXPECT_EQ(on.dies[i].triage_tier, TriageTier::McFallback);
@@ -259,9 +259,10 @@ TEST_F(SstaFixture, AnalyticalVerdictSkipsMcAndKeepsSiliconBits) {
   on_cfg.triage.model_error_ns = 0.0;
   const YieldReport on = analyzer.analyze(wafer, on_cfg);
 
-  EXPECT_EQ(on.triage_analytical + on.triage_mc_fallback, on.dies.size());
-  EXPECT_GT(on.triage_analytical, 0u);
-  EXPECT_GT(on.triage_fraction(), 0.0);
+  EXPECT_EQ(on.agg.triage_analytical + on.agg.triage_mc_fallback,
+            on.dies.size());
+  EXPECT_GT(on.agg.triage_analytical, 0u);
+  EXPECT_GT(on.agg.triage_fraction(), 0.0);
   for (const DieOutcome& d : on.dies) {
     if (d.triage_tier != TriageTier::Analytical) continue;
     EXPECT_EQ(d.mc_samples, 0);
@@ -306,11 +307,7 @@ TEST_F(SstaFixture, ShardsWithoutSharedScreenReproduceTheWaferRun) {
   agg.merge(
       analyzer.analyze_shard(engine, ctrl, wafer, cfg, mid, wafer.num_dies()));
 
-  EXPECT_EQ(agg.dies, full.dies.size());
-  EXPECT_EQ(agg.triage_analytical, full.triage_analytical);
-  EXPECT_EQ(agg.triage_mc_fallback, full.triage_mc_fallback);
-  EXPECT_EQ(agg.shipped_dies(), full.shipped_dies());
-  EXPECT_EQ(agg.mc_samples_drawn, full.mc_samples_drawn);
+  EXPECT_EQ(agg, full.agg);
 }
 
 TEST_F(SstaFixture, SingleDiePathMatchesWaferPath) {

@@ -173,10 +173,10 @@ std::string serialize(const WaferModel& wafer, const YieldReport& report) {
 TEST_F(YieldFixture, ReportCoversEveryDieConsistently) {
   ASSERT_EQ(report_->dies.size(), wafer_->num_dies());
   std::size_t policy_sum = 0;
-  for (const auto c : report_->policy_count) policy_sum += c;
+  for (const auto c : report_->agg.policy_count) policy_sum += c;
   EXPECT_EQ(policy_sum, report_->total_dies());
-  EXPECT_GE(report_->parametric_yield(), 0.0);
-  EXPECT_LE(report_->parametric_yield(), 1.0);
+  EXPECT_GE(report_->agg.parametric_yield(), 0.0);
+  EXPECT_LE(report_->agg.parametric_yield(), 1.0);
   for (std::size_t i = 0; i < report_->dies.size(); ++i) {
     const DieOutcome& d = report_->dies[i];
     EXPECT_EQ(d.die_id, static_cast<int>(i));
@@ -214,18 +214,19 @@ TEST_F(YieldFixture, WaferReproducesThePaperGradient) {
 
 TEST_F(YieldFixture, IslandActivationMatchesPolicyCounts) {
   std::size_t activation_sum = 0;
-  for (const auto c : report_->island_activation) activation_sum += c;
-  EXPECT_EQ(activation_sum, report_->count(TuningPolicy::AllLow) +
-                                report_->count(TuningPolicy::NestedIslands));
-  EXPECT_EQ(report_->island_activation.size(),
+  for (const auto c : report_->agg.island_activation) activation_sum += c;
+  EXPECT_EQ(activation_sum,
+            report_->agg.count(TuningPolicy::AllLow) +
+                report_->agg.count(TuningPolicy::NestedIslands));
+  EXPECT_EQ(report_->agg.island_activation.size(),
             static_cast<std::size_t>(flow_->island_plan().num_islands()) + 1);
 }
 
 TEST_F(YieldFixture, SpeedBinsPartitionShippedDies) {
   std::size_t binned = 0;
   for (const auto c : report_->speed_bin_count) binned += c;
-  EXPECT_EQ(binned, report_->fmax_ghz.count());
-  EXPECT_EQ(report_->fmax_ghz.count(), report_->shipped_dies());
+  EXPECT_EQ(binned, report_->agg.fmax_ghz.count());
+  EXPECT_EQ(report_->agg.fmax_ghz.count(), report_->agg.shipped_dies());
 }
 
 TEST_F(YieldFixture, PolicyGlyphsMatchAsciiMap) {
@@ -258,11 +259,11 @@ TEST_F(YieldFixture, ReportBitIdenticalAcrossThreadCounts) {
 /// draws exactly the budget, nothing converges early, savings are zero.
 TEST_F(YieldFixture, FixedBudgetAccountingIsDegenerate) {
   const YieldConfig cfg = test_yield_config();
-  EXPECT_EQ(report_->mc_samples_budget,
+  EXPECT_EQ(report_->agg.mc_samples_budget,
             wafer_->num_dies() * static_cast<std::size_t>(cfg.mc.samples));
-  EXPECT_EQ(report_->mc_samples_drawn, report_->mc_samples_budget);
-  EXPECT_EQ(report_->mc_converged_dies, 0u);
-  EXPECT_DOUBLE_EQ(report_->mc_sample_savings(), 0.0);
+  EXPECT_EQ(report_->agg.mc_samples_drawn, report_->agg.mc_samples_budget);
+  EXPECT_EQ(report_->agg.mc_converged_dies, 0u);
+  EXPECT_DOUBLE_EQ(report_->agg.mc_sample_savings(), 0.0);
   for (const DieOutcome& d : report_->dies) {
     EXPECT_EQ(d.mc_samples, cfg.mc.samples);
     EXPECT_EQ(d.mc_stop, McStop::FixedBudget);
@@ -286,12 +287,12 @@ TEST_F(YieldFixture, AdaptiveAccountingIsConsistent) {
   const std::size_t dies = wafer_->num_dies();
 
   const YieldReport loose = analyzer.analyze(*wafer_, yc, nullptr);
-  EXPECT_EQ(loose.mc_samples_budget, dies * 48u);
-  EXPECT_GE(loose.mc_samples_drawn, dies * 8u);
-  EXPECT_LT(loose.mc_samples_drawn, loose.mc_samples_budget);
-  EXPECT_EQ(loose.mc_converged_dies, dies);
-  EXPECT_GT(loose.mc_sample_savings(), 0.0);
-  EXPECT_LT(loose.mc_sample_savings(), 1.0);
+  EXPECT_EQ(loose.agg.mc_samples_budget, dies * 48u);
+  EXPECT_GE(loose.agg.mc_samples_drawn, dies * 8u);
+  EXPECT_LT(loose.agg.mc_samples_drawn, loose.agg.mc_samples_budget);
+  EXPECT_EQ(loose.agg.mc_converged_dies, dies);
+  EXPECT_GT(loose.agg.mc_sample_savings(), 0.0);
+  EXPECT_LT(loose.agg.mc_sample_savings(), 1.0);
   std::size_t drawn = 0;
   for (const DieOutcome& d : loose.dies) {
     EXPECT_GE(d.mc_samples, 8);
@@ -299,14 +300,14 @@ TEST_F(YieldFixture, AdaptiveAccountingIsConsistent) {
     EXPECT_EQ(d.mc_stop, McStop::Converged);
     drawn += static_cast<std::size_t>(d.mc_samples);
   }
-  EXPECT_EQ(drawn, loose.mc_samples_drawn);
+  EXPECT_EQ(drawn, loose.agg.mc_samples_drawn);
 
   yc.mc.adaptive.mean_half_width_ns = 0.0;
   yc.mc.adaptive.sigma_half_width_ns = 0.0;
   const YieldReport capped = analyzer.analyze(*wafer_, yc, nullptr);
-  EXPECT_EQ(capped.mc_samples_drawn, capped.mc_samples_budget);
-  EXPECT_EQ(capped.mc_converged_dies, 0u);
-  EXPECT_DOUBLE_EQ(capped.mc_sample_savings(), 0.0);
+  EXPECT_EQ(capped.agg.mc_samples_drawn, capped.agg.mc_samples_budget);
+  EXPECT_EQ(capped.agg.mc_converged_dies, 0u);
+  EXPECT_DOUBLE_EQ(capped.agg.mc_sample_savings(), 0.0);
   for (const DieOutcome& d : capped.dies) {
     EXPECT_EQ(d.mc_samples, 48);
     EXPECT_EQ(d.mc_stop, McStop::MaxSamples);
@@ -353,7 +354,7 @@ TEST_F(YieldFixture, AllTiersKeepIdenticalRngPositionsForSiliconBits) {
   YieldConfig triage_cfg = test_yield_config();
   triage_cfg.tier = EvalTier::Triage;
   const YieldReport triage = analyzer.analyze(*wafer_, triage_cfg);
-  EXPECT_GT(triage.triage_analytical, 0u);
+  EXPECT_GT(triage.agg.triage_analytical, 0u);
 
   YieldConfig adaptive_cfg = test_yield_config();
   adaptive_cfg.mc.adaptive.enabled = true;
@@ -363,12 +364,12 @@ TEST_F(YieldFixture, AllTiersKeepIdenticalRngPositionsForSiliconBits) {
   adaptive_cfg.mc.adaptive.mean_half_width_ns = 1e9;
   adaptive_cfg.mc.adaptive.sigma_half_width_ns = 1e9;
   const YieldReport adaptive = analyzer.analyze(*wafer_, adaptive_cfg);
-  EXPECT_GT(adaptive.mc_converged_dies, 0u);
+  EXPECT_GT(adaptive.agg.mc_converged_dies, 0u);
 
   YieldConfig macro_cfg = test_yield_config();
   macro_cfg.tier = EvalTier::Macro;
   const YieldReport macro = analyzer.analyze(*wafer_, macro_cfg);
-  EXPECT_GT(macro.triage_macro, 0u);
+  EXPECT_GT(macro.agg.triage_macro, 0u);
 
   const std::string want = silicon_bits(flat);
   EXPECT_EQ(silicon_bits(triage), want);
@@ -595,8 +596,8 @@ TEST_F(YieldFixture, SharedAnalyzerStateIsolatedAcrossGeometries) {
       }
       want_agg[g] = agg_bytes(agg);
       escalated += agg.escalated;
-      chip_wide += r.count(TuningPolicy::ChipWideHigh);
-      discarded += r.count(TuningPolicy::Discard);
+      chip_wide += r.agg.count(TuningPolicy::ChipWideHigh);
+      discarded += r.agg.count(TuningPolicy::Discard);
     }
     for (const char* mode : {"serial", "4 threads", "shards"}) {
       for (std::size_t g = 0; g < wafers.size(); ++g) {
